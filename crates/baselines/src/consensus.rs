@@ -17,9 +17,8 @@
 //! **agreement** (all correct outputs equal) and **validity** (unanimous
 //! correct inputs are decided).
 
-use bytes::BytesMut;
 use byzclock_core::RoundProtocol;
-use byzclock_sim::{NodeCfg, NodeId, SimRng, Target, Wire, WireReader};
+use byzclock_sim::{NodeCfg, NodeId, SimRng, Target, Wire, WireFormat, WireReader, WireWriter};
 use rand::Rng;
 
 /// Messages of the consensus instances.
@@ -36,42 +35,22 @@ pub enum BaMsg {
 }
 
 impl Wire for BaMsg {
-    fn encode(&self, buf: &mut BytesMut) {
+    #[inline]
+    fn encode(&self, format: WireFormat, w: &mut WireWriter<'_>) {
         match self {
-            BaMsg::Val(v) => {
-                0u8.encode(buf);
-                v.encode(buf);
-            }
-            BaMsg::Perm(p) => {
-                1u8.encode(buf);
-                p.encode(buf);
-            }
-            BaMsg::Bit(b) => {
-                2u8.encode(buf);
-                b.encode(buf);
-            }
-            BaMsg::BitProp(p) => {
-                3u8.encode(buf);
-                p.encode(buf);
-            }
+            BaMsg::Val(v) => w.put_tagged(0, v, format),
+            BaMsg::Perm(p) => w.put_tagged(1, p, format),
+            BaMsg::Bit(b) => w.put_tagged(2, b, format),
+            BaMsg::BitProp(p) => w.put_tagged(3, p, format),
         }
     }
 
-    fn encoded_len(&self) -> usize {
-        1 + match self {
-            BaMsg::Val(_) => 8,
-            BaMsg::Perm(p) => p.encoded_len(),
-            BaMsg::Bit(_) => 1,
-            BaMsg::BitProp(p) => p.encoded_len(),
-        }
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Option<Self> {
+    fn decode(format: WireFormat, r: &mut WireReader<'_>) -> Option<Self> {
         match r.u8()? {
-            0 => Some(BaMsg::Val(u64::decode(r)?)),
-            1 => Some(BaMsg::Perm(Option::decode(r)?)),
-            2 => Some(BaMsg::Bit(bool::decode(r)?)),
-            3 => Some(BaMsg::BitProp(Option::decode(r)?)),
+            0 => Some(BaMsg::Val(Wire::decode(format, r)?)),
+            1 => Some(BaMsg::Perm(Wire::decode(format, r)?)),
+            2 => Some(BaMsg::Bit(Wire::decode(format, r)?)),
+            3 => Some(BaMsg::BitProp(Wire::decode(format, r)?)),
             _ => None,
         }
     }
@@ -630,9 +609,9 @@ mod tests {
 
     #[test]
     fn wire_sizes() {
-        assert_eq!(BaMsg::Val(1).encoded_len(), 9);
-        assert_eq!(BaMsg::Perm(None).encoded_len(), 2);
-        assert_eq!(BaMsg::Bit(true).encoded_len(), 2);
-        assert_eq!(BaMsg::BitProp(Some(false)).encoded_len(), 3);
+        assert_eq!(WireFormat::Fixed.len_of(&BaMsg::Val(1)), 9);
+        assert_eq!(WireFormat::Fixed.len_of(&BaMsg::Perm(None)), 2);
+        assert_eq!(WireFormat::Fixed.len_of(&BaMsg::Bit(true)), 2);
+        assert_eq!(WireFormat::Fixed.len_of(&BaMsg::BitProp(Some(false))), 3);
     }
 }

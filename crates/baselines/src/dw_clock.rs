@@ -7,9 +7,10 @@
 //! coherently, so convergence is expected-exponential in `g` — the row the
 //! current paper's O(1) result is measured against.
 
-use bytes::BytesMut;
 use byzclock_core::DigitalClock;
-use byzclock_sim::{Application, Envelope, NodeCfg, Outbox, SimRng, Wire, WireReader};
+use byzclock_sim::{
+    Application, Envelope, NodeCfg, Outbox, SimRng, Wire, WireFormat, WireReader, WireWriter,
+};
 use rand::Rng;
 
 /// Message of [`DwClock`]: the sender's clock value.
@@ -17,16 +18,13 @@ use rand::Rng;
 pub struct DwMsg(pub u64);
 
 impl Wire for DwMsg {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.0.encode(buf);
+    #[inline]
+    fn encode(&self, format: WireFormat, w: &mut WireWriter<'_>) {
+        self.0.encode(format, w);
     }
 
-    fn encoded_len(&self) -> usize {
-        8
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Option<Self> {
-        u64::decode(r).map(DwMsg)
+    fn decode(format: WireFormat, r: &mut WireReader<'_>) -> Option<Self> {
+        u64::decode(format, r).map(DwMsg)
     }
 }
 

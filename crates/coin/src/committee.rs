@@ -39,9 +39,10 @@
 use crate::gvss::GvssWorkspace;
 use crate::messages::CoinMsg;
 use crate::ticket::{TicketCoinProto, TICKET_COIN_ROUNDS};
-use bytes::BytesMut;
 use byzclock_core::{CoinScheme, RoundProtocol};
-use byzclock_sim::{derive_seed, NodeCfg, NodeId, SimRng, Target, Wire, WireReader};
+use byzclock_sim::{
+    derive_seed, NodeCfg, NodeId, SimRng, Target, Wire, WireFormat, WireReader, WireWriter,
+};
 use rand::Rng;
 use rand::SeedableRng;
 
@@ -119,58 +120,18 @@ pub enum CommitteeMsg {
 }
 
 impl Wire for CommitteeMsg {
-    fn encode(&self, buf: &mut BytesMut) {
+    #[inline]
+    fn encode(&self, format: WireFormat, w: &mut WireWriter<'_>) {
         match self {
-            CommitteeMsg::Gvss(m) => {
-                0u8.encode(buf);
-                m.encode(buf);
-            }
-            CommitteeMsg::Relay(b) => {
-                1u8.encode(buf);
-                b.encode(buf);
-            }
+            CommitteeMsg::Gvss(m) => w.put_tagged(0, m, format),
+            CommitteeMsg::Relay(b) => w.put_tagged(1, b, format),
         }
     }
 
-    fn encoded_len(&self) -> usize {
-        1 + match self {
-            CommitteeMsg::Gvss(m) => m.encoded_len(),
-            CommitteeMsg::Relay(b) => b.encoded_len(),
-        }
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Option<Self> {
+    fn decode(format: WireFormat, r: &mut WireReader<'_>) -> Option<Self> {
         match r.u8()? {
-            0 => Some(CommitteeMsg::Gvss(CoinMsg::decode(r)?)),
-            1 => Some(CommitteeMsg::Relay(bool::decode(r)?)),
-            _ => None,
-        }
-    }
-
-    fn encode_packed(&self, buf: &mut BytesMut) {
-        match self {
-            CommitteeMsg::Gvss(m) => {
-                0u8.encode(buf);
-                m.encode_packed(buf);
-            }
-            CommitteeMsg::Relay(b) => {
-                1u8.encode(buf);
-                b.encode(buf);
-            }
-        }
-    }
-
-    fn packed_len(&self) -> usize {
-        1 + match self {
-            CommitteeMsg::Gvss(m) => m.packed_len(),
-            CommitteeMsg::Relay(b) => b.encoded_len(),
-        }
-    }
-
-    fn decode_packed(r: &mut WireReader<'_>) -> Option<Self> {
-        match r.u8()? {
-            0 => Some(CommitteeMsg::Gvss(CoinMsg::decode_packed(r)?)),
-            1 => Some(CommitteeMsg::Relay(bool::decode(r)?)),
+            0 => Some(CommitteeMsg::Gvss(Wire::decode(format, r)?)),
+            1 => Some(CommitteeMsg::Relay(Wire::decode(format, r)?)),
             _ => None,
         }
     }

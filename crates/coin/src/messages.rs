@@ -13,13 +13,14 @@
 //! encoding is extravagant for them: every field element is a `u64` (8
 //! bytes) although the field is the smallest prime above `n` (1 byte for
 //! every realistic cluster — `Fp::elem_width`), and every `Vec` pays a
-//! 4-byte length plus 1-byte `Option` flags. The packed overrides encode:
+//! 4-byte length plus 1-byte `Option` flags. Under `WireFormat::Packed`
+//! [`CoinMsg`] instead encodes:
 //!
 //! - **field elements** at the minimal byte width that holds the largest
 //!   value in the message (self-describing: one `width` header byte, so
 //!   arbitrary — even hostile — values still round-trip);
 //! - **presence** (`Option` per dealer) and **votes** as bitsets;
-//! - **row/point-vector lengths** as one-byte deltas against the
+//! - **row/point-vector lengths** as two-byte deltas against the
 //!   per-message maximum (honest senders always use the degree bound
 //!   `f + 1` or the target count, so the deltas are zero).
 //!
@@ -28,8 +29,7 @@
 //! trusted and panics above `u16::MAX`, mirroring the `u32` length-header
 //! contract of `Vec<T>`.
 
-use bytes::{BufMut, BytesMut};
-use byzclock_sim::{Wire, WireReader};
+use byzclock_sim::{Wire, WireFormat, WireReader, WireWriter};
 
 /// One round's payload of a coin instance.
 ///
@@ -71,9 +71,9 @@ pub enum CoinMsg {
 /// Panics above `u16::MAX` — packed counts are cluster-bounded (`NodeId`
 /// itself is a `u16`, so no protocol-constructed vector can exceed it)
 /// and the encode side is trusted, mirroring `Vec<T>`'s `u32` contract.
-fn put_count(len: usize, buf: &mut BytesMut) {
+fn put_count(len: usize, w: &mut WireWriter<'_>) {
     let len = u16::try_from(len).expect("packed wire counts are u16; encode side is trusted");
-    buf.put_u16(len);
+    w.put_u16(len);
 }
 
 /// Reads a packed count header.
@@ -83,17 +83,18 @@ fn get_count(r: &mut WireReader<'_>) -> Option<usize> {
 
 /// Minimal byte width (1..=8) holding every value produced by `values`.
 fn min_width(values: impl Iterator<Item = u64>) -> usize {
-    let max = values.max().unwrap_or(0);
-    if max == 0 {
+    // The OR of the values has the same highest set bit as their maximum.
+    let all = values.fold(0, |acc, v| acc | v);
+    if all == 0 {
         1
     } else {
-        (64 - max.leading_zeros() as usize).div_ceil(8)
+        (64 - all.leading_zeros() as usize).div_ceil(8)
     }
 }
 
 /// Appends `v` big-endian at `width` bytes (caller guarantees it fits).
-fn put_elem(v: u64, width: usize, buf: &mut BytesMut) {
-    buf.put_slice(&v.to_be_bytes()[8 - width..]);
+fn put_elem(v: u64, width: usize, w: &mut WireWriter<'_>) {
+    w.put_slice(&v.to_be_bytes()[8 - width..]);
 }
 
 /// Reads one `width`-byte big-endian value.
@@ -106,14 +107,19 @@ fn get_elem(r: &mut WireReader<'_>, width: usize) -> Option<u64> {
     Some(v)
 }
 
-/// Appends `len` flags as a bitset (LSB-first within each byte).
-fn put_bitset(bits: &[bool], buf: &mut BytesMut) {
-    for chunk in bits.chunks(8) {
-        let mut byte = 0u8;
-        for (i, &bit) in chunk.iter().enumerate() {
-            byte |= u8::from(bit) << i;
+/// Appends the flags as a bitset (LSB-first within each byte).
+fn put_bitset(bits: impl Iterator<Item = bool>, w: &mut WireWriter<'_>) {
+    let (mut byte, mut used) = (0u8, 0);
+    for bit in bits {
+        byte |= u8::from(bit) << used;
+        used += 1;
+        if used == 8 {
+            w.put_u8(byte);
+            (byte, used) = (0, 0);
         }
-        buf.put_u8(byte);
+    }
+    if used > 0 {
+        w.put_u8(byte);
     }
 }
 
@@ -129,15 +135,15 @@ fn get_bitset(r: &mut WireReader<'_>, len: usize) -> Option<Vec<bool>> {
 /// body of `Echo`/`Recover` (all rows present-flagged) and `Row` (all rows
 /// present). Layout: `width: u8`, `maxlen: u16`, then per present row a
 /// two-byte length delta followed by `len` elements of `width` bytes.
-fn put_matrix<'a>(rows: impl Iterator<Item = &'a [u64]> + Clone, buf: &mut BytesMut) {
+fn put_matrix<'a>(rows: impl Iterator<Item = &'a [u64]> + Clone, w: &mut WireWriter<'_>) {
     let width = min_width(rows.clone().flatten().copied());
     let maxlen = rows.clone().map(<[u64]>::len).max().unwrap_or(0);
-    buf.put_u8(width as u8);
-    put_count(maxlen, buf);
+    w.put_u8(width as u8);
+    put_count(maxlen, w);
     for row in rows {
-        put_count(maxlen - row.len(), buf);
+        put_count(maxlen - row.len(), w);
         for &v in row {
-            put_elem(v, width, buf);
+            put_elem(v, width, w);
         }
     }
 }
@@ -149,11 +155,13 @@ fn get_matrix(r: &mut WireReader<'_>, nrows: usize) -> Option<Vec<Vec<u64>>> {
         return None;
     }
     let maxlen = get_count(r)?;
-    let mut rows = Vec::with_capacity(nrows);
+    // Capacity is a hint: forged counts reserve no more than the bytes
+    // actually left (every row costs at least its two-byte delta).
+    let mut rows = Vec::with_capacity(nrows.min(r.remaining()));
     for _ in 0..nrows {
         let delta = get_count(r)?;
         let len = maxlen.checked_sub(delta)?;
-        let mut row = Vec::with_capacity(len);
+        let mut row = Vec::with_capacity(len.min(r.remaining()));
         for _ in 0..len {
             row.push(get_elem(r, width)?);
         }
@@ -162,129 +170,87 @@ fn get_matrix(r: &mut WireReader<'_>, nrows: usize) -> Option<Vec<Vec<u64>>> {
     Some(rows)
 }
 
-/// Byte count [`put_matrix`] will append — pure arithmetic, so the
-/// accounting path never has to encode a message just to measure it.
-fn matrix_len<'a>(rows: impl Iterator<Item = &'a [u64]> + Clone) -> usize {
-    let width = min_width(rows.clone().flatten().copied());
-    1 + 2 + rows.map(|row| 2 + row.len() * width).sum::<usize>()
-}
-
 impl Wire for CoinMsg {
-    fn encode(&self, buf: &mut BytesMut) {
-        match self {
-            CoinMsg::Row { rows } => {
-                0u8.encode(buf);
-                rows.encode(buf);
-            }
-            CoinMsg::Echo { points } => {
-                1u8.encode(buf);
-                points.encode(buf);
-            }
-            CoinMsg::Vote { content } => {
-                2u8.encode(buf);
-                content.encode(buf);
-            }
-            CoinMsg::Recover { shares } => {
-                3u8.encode(buf);
-                shares.encode(buf);
-            }
+    fn encode(&self, format: WireFormat, w: &mut WireWriter<'_>) {
+        match format {
+            WireFormat::Fixed => match self {
+                CoinMsg::Row { rows } => w.put_tagged(0, rows, format),
+                CoinMsg::Echo { points } => w.put_tagged(1, points, format),
+                CoinMsg::Vote { content } => w.put_tagged(2, content, format),
+                CoinMsg::Recover { shares } => w.put_tagged(3, shares, format),
+            },
+            WireFormat::Packed => match self {
+                CoinMsg::Row { rows } => {
+                    w.put_u8(0);
+                    put_count(rows.len(), w);
+                    put_matrix(rows.iter().map(Vec::as_slice), w);
+                }
+                CoinMsg::Echo { points } => {
+                    w.put_u8(1);
+                    put_optioned_matrix(points, w);
+                }
+                CoinMsg::Vote { content } => {
+                    w.put_u8(2);
+                    put_count(content.len(), w);
+                    put_bitset(content.iter().copied(), w);
+                }
+                CoinMsg::Recover { shares } => {
+                    w.put_u8(3);
+                    put_optioned_matrix(shares, w);
+                }
+            },
         }
     }
 
-    fn encoded_len(&self) -> usize {
-        1 + match self {
-            CoinMsg::Row { rows } => rows.encoded_len(),
-            CoinMsg::Echo { points } => points.encoded_len(),
-            CoinMsg::Vote { content } => content.encoded_len(),
-            CoinMsg::Recover { shares } => shares.encoded_len(),
-        }
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Option<Self> {
-        match r.u8()? {
-            0 => Some(CoinMsg::Row {
-                rows: Vec::decode(r)?,
-            }),
-            1 => Some(CoinMsg::Echo {
-                points: Vec::decode(r)?,
-            }),
-            2 => Some(CoinMsg::Vote {
-                content: Vec::decode(r)?,
-            }),
-            3 => Some(CoinMsg::Recover {
-                shares: Vec::decode(r)?,
-            }),
-            _ => None,
-        }
-    }
-
-    fn encode_packed(&self, buf: &mut BytesMut) {
-        match self {
-            CoinMsg::Row { rows } => {
-                buf.put_u8(0);
-                put_count(rows.len(), buf);
-                put_matrix(rows.iter().map(Vec::as_slice), buf);
-            }
-            CoinMsg::Echo { points } => {
-                buf.put_u8(1);
-                put_optioned_matrix(points, buf);
-            }
-            CoinMsg::Vote { content } => {
-                buf.put_u8(2);
-                put_count(content.len(), buf);
-                put_bitset(content, buf);
-            }
-            CoinMsg::Recover { shares } => {
-                buf.put_u8(3);
-                put_optioned_matrix(shares, buf);
-            }
-        }
-    }
-
-    fn packed_len(&self) -> usize {
-        match self {
-            CoinMsg::Row { rows } => 1 + 2 + matrix_len(rows.iter().map(Vec::as_slice)),
-            CoinMsg::Echo { points } | CoinMsg::Recover { shares: points } => {
-                1 + 2
-                    + points.len().div_ceil(8)
-                    + matrix_len(points.iter().flatten().map(Vec::as_slice))
-            }
-            CoinMsg::Vote { content } => 1 + 2 + content.len().div_ceil(8),
-        }
-    }
-
-    fn decode_packed(r: &mut WireReader<'_>) -> Option<Self> {
-        match r.u8()? {
-            0 => {
-                let nrows = get_count(r)?;
-                Some(CoinMsg::Row {
-                    rows: get_matrix(r, nrows)?,
-                })
-            }
-            1 => Some(CoinMsg::Echo {
-                points: get_optioned_matrix(r)?,
-            }),
-            2 => {
-                let len = get_count(r)?;
-                Some(CoinMsg::Vote {
-                    content: get_bitset(r, len)?,
-                })
-            }
-            3 => Some(CoinMsg::Recover {
-                shares: get_optioned_matrix(r)?,
-            }),
-            _ => None,
-        }
+    fn decode(format: WireFormat, r: &mut WireReader<'_>) -> Option<Self> {
+        let tag = r.u8()?;
+        Some(match format {
+            WireFormat::Fixed => match tag {
+                0 => CoinMsg::Row {
+                    rows: Wire::decode(format, r)?,
+                },
+                1 => CoinMsg::Echo {
+                    points: Wire::decode(format, r)?,
+                },
+                2 => CoinMsg::Vote {
+                    content: Wire::decode(format, r)?,
+                },
+                3 => CoinMsg::Recover {
+                    shares: Wire::decode(format, r)?,
+                },
+                _ => return None,
+            },
+            WireFormat::Packed => match tag {
+                0 => {
+                    let nrows = get_count(r)?;
+                    CoinMsg::Row {
+                        rows: get_matrix(r, nrows)?,
+                    }
+                }
+                1 => CoinMsg::Echo {
+                    points: get_optioned_matrix(r)?,
+                },
+                2 => {
+                    let len = get_count(r)?;
+                    CoinMsg::Vote {
+                        content: get_bitset(r, len)?,
+                    }
+                }
+                3 => CoinMsg::Recover {
+                    shares: get_optioned_matrix(r)?,
+                },
+                _ => return None,
+            },
+        })
     }
 }
 
 /// Packed `[dealer] -> Option<Vec<elem>>` layout: `dealers: u8`, presence
 /// bitset, then the present rows through [`put_matrix`].
-fn put_optioned_matrix(m: &[Option<Vec<u64>>], buf: &mut BytesMut) {
-    put_count(m.len(), buf);
-    let presence: Vec<bool> = m.iter().map(Option::is_some).collect();
-    put_bitset(&presence, buf);
-    put_matrix(m.iter().flatten().map(Vec::as_slice), buf);
+fn put_optioned_matrix(m: &[Option<Vec<u64>>], w: &mut WireWriter<'_>) {
+    put_count(m.len(), w);
+    put_bitset(m.iter().map(Option::is_some), w);
+    put_matrix(m.iter().flatten().map(Vec::as_slice), w);
 }
 
 /// Inverse of [`put_optioned_matrix`].
@@ -332,15 +298,15 @@ mod tests {
             content: vec![true, false, true],
         };
         // tag + vec header + 3 bools
-        assert_eq!(m.encoded_len(), 1 + 4 + 3);
+        assert_eq!(WireFormat::Fixed.len_of(&m), 1 + 4 + 3);
         let m = CoinMsg::Row {
             rows: vec![vec![1, 2], vec![3]],
         };
-        assert_eq!(m.encoded_len(), 1 + 4 + (4 + 16) + (4 + 8));
+        assert_eq!(WireFormat::Fixed.len_of(&m), 1 + 4 + (4 + 16) + (4 + 8));
         let m = CoinMsg::Echo {
             points: vec![None, Some(vec![7])],
         };
-        assert_eq!(m.encoded_len(), 1 + 4 + 1 + (1 + 4 + 8));
+        assert_eq!(WireFormat::Fixed.len_of(&m), 1 + 4 + 1 + (1 + 4 + 8));
     }
 
     #[test]
@@ -350,23 +316,23 @@ mod tests {
         let points: Vec<Option<Vec<u64>>> = (0..7).map(|d| Some(vec![d % 11; 7])).collect();
         let echo = CoinMsg::Echo { points };
         // fixed: tag + 4 + 7 * (1 + 4 + 7*8) = 432
-        assert_eq!(echo.encoded_len(), 432);
+        assert_eq!(WireFormat::Fixed.len_of(&echo), 432);
         // packed: tag + dealers(2) + bitset + width + maxlen(2) +
         //         7 * (delta(2) + 7 elems)
-        assert_eq!(echo.packed_len(), 1 + 2 + 1 + 1 + 2 + 7 * 9);
-        assert!(echo.encoded_len() >= 6 * echo.packed_len());
+        assert_eq!(WireFormat::Packed.len_of(&echo), 1 + 2 + 1 + 1 + 2 + 7 * 9);
+        assert!(WireFormat::Fixed.len_of(&echo) >= 6 * WireFormat::Packed.len_of(&echo));
 
         let vote = CoinMsg::Vote {
             content: vec![true; 7],
         };
-        assert_eq!(vote.packed_len(), 1 + 2 + 1);
+        assert_eq!(WireFormat::Packed.len_of(&vote), 1 + 2 + 1);
 
         // Row at f=2: 7 targets x 3 coefficients.
         let row = CoinMsg::Row {
             rows: vec![vec![10, 0, 3]; 7],
         };
-        assert_eq!(row.encoded_len(), 1 + 4 + 7 * (4 + 24));
-        assert_eq!(row.packed_len(), 1 + 2 + 1 + 2 + 7 * 5);
+        assert_eq!(WireFormat::Fixed.len_of(&row), 1 + 4 + 7 * (4 + 24));
+        assert_eq!(WireFormat::Packed.len_of(&row), 1 + 2 + 1 + 2 + 7 * 5);
     }
 
     #[test]
@@ -379,7 +345,7 @@ mod tests {
             let rows: Vec<Vec<u64>> = (0..n).map(|_| vec![fp.modulus() - 1; 3]).collect();
             let msg = CoinMsg::Row { rows };
             let mut buf = bytes::BytesMut::new();
-            msg.encode_packed(&mut buf);
+            WireFormat::Packed.encode_into(&msg, &mut buf);
             // Layout: tag(1), nrows(2), width(1), maxlen(2), ...
             assert_eq!(buf.as_slice()[3] as usize, fp.elem_width(), "n={n}");
         }
@@ -433,7 +399,7 @@ mod tests {
         for msg in [vote, echo] {
             let mut buf = bytes::BytesMut::new();
             WireFormat::Packed.encode_into(&msg, &mut buf);
-            assert_eq!(buf.len(), msg.packed_len());
+            assert_eq!(buf.len(), WireFormat::Packed.len_of(&msg));
             assert_eq!(WireFormat::Packed.decode_from(buf.as_slice()), Some(msg));
         }
     }

@@ -10,9 +10,39 @@
 //! `crates/lint/tests/fixtures/p1_bad.rs`, and this file pins the byte
 //! patterns that exercised the old invariant, so a regression either
 //! panics here or trips the linter.
+//!
+//! Forged *length* headers are pinned the same way: every decoder reserves
+//! at most what the remaining bytes could hold, and the last test watches
+//! the allocator to prove it.
 
 use byzclock_coin::CoinMsg;
 use byzclock_sim::{WireFormat, WireReader};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+/// The system allocator, remembering the largest single request it saw.
+struct LargestRequest;
+
+static LARGEST: AtomicUsize = AtomicUsize::new(0);
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds the
+// `GlobalAlloc` contract; the only addition is a statistic that touches no
+// allocator state.
+unsafe impl GlobalAlloc for LargestRequest {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        LARGEST.fetch_max(layout.size(), Ordering::Relaxed);
+        // SAFETY: the caller's `layout` obligations pass straight through.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System.alloc` with this `layout` (above).
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOC: LargestRequest = LargestRequest;
 
 /// Truncated multi-byte reads return `None` at every cut point; exact
 /// reads round-trip. This is the invariant the old `b[0]..b[7]` indexing
@@ -80,4 +110,36 @@ fn forged_vote_count_header_is_rejected() {
     assert_eq!(WireFormat::Packed.decode_from::<CoinMsg>(&forged), None);
     let forged = [3u8, 0xff, 0xff];
     assert_eq!(WireFormat::Packed.decode_from::<CoinMsg>(&forged), None);
+}
+
+/// Length headers at their caps over an empty tail: each used to reserve
+/// `len x size_of::<T>()` (1.5 MB for a fixed `Echo`) before the first
+/// element read failed. Nothing in this test binary legitimately asks the
+/// allocator for more than a few KB, so the largest request seen stays
+/// far below what one trusted header would have cost.
+#[test]
+fn forged_headers_over_an_empty_tail_reserve_nothing() {
+    // Fixed Echo: tag=1, u32 len = MAX_WIRE_ELEMS, no elements.
+    let fixed_echo = [1u8, 0, 1, 0, 0];
+    assert_eq!(WireFormat::Fixed.decode_from::<CoinMsg>(&fixed_echo), None);
+    // Fixed Row: the same header one level down, inside a one-row matrix.
+    let fixed_row = [0u8, 0, 0, 0, 1, 0, 1, 0, 0];
+    assert_eq!(WireFormat::Fixed.decode_from::<CoinMsg>(&fixed_row), None);
+    // Packed Row: nrows = 0xffff, width 1, maxlen 0, no row deltas.
+    let packed_rows = [0u8, 0xff, 0xff, 1, 0, 0];
+    assert_eq!(
+        WireFormat::Packed.decode_from::<CoinMsg>(&packed_rows),
+        None
+    );
+    // Packed Row: one row, maxlen = 0xffff, delta 0, no elements.
+    let packed_row_len = [0u8, 0, 1, 1, 0xff, 0xff, 0, 0];
+    assert_eq!(
+        WireFormat::Packed.decode_from::<CoinMsg>(&packed_row_len),
+        None
+    );
+    let largest = LARGEST.load(Ordering::Relaxed);
+    assert!(
+        largest < 64 * 1024,
+        "a decoder trusted a forged length header: {largest}-byte request"
+    );
 }

@@ -35,8 +35,9 @@
 //! Fig. 1, transplanted to the semi-synchronous model.
 
 use crate::round::{CoinScheme, RoundProtocol};
-use bytes::BytesMut;
-use byzclock_sim::{Application, Envelope, NodeId, Outbox, SimRng, Target, Wire, WireReader};
+use byzclock_sim::{
+    Application, Envelope, NodeId, Outbox, SimRng, Target, Wire, WireFormat, WireReader, WireWriter,
+};
 use rand::Rng;
 
 /// A buffered-mode message: the instance-round index it belongs to plus
@@ -54,35 +55,15 @@ pub struct RoundMsg<M> {
 }
 
 impl<M: Wire> Wire for RoundMsg<M> {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.round.encode(buf);
-        self.msg.encode(buf);
+    #[inline(always)]
+    fn encode(&self, format: WireFormat, w: &mut WireWriter<'_>) {
+        w.put_tagged(self.round, &self.msg, format);
     }
 
-    fn encoded_len(&self) -> usize {
-        1 + self.msg.encoded_len()
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Option<Self> {
+    fn decode(format: WireFormat, r: &mut WireReader<'_>) -> Option<Self> {
         Some(RoundMsg {
-            round: u8::decode(r)?,
-            msg: M::decode(r)?,
-        })
-    }
-
-    fn encode_packed(&self, buf: &mut BytesMut) {
-        self.round.encode(buf);
-        self.msg.encode_packed(buf);
-    }
-
-    fn packed_len(&self) -> usize {
-        1 + self.msg.packed_len()
-    }
-
-    fn decode_packed(r: &mut WireReader<'_>) -> Option<Self> {
-        Some(RoundMsg {
-            round: u8::decode(r)?,
-            msg: M::decode_packed(r)?,
+            round: r.u8()?,
+            msg: M::decode(format, r)?,
         })
     }
 }
@@ -779,6 +760,6 @@ mod tests {
             round: 3,
             msg: 9u64,
         };
-        assert_eq!(m.encoded_len(), 9);
+        assert_eq!(WireFormat::Fixed.len_of(&m), 9);
     }
 }

@@ -21,9 +21,9 @@ use crate::four_clock::{FourClock, FourClockMsg};
 use crate::rand_source::RandSource;
 use crate::trit::dedup_by_sender;
 use crate::trit::Trit;
-use bytes::BytesMut;
 use byzclock_sim::{
-    Application, Envelope, NodeCfg, NodeId, Outbox, SimRng, Target, Wire, WireReader,
+    Application, Envelope, NodeCfg, NodeId, Outbox, SimRng, Target, Wire, WireFormat, WireReader,
+    WireWriter,
 };
 use rand::Rng;
 
@@ -43,82 +43,24 @@ pub enum ClockSyncMsg<M> {
 }
 
 impl<M: Wire> Wire for ClockSyncMsg<M> {
-    fn encode(&self, buf: &mut BytesMut) {
+    #[inline(always)]
+    fn encode(&self, format: WireFormat, w: &mut WireWriter<'_>) {
         match self {
-            ClockSyncMsg::Four(m) => {
-                0u8.encode(buf);
-                m.encode(buf);
-            }
-            ClockSyncMsg::Full(v) => {
-                1u8.encode(buf);
-                v.encode(buf);
-            }
-            ClockSyncMsg::Propose(p) => {
-                2u8.encode(buf);
-                p.encode(buf);
-            }
-            ClockSyncMsg::BitVote(b) => {
-                3u8.encode(buf);
-                b.encode(buf);
-            }
-            ClockSyncMsg::Coin(m) => {
-                4u8.encode(buf);
-                m.encode(buf);
-            }
+            ClockSyncMsg::Four(m) => w.put_tagged(0, m, format),
+            ClockSyncMsg::Full(v) => w.put_tagged(1, v, format),
+            ClockSyncMsg::Propose(p) => w.put_tagged(2, p, format),
+            ClockSyncMsg::BitVote(b) => w.put_tagged(3, b, format),
+            ClockSyncMsg::Coin(m) => w.put_tagged(4, m, format),
         }
     }
 
-    fn encoded_len(&self) -> usize {
-        1 + match self {
-            ClockSyncMsg::Four(m) => m.encoded_len(),
-            ClockSyncMsg::Full(v) => v.encoded_len(),
-            ClockSyncMsg::Propose(p) => p.encoded_len(),
-            ClockSyncMsg::BitVote(b) => b.encoded_len(),
-            ClockSyncMsg::Coin(m) => m.encoded_len(),
-        }
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Option<Self> {
+    fn decode(format: WireFormat, r: &mut WireReader<'_>) -> Option<Self> {
         match r.u8()? {
-            0 => Some(ClockSyncMsg::Four(FourClockMsg::decode(r)?)),
-            1 => Some(ClockSyncMsg::Full(u64::decode(r)?)),
-            2 => Some(ClockSyncMsg::Propose(Option::decode(r)?)),
-            3 => Some(ClockSyncMsg::BitVote(bool::decode(r)?)),
-            4 => Some(ClockSyncMsg::Coin(M::decode(r)?)),
-            _ => None,
-        }
-    }
-
-    fn encode_packed(&self, buf: &mut BytesMut) {
-        match self {
-            ClockSyncMsg::Four(m) => {
-                0u8.encode(buf);
-                m.encode_packed(buf);
-            }
-            ClockSyncMsg::Coin(m) => {
-                4u8.encode(buf);
-                m.encode_packed(buf);
-            }
-            // The block broadcasts are single scalars — nothing to pack.
-            other => other.encode(buf),
-        }
-    }
-
-    fn packed_len(&self) -> usize {
-        match self {
-            ClockSyncMsg::Four(m) => 1 + m.packed_len(),
-            ClockSyncMsg::Coin(m) => 1 + m.packed_len(),
-            other => other.encoded_len(),
-        }
-    }
-
-    fn decode_packed(r: &mut WireReader<'_>) -> Option<Self> {
-        match r.u8()? {
-            0 => Some(ClockSyncMsg::Four(FourClockMsg::decode_packed(r)?)),
-            1 => Some(ClockSyncMsg::Full(u64::decode(r)?)),
-            2 => Some(ClockSyncMsg::Propose(Option::decode(r)?)),
-            3 => Some(ClockSyncMsg::BitVote(bool::decode(r)?)),
-            4 => Some(ClockSyncMsg::Coin(M::decode_packed(r)?)),
+            0 => Some(ClockSyncMsg::Four(Wire::decode(format, r)?)),
+            1 => Some(ClockSyncMsg::Full(Wire::decode(format, r)?)),
+            2 => Some(ClockSyncMsg::Propose(Wire::decode(format, r)?)),
+            3 => Some(ClockSyncMsg::BitVote(Wire::decode(format, r)?)),
+            4 => Some(ClockSyncMsg::Coin(Wire::decode(format, r)?)),
             _ => None,
         }
     }
@@ -601,12 +543,12 @@ mod tests {
     #[test]
     fn wire_sizes() {
         let m: ClockSyncMsg<u64> = ClockSyncMsg::Full(3);
-        assert_eq!(m.encoded_len(), 9);
+        assert_eq!(WireFormat::Fixed.len_of(&m), 9);
         let m: ClockSyncMsg<u64> = ClockSyncMsg::Propose(None);
-        assert_eq!(m.encoded_len(), 2);
+        assert_eq!(WireFormat::Fixed.len_of(&m), 2);
         let m: ClockSyncMsg<u64> = ClockSyncMsg::Propose(Some(1));
-        assert_eq!(m.encoded_len(), 10);
+        assert_eq!(WireFormat::Fixed.len_of(&m), 10);
         let m: ClockSyncMsg<u64> = ClockSyncMsg::BitVote(true);
-        assert_eq!(m.encoded_len(), 2);
+        assert_eq!(WireFormat::Fixed.len_of(&m), 2);
     }
 }

@@ -18,9 +18,9 @@ use crate::clock::DigitalClock;
 use crate::rand_source::RandSource;
 use crate::trit::{dedup_by_sender, Trit};
 use crate::two_clock::{TwoClock, TwoClockCore, TwoClockMsg};
-use bytes::BytesMut;
 use byzclock_sim::{
-    Application, Envelope, NodeCfg, NodeId, Outbox, SimRng, Target, Wire, WireReader,
+    Application, Envelope, NodeCfg, NodeId, Outbox, SimRng, Target, Wire, WireFormat, WireReader,
+    WireWriter,
 };
 use rand::Rng;
 
@@ -34,56 +34,18 @@ pub enum FourClockMsg<M> {
 }
 
 impl<M: Wire> Wire for FourClockMsg<M> {
-    fn encode(&self, buf: &mut BytesMut) {
+    #[inline(always)]
+    fn encode(&self, format: WireFormat, w: &mut WireWriter<'_>) {
         match self {
-            FourClockMsg::A1(m) => {
-                0u8.encode(buf);
-                m.encode(buf);
-            }
-            FourClockMsg::A2(m) => {
-                1u8.encode(buf);
-                m.encode(buf);
-            }
+            FourClockMsg::A1(m) => w.put_tagged(0, m, format),
+            FourClockMsg::A2(m) => w.put_tagged(1, m, format),
         }
     }
 
-    fn encoded_len(&self) -> usize {
-        1 + match self {
-            FourClockMsg::A1(m) | FourClockMsg::A2(m) => m.encoded_len(),
-        }
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Option<Self> {
+    fn decode(format: WireFormat, r: &mut WireReader<'_>) -> Option<Self> {
         match r.u8()? {
-            0 => Some(FourClockMsg::A1(TwoClockMsg::decode(r)?)),
-            1 => Some(FourClockMsg::A2(TwoClockMsg::decode(r)?)),
-            _ => None,
-        }
-    }
-
-    fn encode_packed(&self, buf: &mut BytesMut) {
-        match self {
-            FourClockMsg::A1(m) => {
-                0u8.encode(buf);
-                m.encode_packed(buf);
-            }
-            FourClockMsg::A2(m) => {
-                1u8.encode(buf);
-                m.encode_packed(buf);
-            }
-        }
-    }
-
-    fn packed_len(&self) -> usize {
-        1 + match self {
-            FourClockMsg::A1(m) | FourClockMsg::A2(m) => m.packed_len(),
-        }
-    }
-
-    fn decode_packed(r: &mut WireReader<'_>) -> Option<Self> {
-        match r.u8()? {
-            0 => Some(FourClockMsg::A1(TwoClockMsg::decode_packed(r)?)),
-            1 => Some(FourClockMsg::A2(TwoClockMsg::decode_packed(r)?)),
+            0 => Some(FourClockMsg::A1(Wire::decode(format, r)?)),
+            1 => Some(FourClockMsg::A2(Wire::decode(format, r)?)),
             _ => None,
         }
     }
@@ -292,68 +254,20 @@ pub enum SharedFourClockMsg<M> {
 }
 
 impl<M: Wire> Wire for SharedFourClockMsg<M> {
-    fn encode(&self, buf: &mut BytesMut) {
+    #[inline(always)]
+    fn encode(&self, format: WireFormat, w: &mut WireWriter<'_>) {
         match self {
-            SharedFourClockMsg::A1Vote(t) => {
-                0u8.encode(buf);
-                t.encode(buf);
-            }
-            SharedFourClockMsg::A2Vote(t) => {
-                1u8.encode(buf);
-                t.encode(buf);
-            }
-            SharedFourClockMsg::Coin(m) => {
-                2u8.encode(buf);
-                m.encode(buf);
-            }
+            SharedFourClockMsg::A1Vote(t) => w.put_tagged(0, t, format),
+            SharedFourClockMsg::A2Vote(t) => w.put_tagged(1, t, format),
+            SharedFourClockMsg::Coin(m) => w.put_tagged(2, m, format),
         }
     }
 
-    fn encoded_len(&self) -> usize {
-        1 + match self {
-            SharedFourClockMsg::A1Vote(t) | SharedFourClockMsg::A2Vote(t) => t.encoded_len(),
-            SharedFourClockMsg::Coin(m) => m.encoded_len(),
-        }
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Option<Self> {
+    fn decode(format: WireFormat, r: &mut WireReader<'_>) -> Option<Self> {
         match r.u8()? {
-            0 => Some(SharedFourClockMsg::A1Vote(Trit::decode(r)?)),
-            1 => Some(SharedFourClockMsg::A2Vote(Trit::decode(r)?)),
-            2 => Some(SharedFourClockMsg::Coin(M::decode(r)?)),
-            _ => None,
-        }
-    }
-
-    fn encode_packed(&self, buf: &mut BytesMut) {
-        match self {
-            SharedFourClockMsg::A1Vote(t) => {
-                0u8.encode(buf);
-                t.encode_packed(buf);
-            }
-            SharedFourClockMsg::A2Vote(t) => {
-                1u8.encode(buf);
-                t.encode_packed(buf);
-            }
-            SharedFourClockMsg::Coin(m) => {
-                2u8.encode(buf);
-                m.encode_packed(buf);
-            }
-        }
-    }
-
-    fn packed_len(&self) -> usize {
-        1 + match self {
-            SharedFourClockMsg::A1Vote(t) | SharedFourClockMsg::A2Vote(t) => t.packed_len(),
-            SharedFourClockMsg::Coin(m) => m.packed_len(),
-        }
-    }
-
-    fn decode_packed(r: &mut WireReader<'_>) -> Option<Self> {
-        match r.u8()? {
-            0 => Some(SharedFourClockMsg::A1Vote(Trit::decode_packed(r)?)),
-            1 => Some(SharedFourClockMsg::A2Vote(Trit::decode_packed(r)?)),
-            2 => Some(SharedFourClockMsg::Coin(M::decode_packed(r)?)),
+            0 => Some(SharedFourClockMsg::A1Vote(Wire::decode(format, r)?)),
+            1 => Some(SharedFourClockMsg::A2Vote(Wire::decode(format, r)?)),
+            2 => Some(SharedFourClockMsg::Coin(Wire::decode(format, r)?)),
             _ => None,
         }
     }
@@ -597,8 +511,8 @@ mod tests {
     #[test]
     fn wire_sizes() {
         let m: FourClockMsg<u64> = FourClockMsg::A1(TwoClockMsg::Clock(Trit::Zero));
-        assert_eq!(m.encoded_len(), 3);
+        assert_eq!(WireFormat::Fixed.len_of(&m), 3);
         let m: SharedFourClockMsg<u64> = SharedFourClockMsg::Coin(7);
-        assert_eq!(m.encoded_len(), 9);
+        assert_eq!(WireFormat::Fixed.len_of(&m), 9);
     }
 }

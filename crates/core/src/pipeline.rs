@@ -30,8 +30,7 @@
 //! are output-identical; see the `buffered` module docs for the contract.
 
 use crate::round::RoundProtocol;
-use bytes::BytesMut;
-use byzclock_sim::{NodeId, SimRng, Target, Wire, WireReader};
+use byzclock_sim::{NodeId, SimRng, Target, Wire, WireFormat, WireReader, WireWriter};
 use std::collections::VecDeque;
 
 /// A pipelined instance's message, tagged with the slot (= round) index it
@@ -46,35 +45,15 @@ pub struct SlotMsg<M> {
 }
 
 impl<M: Wire> Wire for SlotMsg<M> {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.slot.encode(buf);
-        self.msg.encode(buf);
+    #[inline(always)]
+    fn encode(&self, format: WireFormat, w: &mut WireWriter<'_>) {
+        w.put_tagged(self.slot, &self.msg, format);
     }
 
-    fn encoded_len(&self) -> usize {
-        1 + self.msg.encoded_len()
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Option<Self> {
+    fn decode(format: WireFormat, r: &mut WireReader<'_>) -> Option<Self> {
         Some(SlotMsg {
-            slot: u8::decode(r)?,
-            msg: M::decode(r)?,
-        })
-    }
-
-    fn encode_packed(&self, buf: &mut BytesMut) {
-        self.slot.encode(buf);
-        self.msg.encode_packed(buf);
-    }
-
-    fn packed_len(&self) -> usize {
-        1 + self.msg.packed_len()
-    }
-
-    fn decode_packed(r: &mut WireReader<'_>) -> Option<Self> {
-        Some(SlotMsg {
-            slot: u8::decode(r)?,
-            msg: M::decode_packed(r)?,
+            slot: r.u8()?,
+            msg: M::decode(format, r)?,
         })
     }
 }
@@ -357,6 +336,6 @@ mod tests {
     #[test]
     fn slot_msg_wire_size() {
         let m = SlotMsg { slot: 2, msg: 7u64 };
-        assert_eq!(m.encoded_len(), 9);
+        assert_eq!(WireFormat::Fixed.len_of(&m), 9);
     }
 }

@@ -16,8 +16,10 @@ use crate::clock::DigitalClock;
 use crate::rand_source::RandSource;
 use crate::trit::Trit;
 use crate::two_clock::{TwoClock, TwoClockMsg};
-use bytes::BytesMut;
-use byzclock_sim::{Application, Envelope, NodeCfg, Outbox, SimRng, Target, Wire, WireReader};
+use byzclock_sim::{
+    Application, Envelope, NodeCfg, Outbox, SimRng, Target, Wire, WireFormat, WireReader,
+    WireWriter,
+};
 use rand::Rng;
 
 /// A message of one level of the chain.
@@ -30,35 +32,15 @@ pub struct LevelMsg<M> {
 }
 
 impl<M: Wire> Wire for LevelMsg<M> {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.level.encode(buf);
-        self.msg.encode(buf);
+    #[inline(always)]
+    fn encode(&self, format: WireFormat, w: &mut WireWriter<'_>) {
+        w.put_tagged(self.level, &self.msg, format);
     }
 
-    fn encoded_len(&self) -> usize {
-        1 + self.msg.encoded_len()
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Option<Self> {
+    fn decode(format: WireFormat, r: &mut WireReader<'_>) -> Option<Self> {
         Some(LevelMsg {
-            level: u8::decode(r)?,
-            msg: TwoClockMsg::decode(r)?,
-        })
-    }
-
-    fn encode_packed(&self, buf: &mut BytesMut) {
-        self.level.encode(buf);
-        self.msg.encode_packed(buf);
-    }
-
-    fn packed_len(&self) -> usize {
-        1 + self.msg.packed_len()
-    }
-
-    fn decode_packed(r: &mut WireReader<'_>) -> Option<Self> {
-        Some(LevelMsg {
-            level: u8::decode(r)?,
-            msg: TwoClockMsg::decode_packed(r)?,
+            level: r.u8()?,
+            msg: Wire::decode(format, r)?,
         })
     }
 }

@@ -1,7 +1,6 @@
 //! The three-valued clock domain `{0, 1, ⊥}` and the quorum-majority rule.
 
-use bytes::BytesMut;
-use byzclock_sim::{NodeId, SimRng, Wire, WireReader};
+use byzclock_sim::{NodeId, SimRng, Wire, WireFormat, WireReader, WireWriter};
 use rand::Rng;
 
 /// A 2-clock value: `0`, `1`, or the undecided marker `⊥` ("Bot").
@@ -57,20 +56,16 @@ impl Trit {
 }
 
 impl Wire for Trit {
-    fn encode(&self, buf: &mut BytesMut) {
-        let byte: u8 = match self {
+    #[inline]
+    fn encode(&self, _format: WireFormat, w: &mut WireWriter<'_>) {
+        w.put_u8(match self {
             Trit::Zero => 0,
             Trit::One => 1,
             Trit::Bot => 2,
-        };
-        byte.encode(buf);
+        });
     }
 
-    fn encoded_len(&self) -> usize {
-        1
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Option<Self> {
+    fn decode(_format: WireFormat, r: &mut WireReader<'_>) -> Option<Self> {
         match r.u8()? {
             0 => Some(Trit::Zero),
             1 => Some(Trit::One),

@@ -15,9 +15,9 @@
 use crate::clock::DigitalClock;
 use crate::rand_source::RandSource;
 use crate::trit::{dedup_by_sender, majority_literal, majority_with_rand, Trit};
-use bytes::BytesMut;
 use byzclock_sim::{
-    Application, Envelope, NodeCfg, NodeId, Outbox, SimRng, Target, Wire, WireReader,
+    Application, Envelope, NodeCfg, NodeId, Outbox, SimRng, Target, Wire, WireFormat, WireReader,
+    WireWriter,
 };
 use rand::Rng;
 
@@ -100,58 +100,18 @@ pub enum TwoClockMsg<M> {
 }
 
 impl<M: Wire> Wire for TwoClockMsg<M> {
-    fn encode(&self, buf: &mut BytesMut) {
+    #[inline(always)]
+    fn encode(&self, format: WireFormat, w: &mut WireWriter<'_>) {
         match self {
-            TwoClockMsg::Clock(t) => {
-                0u8.encode(buf);
-                t.encode(buf);
-            }
-            TwoClockMsg::Coin(m) => {
-                1u8.encode(buf);
-                m.encode(buf);
-            }
+            TwoClockMsg::Clock(t) => w.put_tagged(0, t, format),
+            TwoClockMsg::Coin(m) => w.put_tagged(1, m, format),
         }
     }
 
-    fn encoded_len(&self) -> usize {
-        1 + match self {
-            TwoClockMsg::Clock(t) => t.encoded_len(),
-            TwoClockMsg::Coin(m) => m.encoded_len(),
-        }
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Option<Self> {
+    fn decode(format: WireFormat, r: &mut WireReader<'_>) -> Option<Self> {
         match r.u8()? {
-            0 => Some(TwoClockMsg::Clock(Trit::decode(r)?)),
-            1 => Some(TwoClockMsg::Coin(M::decode(r)?)),
-            _ => None,
-        }
-    }
-
-    fn encode_packed(&self, buf: &mut BytesMut) {
-        match self {
-            TwoClockMsg::Clock(t) => {
-                0u8.encode(buf);
-                t.encode_packed(buf);
-            }
-            TwoClockMsg::Coin(m) => {
-                1u8.encode(buf);
-                m.encode_packed(buf);
-            }
-        }
-    }
-
-    fn packed_len(&self) -> usize {
-        1 + match self {
-            TwoClockMsg::Clock(t) => t.packed_len(),
-            TwoClockMsg::Coin(m) => m.packed_len(),
-        }
-    }
-
-    fn decode_packed(r: &mut WireReader<'_>) -> Option<Self> {
-        match r.u8()? {
-            0 => Some(TwoClockMsg::Clock(Trit::decode_packed(r)?)),
-            1 => Some(TwoClockMsg::Coin(M::decode_packed(r)?)),
+            0 => Some(TwoClockMsg::Clock(Wire::decode(format, r)?)),
+            1 => Some(TwoClockMsg::Coin(Wire::decode(format, r)?)),
             _ => None,
         }
     }
@@ -540,9 +500,9 @@ mod tests {
     #[test]
     fn wire_sizes() {
         let clock_msg: TwoClockMsg<u64> = TwoClockMsg::Clock(Trit::Bot);
-        assert_eq!(clock_msg.encoded_len(), 2);
+        assert_eq!(WireFormat::Fixed.len_of(&clock_msg), 2);
         let coin_msg: TwoClockMsg<u64> = TwoClockMsg::Coin(5);
-        assert_eq!(coin_msg.encoded_len(), 9);
+        assert_eq!(WireFormat::Fixed.len_of(&coin_msg), 9);
     }
 
     #[test]

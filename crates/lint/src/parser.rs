@@ -495,7 +495,9 @@ mod tests {
 
     #[test]
     fn trait_default_methods_carry_the_trait_name() {
-        let f = parse_src("trait Wire: Sized { fn decode_packed(r: &mut R) { Self::decode(r) } }");
+        let f = parse_src(
+            "trait Wire: Sized { fn decode(format: F, r: &mut R) -> Option<Self> { None } }",
+        );
         assert_eq!(f.fns[0].trait_name.as_deref(), Some("Wire"));
         assert_eq!(f.fns[0].impl_type, None);
     }

@@ -3,7 +3,7 @@
 //! | Rule | Contract it machine-enforces |
 //! |------|------------------------------|
 //! | `D1` | Determinism: no `SystemTime`/`Instant`/`HashMap`/`HashSet` (or other order-/time-dependent constructs) in the configured crates outside sanctioned, allowlisted seams |
-//! | `P1` | Panic-freedom: no `unwrap`/`expect`/panicking macros/unchecked indexing/non-literal division in `Wire::decode`/`decode_packed` bodies *and every workspace function reachable from them* |
+//! | `P1` | Panic-freedom: no `unwrap`/`expect`/panicking macros/unchecked indexing/non-literal division in `Wire::decode` bodies *and every workspace function reachable from them* |
 //! | `A1` | Hot-path allocation: no `Vec::new`/`to_vec`/`clone`/`format!`-family constructs in the configured zero-alloc steady-state functions |
 //! | `W1` | Wire coverage: every non-test `impl Wire for T` is named in the round-trip + garbage-fuzz property file |
 //! | `S1` | Spec-key drift: `ScenarioSpec::KEYS`, the `parse` match arms, and the `Display` rendering agree on the exact key set |

@@ -1,7 +1,7 @@
 pub struct Msg;
 
 impl Wire for Msg {
-    fn decode(r: &mut Reader) -> Option<Msg> {
+    fn decode(format: WireFormat, r: &mut Reader) -> Option<Msg> {
         // lint:allow(P1): ignored — the decode contract is absolute
         let first = r.bytes().next().unwrap();
         let rest = helper(r);

@@ -1,7 +1,7 @@
 pub struct Orphan;
 
 impl Wire for Orphan {
-    fn encode(&self, buf: &mut BytesMut) {
-        let _ = buf;
+    fn encode(&self, format: WireFormat, w: &mut WireWriter) {
+        let _ = (format, w);
     }
 }

@@ -31,7 +31,8 @@
 //! # Example
 //!
 //! ```
-//! use byzclock_sim::{Application, Envelope, NodeCfg, Outbox, SilentAdversary, SimBuilder, Wire};
+//! use byzclock_sim::{Application, Envelope, NodeCfg, Outbox, SilentAdversary, SimBuilder};
+//! use byzclock_sim::{Wire, WireFormat, WireReader, WireWriter};
 //!
 //! /// Every node broadcasts its id each beat and counts receipts.
 //! struct Pinger { cfg: NodeCfg, seen: usize }
@@ -39,9 +40,9 @@
 //! #[derive(Clone, Debug)]
 //! struct Ping(u16);
 //! impl Wire for Ping {
-//!     fn encode(&self, buf: &mut bytes::BytesMut) { self.0.encode(buf) }
-//!     fn decode(r: &mut byzclock_sim::WireReader<'_>) -> Option<Self> {
-//!         u16::decode(r).map(Ping)
+//!     fn encode(&self, format: WireFormat, w: &mut WireWriter<'_>) { self.0.encode(format, w) }
+//!     fn decode(format: WireFormat, r: &mut WireReader<'_>) -> Option<Self> {
+//!         u16::decode(format, r).map(Ping)
 //!     }
 //! }
 //!
@@ -92,4 +93,4 @@ pub use rng::{derive_seed, SimRng};
 pub use runner::Simulation;
 pub use stats::{BeatTraffic, TrafficStats};
 pub use timing::TimingModel;
-pub use wire::{Wire, WireConfig, WireFormat, WireReader, MAX_WIRE_ELEMS};
+pub use wire::{Wire, WireConfig, WireFormat, WireReader, WireWriter, MAX_WIRE_ELEMS};

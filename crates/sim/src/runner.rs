@@ -509,9 +509,8 @@ where
 mod tests {
     use super::*;
     use crate::faults::FaultEvent;
-    use crate::wire::Wire;
+    use crate::wire::{Wire, WireFormat, WireReader, WireWriter};
     use crate::{SilentAdversary, SimBuilder};
-    use bytes::BytesMut;
 
     /// Test app: broadcasts a tagged counter in phase 0 and echoes in later
     /// phases what it saw in phase 0, recording everything.
@@ -527,13 +526,13 @@ mod tests {
     #[derive(Clone, Debug, PartialEq)]
     struct Tagged(u16, u64);
     impl Wire for Tagged {
-        fn encode(&self, buf: &mut BytesMut) {
-            self.0.encode(buf);
-            self.1.encode(buf);
+        fn encode(&self, format: WireFormat, w: &mut WireWriter<'_>) {
+            self.0.encode(format, w);
+            self.1.encode(format, w);
         }
 
-        fn decode(r: &mut crate::WireReader<'_>) -> Option<Self> {
-            Some(Tagged(u16::decode(r)?, u64::decode(r)?))
+        fn decode(format: WireFormat, r: &mut WireReader<'_>) -> Option<Self> {
+            Some(Tagged(u16::decode(format, r)?, u64::decode(format, r)?))
         }
     }
 
@@ -995,8 +994,8 @@ mod tests {
         }
     }
 
-    /// Packed accounting uses the packed length; for a type without a
-    /// packed override the two formats agree (packed falls back to fixed).
+    /// Packed accounting uses the packed length; for a type that ignores
+    /// `format` the two formats agree.
     #[test]
     fn packed_accounting_falls_back_to_fixed_for_plain_types() {
         let run = |wire: crate::WireConfig| {

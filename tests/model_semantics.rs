@@ -5,7 +5,7 @@ use byzclock::alg::{OracleBeacon, Trit, TwoClock, TwoClockMsg};
 use byzclock::coin::{ticket_two_clock, TicketTwoClock};
 use byzclock::sim::{
     Adversary, AdversaryView, Application, ByzOutbox, Envelope, NodeId, SimBuilder, Visibility,
-    Wire,
+    WireFormat,
 };
 
 /// An adversary that records what it is allowed to observe.
@@ -166,8 +166,8 @@ fn bounded_delay_window_bounds_every_delivery() {
 fn wire_encoding_does_not_affect_payloads() {
     let msg: Msg = TwoClockMsg::Clock(Trit::Bot);
     let mut buf = bytes::BytesMut::new();
-    msg.encode(&mut buf);
-    assert_eq!(buf.len(), msg.encoded_len());
+    WireFormat::Fixed.encode_into(&msg, &mut buf);
+    assert_eq!(buf.len(), WireFormat::Fixed.len_of(&msg));
     let e = Envelope::new(NodeId::new(0), NodeId::new(1), msg.clone());
     assert_eq!(e.msg, msg);
 }

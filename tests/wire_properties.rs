@@ -1,8 +1,9 @@
-//! Wire-codec properties across every protocol message type: the declared
-//! lengths always equal the actual encoding length (experiment M1 depends
-//! on it), encode→decode is the identity in **both** formats for arbitrary
-//! — not just honest — values, and no byte string, however hostile, can
-//! panic a decoder (it yields `None` or a shape-valid message).
+//! Wire-codec properties across every protocol message type: encode→decode
+//! is the identity in **both** formats for arbitrary — not just honest —
+//! values and the counted length equals the bytes written (experiment M1
+//! depends on it); every wrapper passes the format down to its payload;
+//! and no byte string, however hostile, can panic a decoder (it yields
+//! `None` or a shape-valid message).
 
 use bytes::BytesMut;
 use byzclock::alg::{
@@ -13,22 +14,18 @@ use byzclock::coin::{CoinMsg, CommitteeMsg};
 use byzclock::sim::{Wire, WireFormat};
 use proptest::prelude::*;
 
-fn actual_len<T: Wire>(v: &T) -> usize {
-    let mut buf = BytesMut::new();
-    v.encode(&mut buf);
-    buf.len()
-}
+const FORMATS: [WireFormat; 2] = [WireFormat::Fixed, WireFormat::Packed];
 
-/// Encode in `format`, assert the declared length, decode back, assert
+/// Encode in `format`, assert the counted length, decode back, assert
 /// identity. The workhorse of every round-trip property below.
 fn assert_round_trips<T: Wire + PartialEq + std::fmt::Debug>(v: &T) {
-    for format in [WireFormat::Fixed, WireFormat::Packed] {
+    for format in FORMATS {
         let mut buf = BytesMut::new();
         format.encode_into(v, &mut buf);
         assert_eq!(
             buf.len(),
             format.len_of(v),
-            "declared {format:?} length drifted for {v:?}"
+            "counted {format:?} length drifted for {v:?}"
         );
         let back: T = format
             .decode_from(buf.as_slice())
@@ -42,6 +39,21 @@ fn assert_round_trips<T: Wire + PartialEq + std::fmt::Debug>(v: &T) {
                 buf.len()
             );
         }
+    }
+}
+
+/// Format threading — what a wrapper impl can still get wrong now that a
+/// length is a counting pass over `encode`: in each format a wrapper costs
+/// exactly its `header` bytes on top of its payload *in that format*. The
+/// payloads below carry a [`CoinMsg`], whose two formats differ in length,
+/// so a wrapper that dropped `format` on the way down is caught.
+fn assert_header_over_payload<W: Wire, M: Wire>(wrapper: &W, payload: &M, header: usize) {
+    for format in FORMATS {
+        assert_eq!(
+            format.len_of(wrapper),
+            header + format.len_of(payload),
+            "{format:?} did not reach the payload"
+        );
     }
 }
 
@@ -108,73 +120,47 @@ fn clock_sync_msg_strategy() -> impl Strategy<Value = ClockSyncMsg<CoinMsg>> {
 }
 
 proptest! {
+    // --- every wrapper is one header byte over its payload, per format ---
+
     #[test]
-    fn coin_msg_len(msg in coin_msg_strategy()) {
-        prop_assert_eq!(msg.encoded_len(), actual_len(&msg));
+    fn slot_msg_len(tag in any::<u8>(), msg in coin_msg_strategy()) {
+        assert_header_over_payload(&SlotMsg { slot: tag, msg: msg.clone() }, &msg, 1);
+        assert_header_over_payload(&RoundMsg { round: tag, msg: msg.clone() }, &msg, 1);
     }
 
     #[test]
-    fn slot_msg_len(slot in any::<u8>(), msg in coin_msg_strategy()) {
-        let m = SlotMsg { slot, msg };
-        prop_assert_eq!(m.encoded_len(), actual_len(&m));
+    fn committee_msg_len(msg in coin_msg_strategy()) {
+        assert_header_over_payload(&CommitteeMsg::Gvss(msg.clone()), &msg, 1);
     }
 
     #[test]
-    fn committee_msg_len(msg in committee_msg_strategy()) {
-        prop_assert_eq!(msg.encoded_len(), actual_len(&msg));
+    fn two_clock_msg_len(msg in coin_msg_strategy()) {
+        assert_header_over_payload(&TwoClockMsg::Coin(msg.clone()), &msg, 1);
     }
 
     #[test]
-    fn two_clock_msg_len(t in trit_strategy(), coin in any::<u64>(), pick in any::<bool>()) {
-        let m: TwoClockMsg<u64> =
-            if pick { TwoClockMsg::Clock(t) } else { TwoClockMsg::Coin(coin) };
-        prop_assert_eq!(m.encoded_len(), actual_len(&m));
+    fn four_clock_msg_len(msg in coin_msg_strategy(), a1 in any::<bool>()) {
+        let two = TwoClockMsg::Coin(msg);
+        let four = if a1 { FourClockMsg::A1(two.clone()) } else { FourClockMsg::A2(two.clone()) };
+        assert_header_over_payload(&four, &two, 1);
     }
 
     #[test]
-    fn four_clock_msg_len(t in trit_strategy(), a1 in any::<bool>()) {
-        let inner = TwoClockMsg::<u64>::Clock(t);
-        let m = if a1 { FourClockMsg::A1(inner) } else { FourClockMsg::A2(inner) };
-        prop_assert_eq!(m.encoded_len(), actual_len(&m));
+    fn shared_four_clock_msg_len(msg in coin_msg_strategy()) {
+        assert_header_over_payload(&SharedFourClockMsg::Coin(msg.clone()), &msg, 1);
     }
 
     #[test]
-    fn shared_four_clock_msg_len(t in trit_strategy(), which in 0u8..3, coin in any::<u64>()) {
-        let m: SharedFourClockMsg<u64> = match which {
-            0 => SharedFourClockMsg::A1Vote(t),
-            1 => SharedFourClockMsg::A2Vote(t),
-            _ => SharedFourClockMsg::Coin(coin),
-        };
-        prop_assert_eq!(m.encoded_len(), actual_len(&m));
+    fn clock_sync_msg_len(msg in coin_msg_strategy()) {
+        assert_header_over_payload(&ClockSyncMsg::Coin(msg.clone()), &msg, 1);
+        let four = FourClockMsg::A2(TwoClockMsg::Coin(msg));
+        assert_header_over_payload(&ClockSyncMsg::Four(four.clone()), &four, 1);
     }
 
     #[test]
-    fn clock_sync_msg_len(which in 0u8..5, v in any::<u64>(), p in proptest::option::of(any::<u64>()), b in any::<bool>(), t in trit_strategy()) {
-        let m: ClockSyncMsg<u64> = match which {
-            0 => ClockSyncMsg::Four(FourClockMsg::A1(TwoClockMsg::Clock(t))),
-            1 => ClockSyncMsg::Full(v),
-            2 => ClockSyncMsg::Propose(p),
-            3 => ClockSyncMsg::BitVote(b),
-            _ => ClockSyncMsg::Coin(v),
-        };
-        prop_assert_eq!(m.encoded_len(), actual_len(&m));
-    }
-
-    #[test]
-    fn level_msg_len(level in any::<u8>(), t in trit_strategy()) {
-        let m = LevelMsg { level, msg: TwoClockMsg::<u64>::Clock(t) };
-        prop_assert_eq!(m.encoded_len(), actual_len(&m));
-    }
-
-    #[test]
-    fn ba_msg_len(m in ba_msg_strategy()) {
-        prop_assert_eq!(m.encoded_len(), actual_len(&m));
-    }
-
-    #[test]
-    fn dw_msg_len(v in any::<u64>()) {
-        let m = DwMsg(v);
-        prop_assert_eq!(m.encoded_len(), actual_len(&m));
+    fn level_msg_len(level in any::<u8>(), msg in coin_msg_strategy()) {
+        let two = TwoClockMsg::Coin(msg);
+        assert_header_over_payload(&LevelMsg { level, msg: two.clone() }, &two, 1);
     }
 
     // --- encode -> decode round trips, both formats, arbitrary values ---
@@ -244,7 +230,7 @@ proptest! {
 
     #[test]
     fn garbage_bytes_never_panic_any_decoder(bytes in proptest::collection::vec(any::<u8>(), 0..96)) {
-        for format in [WireFormat::Fixed, WireFormat::Packed] {
+        for format in FORMATS {
             let _ = format.decode_from::<CoinMsg>(&bytes);
             let _ = format.decode_from::<CommitteeMsg>(&bytes);
             let _ = format.decode_from::<SlotMsg<CoinMsg>>(&bytes);
@@ -265,7 +251,7 @@ proptest! {
     /// it round-trips (the decoder never fabricates unencodable values).
     #[test]
     fn parsed_garbage_is_shape_valid(bytes in proptest::collection::vec(any::<u8>(), 0..96)) {
-        for format in [WireFormat::Fixed, WireFormat::Packed] {
+        for format in FORMATS {
             if let Some(msg) = format.decode_from::<CoinMsg>(&bytes) {
                 let mut buf = BytesMut::new();
                 format.encode_into(&msg, &mut buf);
