@@ -16,21 +16,21 @@ use std::hint::black_box;
 /// values reduced into the cluster field (the ticket coin's hot message).
 fn echo_msg(n: usize) -> CoinMsg {
     let p = byzclock::field::Fp::for_cluster(n).modulus();
-    CoinMsg::Echo {
-        points: (0..n)
+    CoinMsg::echo(
+        (0..n)
             .map(|d| Some((0..n).map(|t| ((d * 31 + t * 7) as u64) % p).collect()))
             .collect(),
-    }
+    )
 }
 
 /// A beat-shaped `Row`: `n` targets, `f + 1` coefficients each.
 fn row_msg(n: usize, f: usize) -> CoinMsg {
     let p = byzclock::field::Fp::for_cluster(n).modulus();
-    CoinMsg::Row {
-        rows: (0..n)
+    CoinMsg::row(
+        (0..n)
             .map(|t| (0..=f).map(|c| ((t * 13 + c * 5) as u64) % p).collect())
             .collect(),
-    }
+    )
 }
 
 fn bench_codec(c: &mut Criterion) {

@@ -26,30 +26,30 @@ impl CoinNoiseAdversary {
     fn random_msg(&self, rng: &mut byzclock_sim::SimRng, n: usize, f: usize) -> CoinMsg {
         let p = byzclock_field::smallest_prime_above(n as u64);
         match rng.random_range(0..4u8) {
-            0 => CoinMsg::Row {
-                rows: (0..self.targets)
+            0 => CoinMsg::row(
+                (0..self.targets)
                     .map(|_| (0..=f).map(|_| rng.random_range(0..p)).collect())
                     .collect(),
-            },
-            1 => CoinMsg::Echo {
-                points: (0..n)
+            ),
+            1 => CoinMsg::echo(
+                (0..n)
                     .map(|_| {
                         rng.random::<bool>()
                             .then(|| (0..self.targets).map(|_| rng.random_range(0..p)).collect())
                     })
                     .collect(),
-            },
+            ),
             2 => CoinMsg::Vote {
                 content: (0..n).map(|_| rng.random()).collect(),
             },
-            _ => CoinMsg::Recover {
-                shares: (0..n)
+            _ => CoinMsg::recover(
+                (0..n)
                     .map(|_| {
                         rng.random::<bool>()
                             .then(|| (0..self.targets).map(|_| rng.random_range(0..p)).collect())
                     })
                     .collect(),
-            },
+            ),
         }
     }
 }
@@ -119,7 +119,7 @@ impl Adversary<SlotMsg<CoinMsg>> for RecoverEquivocator {
                     to,
                     SlotMsg {
                         slot: self.recover_slot,
-                        msg: CoinMsg::Recover { shares },
+                        msg: CoinMsg::recover(shares),
                     },
                 );
             }
@@ -157,7 +157,7 @@ impl Adversary<SlotMsg<CoinMsg>> for InconsistentDealer {
                     to,
                     SlotMsg {
                         slot: 0,
-                        msg: CoinMsg::Row { rows },
+                        msg: CoinMsg::row(rows),
                     },
                 );
             }

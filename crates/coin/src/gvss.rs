@@ -188,8 +188,10 @@ impl GvssStorage {
 /// live instances per node, so a handful suffices.
 const POOL_CAP: usize = 8;
 /// Distinct evaluation-point sets cached across beats. Byzantine senders
-/// can vary the sets, so on overflow the cache is cleared rather than
-/// grown without bound.
+/// and scrambled instances can vary the sets, so on overflow the cache is
+/// cut back to its most-hit entry rather than grown without bound: the
+/// honest set is hit by every dealer of every beat, a hostile one a
+/// handful of times.
 const DECODER_CACHE_CAP: usize = 32;
 
 /// Shared, cross-instance recycling arena for the GVSS hot path.
@@ -201,18 +203,66 @@ const DECODER_CACHE_CAP: usize = 32;
 ///
 /// - a pool of retired `GvssStorage` blocks, returned on instance drop,
 ///   so steady-state instances reuse O(n²) matrix capacity instead of
-///   reallocating it every beat, and
-/// - a cache of Berlekamp–Welch factorizations keyed by the recover
-///   round's evaluation-point set — in the honest steady state every beat
-///   reuses the same point set, so the elimination is built once per run
-///   instead of once per beat.
+///   reallocating it every beat,
+/// - a cache of [`BatchDecoder`]s (interpolation tables and
+///   Berlekamp–Welch factorizations) keyed by the recover round's
+///   evaluation-point set — in the honest steady state every beat reuses
+///   the same point set, so they are built once per run instead of once
+///   per beat, and
+/// - the share-point power table the dealing and echo rounds evaluate
+///   against.
+///
+/// The last two are pure functions of `(n, f, point set)` — constants in
+/// the sense of the paper's Remark 2.1, not protocol memory — which is why
+/// [`GvssCore::corrupt`] leaves the workspace alone.
 #[derive(Debug, Clone, Default)]
 pub struct GvssWorkspace(Arc<Mutex<WorkspaceInner>>);
 
 #[derive(Debug, Default)]
 struct WorkspaceInner {
     pool: Vec<GvssStorage>,
-    decoders: Vec<(Vec<u64>, Option<BatchDecoder>)>,
+    decoders: Vec<CachedDecoder>,
+    pows: Option<Arc<SharePowers>>,
+}
+
+/// One decoder-cache entry. `decoder` is `None` for a point set no
+/// codeword can be decoded over (too few or duplicate openers), cached so
+/// a bad set is probed once.
+#[derive(Debug)]
+struct CachedDecoder {
+    xs: Vec<u64>,
+    decoder: Option<BatchDecoder>,
+    hits: u64,
+}
+
+/// Powers `x⁰..=x^f` of every node's share point: what turns each
+/// polynomial evaluation of the dealing and echo rounds into one
+/// [`Fp::dot`].
+#[derive(Debug)]
+struct SharePowers {
+    n: usize,
+    f: usize,
+    /// Row-major `n × (f + 1)`.
+    table: Vec<u64>,
+}
+
+impl SharePowers {
+    fn new(fp: &Fp, cfg: &NodeCfg) -> Self {
+        let table = cfg
+            .all_ids()
+            .flat_map(|id| fp.powers(id.share_point(), cfg.f + 1))
+            .collect();
+        SharePowers {
+            n: cfg.n,
+            f: cfg.f,
+            table,
+        }
+    }
+
+    /// `[x⁰, …, x^f]` for `id`'s share point.
+    fn of(&self, id: NodeId) -> &[u64] {
+        &self.table[id.index() * (self.f + 1)..][..=self.f]
+    }
 }
 
 impl GvssWorkspace {
@@ -239,6 +289,7 @@ pub struct GvssCore {
     decode_stats: DecodeStats,
     /// Hot-path allocation accounting (instrumentation).
     alloc_stats: AllocStats,
+    pows: Arc<SharePowers>,
     workspace: GvssWorkspace,
 }
 
@@ -264,8 +315,16 @@ impl GvssCore {
     /// factorizations from `workspace` (the pipelined steady-state path).
     pub fn with_workspace(cfg: NodeCfg, targets: usize, workspace: GvssWorkspace) -> Self {
         let n = cfg.n;
+        let fp = Fp::for_cluster(n);
         let mut alloc_stats = AllocStats::default();
-        let pooled = workspace.0.lock().expect("workspace lock").pool.pop();
+        let (pooled, pows) = {
+            let mut ws = workspace.0.lock().expect("workspace lock");
+            let pows = match &ws.pows {
+                Some(pows) if (pows.n, pows.f) == (n, cfg.f) => Arc::clone(pows),
+                _ => Arc::clone(ws.pows.insert(Arc::new(SharePowers::new(&fp, &cfg)))),
+            };
+            (ws.pool.pop(), pows)
+        };
         let mut st = match pooled {
             Some(st) => {
                 alloc_stats.storage_reuses += 1;
@@ -279,13 +338,14 @@ impl GvssCore {
         st.reset(n, targets);
         GvssCore {
             cfg,
-            fp: Fp::for_cluster(n),
+            fp,
             targets,
             dealt: Vec::new(),
             my_secrets: Vec::new(),
             st,
             decode_stats: DecodeStats::default(),
             alloc_stats,
+            pows,
             workspace,
         }
     }
@@ -349,12 +409,13 @@ impl GvssCore {
             .map(|&s| SymmetricBivariate::random_with_secret(&self.fp, s, f, rng))
             .collect();
         for to in self.cfg.all_ids() {
+            let to_pows = self.pows.of(to);
             let rows: Vec<Vec<u64>> = self
                 .dealt
                 .iter()
-                .map(|biv| biv.row(&self.fp, to.share_point()).into_coeffs())
+                .map(|biv| biv.row_powers(&self.fp, to_pows).into_coeffs())
                 .collect();
-            out.push((Target::One(to), CoinMsg::Row { rows }));
+            out.push((Target::One(to), CoinMsg::row(rows)));
         }
     }
 
@@ -383,6 +444,7 @@ impl GvssCore {
     /// Round 1 send: cross-points to every node.
     pub fn send_echo(&mut self, out: &mut Vec<(Target, CoinMsg)>) {
         for to in self.cfg.all_ids() {
+            let to_pows = self.pows.of(to);
             let points: Vec<Option<Vec<u64>>> = self
                 .st
                 .rows
@@ -391,12 +453,12 @@ impl GvssCore {
                     rows.as_ref().map(|polys| {
                         polys
                             .iter()
-                            .map(|p| p.eval(&self.fp, to.share_point()))
+                            .map(|p| p.eval_powers(&self.fp, to_pows))
                             .collect()
                     })
                 })
                 .collect();
-            out.push((Target::One(to), CoinMsg::Echo { points }));
+            out.push((Target::One(to), CoinMsg::echo(points)));
         }
     }
 
@@ -421,6 +483,7 @@ impl GvssCore {
             let Some(points) = check_matrix(points, n, self.targets) else {
                 continue;
             };
+            let from_pows = self.pows.of(*from);
             for dealer in 0..n {
                 let (Some(my_rows), Some(their_points)) = (&self.st.rows[dealer], &points[dealer])
                 else {
@@ -429,7 +492,7 @@ impl GvssCore {
                 let all_match = my_rows
                     .iter()
                     .zip(their_points.iter())
-                    .all(|(mine, &p)| mine.eval(&self.fp, from.share_point()) == self.fp.reduce(p));
+                    .all(|(mine, &p)| mine.eval_powers(&self.fp, from_pows) == self.fp.reduce(p));
                 let slot = &mut self.st.matches[dealer * n + from.index()];
                 if *slot != all_match {
                     // Delta form keeps the counter exact even if a slot
@@ -515,7 +578,7 @@ impl GvssCore {
                     .map(|polys| polys.iter().map(|p| p.eval(&self.fp, 0)).collect())
             })
             .collect();
-        out.push((Target::All, CoinMsg::Recover { shares }));
+        out.push((Target::All, CoinMsg::recover(shares)));
     }
 
     /// Round 3 receive: Berlekamp–Welch per (included dealer, target),
@@ -581,34 +644,43 @@ impl GvssCore {
                 continue;
             }
             let xs = &self.st.xs[dealer];
-            let idx = match ws.decoders.iter().position(|(x, _)| x == xs) {
+            let idx = match ws.decoders.iter().position(|entry| &entry.xs == xs) {
                 Some(idx) => {
                     self.alloc_stats.decoder_hits += 1;
+                    ws.decoders[idx].hits += 1;
                     idx
                 }
                 None => {
                     if ws.decoders.len() >= DECODER_CACHE_CAP {
-                        ws.decoders.clear();
+                        let most_hit = (0..ws.decoders.len())
+                            .max_by_key(|&i| ws.decoders[i].hits)
+                            .expect("the cap is nonzero");
+                        ws.decoders.swap(0, most_hit);
+                        ws.decoders.truncate(1);
                     }
                     let decoder = BatchDecoder::new(&self.fp, xs, f);
                     // Count only factorizations that were actually built;
                     // unusable point sets never become a batch.
                     self.decode_stats.batches += u64::from(decoder.is_some());
                     self.alloc_stats.decoder_builds += 1;
-                    // lint:allow(A1): decoder-cache build is the cold path —
-                    // it runs once per distinct point set per run, not per
-                    // beat, and `decoder_builds` counts prove it in tests.
-                    ws.decoders.push((xs.clone(), decoder));
+                    ws.decoders.push(CachedDecoder {
+                        // lint:allow(A1): decoder-cache build is the cold
+                        // path — it runs once per distinct point set per
+                        // run, not per beat, and `decoder_builds` counts
+                        // prove it in tests.
+                        xs: xs.clone(),
+                        decoder,
+                        hits: 0,
+                    });
                     ws.decoders.len() - 1
                 }
             };
-            let decoder = &mut ws.decoders[idx].1;
+            let decoder = &mut ws.decoders[idx].decoder;
             let routed = decoder.is_some();
             for t in 0..targets {
                 self.st.recovered[dealer * targets + t] = decoder
                     .as_mut()
-                    .and_then(|d| d.decode_one(&self.st.ys[dealer * targets + t]))
-                    .map(|g| g.eval(&self.fp, 0));
+                    .and_then(|d| d.decode_at_zero(&self.st.ys[dealer * targets + t]));
                 self.decode_stats.codewords += u64::from(routed);
             }
         }
@@ -701,22 +773,6 @@ mod tests {
                 )
             })
             .collect();
-        let route = |sends: Vec<(NodeId, Vec<(Target, CoinMsg)>)>, n: usize| {
-            let mut inboxes: Vec<Vec<(NodeId, CoinMsg)>> = vec![Vec::new(); n];
-            for (from, outs) in sends {
-                for (target, msg) in outs {
-                    match target {
-                        Target::All => {
-                            for to in 0..n {
-                                inboxes[to].push((from, msg.clone()));
-                            }
-                        }
-                        Target::One(to) => inboxes[to.index()].push((from, msg)),
-                    }
-                }
-            }
-            inboxes
-        };
         // round 0
         let sends: Vec<_> = cores
             .iter_mut()
@@ -728,7 +784,7 @@ mod tests {
                 (NodeId::new(i as u16), out)
             })
             .collect();
-        for (c, inbox) in cores.iter_mut().zip(route(sends, n)) {
+        for (c, inbox) in cores.iter_mut().zip(route(n, sends)) {
             c.recv_share(&inbox);
         }
         // round 1
@@ -741,7 +797,7 @@ mod tests {
                 (NodeId::new(i as u16), out)
             })
             .collect();
-        for (c, inbox) in cores.iter_mut().zip(route(sends, n)) {
+        for (c, inbox) in cores.iter_mut().zip(route(n, sends)) {
             c.recv_echo(&inbox);
         }
         // round 2
@@ -754,7 +810,7 @@ mod tests {
                 (NodeId::new(i as u16), out)
             })
             .collect();
-        for (c, inbox) in cores.iter_mut().zip(route(sends, n)) {
+        for (c, inbox) in cores.iter_mut().zip(route(n, sends)) {
             c.recv_vote(&inbox);
         }
         // round 3
@@ -767,7 +823,7 @@ mod tests {
                 (NodeId::new(i as u16), out)
             })
             .collect();
-        for (c, inbox) in cores.iter_mut().zip(route(sends, n)) {
+        for (c, inbox) in cores.iter_mut().zip(route(n, sends)) {
             c.recv_recover(&inbox);
         }
         cores
@@ -861,6 +917,251 @@ mod tests {
         }
     }
 
+    /// Delivers the senders' outboxes: broadcasts fan out, unicasts go to
+    /// their recipient.
+    fn route(
+        n: usize,
+        sends: Vec<(NodeId, Vec<(Target, CoinMsg)>)>,
+    ) -> Vec<Vec<(NodeId, CoinMsg)>> {
+        let mut inboxes: Vec<Vec<(NodeId, CoinMsg)>> = vec![Vec::new(); n];
+        for (from, outs) in sends {
+            for (target, msg) in outs {
+                match target {
+                    Target::All => inboxes.iter_mut().for_each(|i| i.push((from, msg.clone()))),
+                    Target::One(to) => inboxes[to.index()].push((from, msg)),
+                }
+            }
+        }
+        inboxes
+    }
+
+    /// The kernels against the textbook: one execution with everything
+    /// the fast paths special-case — a node scrambled between `send_echo`
+    /// and `recv_echo` (ragged, partly missing rows), `f` `Recover`
+    /// senders lying on a third of their shares (some non-canonically),
+    /// one sender opening only every other dealer (a second point set) —
+    /// must leave the same echo points, match matrix, votes, grades,
+    /// recovered values and decode counts as the same execution evaluated
+    /// here with `Poly::eval` and `rs::decode`.
+    #[test]
+    fn execution_matches_the_written_out_evaluation() {
+        for (n, f) in [(4usize, 1usize), (7, 2), (13, 4)] {
+            for seed in 0..3u64 {
+                check_against_written_out_evaluation(n, f, 3, seed);
+            }
+        }
+    }
+
+    fn check_against_written_out_evaluation(n: usize, f: usize, targets: usize, seed: u64) {
+        let ctx = format!("n={n} seed={seed}");
+        let fp = Fp::for_cluster(n);
+        let mut rng = SimRng::seed_from_u64(seed);
+        let mut cores: Vec<GvssCore> = (0..n as u16)
+            .map(|i| GvssCore::new(NodeCfg::new(NodeId::new(i), n, f), targets))
+            .collect();
+        let collect = |cores: &mut [GvssCore], send: &mut dyn FnMut(&mut GvssCore, &mut Vec<_>)| {
+            cores
+                .iter_mut()
+                .map(|c| {
+                    let mut out = Vec::new();
+                    send(c, &mut out);
+                    out
+                })
+                .collect::<Vec<Vec<(Target, CoinMsg)>>>()
+        };
+        let deliver = |sends: Vec<Vec<(Target, CoinMsg)>>| {
+            route(n, (0..n as u16).map(NodeId::new).zip(sends).collect())
+        };
+
+        // Round 0, honest.
+        let modn = n as u64;
+        let sends = collect(&mut cores, &mut |c, out| {
+            c.send_share(&mut rng, |r| r.random_range(0..modn), out)
+        });
+        for (c, inbox) in cores.iter_mut().zip(deliver(sends)) {
+            c.recv_share(&inbox);
+        }
+
+        // Round 1: every echo point is the sender's row at the
+        // recipient's share point.
+        let sends = collect(&mut cores, &mut |c, out| c.send_echo(out));
+        for (core, outs) in cores.iter().zip(&sends) {
+            for (target, msg) in outs {
+                let (Target::One(to), CoinMsg::Echo { points }) = (target, msg) else {
+                    panic!("{ctx}: echoes are unicast");
+                };
+                let want: Vec<Option<Vec<u64>>> = core
+                    .st
+                    .rows
+                    .iter()
+                    .map(|rows| {
+                        rows.as_ref().map(|polys| {
+                            polys
+                                .iter()
+                                .map(|p| p.eval(&fp, to.share_point()))
+                                .collect()
+                        })
+                    })
+                    .collect();
+                assert_eq!(**points, want, "{ctx}: echo to {to}");
+            }
+        }
+        cores[0].corrupt(&mut rng);
+        let inboxes = deliver(sends);
+        let mut want_matches: Vec<Vec<bool>> = cores.iter().map(|c| c.st.matches.clone()).collect();
+        for ((core, inbox), matches) in cores.iter().zip(&inboxes).zip(&mut want_matches) {
+            for (from, msg) in inbox {
+                let CoinMsg::Echo { points } = msg else {
+                    unreachable!()
+                };
+                for dealer in 0..n {
+                    if let (Some(mine), Some(theirs)) = (&core.st.rows[dealer], &points[dealer]) {
+                        matches[dealer * n + from.index()] = mine
+                            .iter()
+                            .zip(theirs)
+                            .all(|(row, &p)| row.eval(&fp, from.share_point()) == p % fp.modulus());
+                    }
+                }
+            }
+        }
+        for (c, inbox) in cores.iter_mut().zip(inboxes) {
+            c.recv_echo(&inbox);
+        }
+        for (core, want) in cores.iter().zip(&want_matches) {
+            assert_eq!(&core.st.matches, want, "{ctx}: match matrix");
+        }
+
+        // Round 2: votes and grades follow from the match matrix.
+        let sends = collect(&mut cores, &mut |c, out| c.send_vote(out));
+        for ((core, outs), matches) in cores.iter().zip(&sends).zip(&want_matches) {
+            let want: Vec<bool> = (0..n)
+                .map(|dealer| {
+                    let count = matches[dealer * n..][..n].iter().filter(|&&m| m).count();
+                    core.st.rows[dealer].is_some() && count >= n - f
+                })
+                .collect();
+            assert_eq!(outs[0].1, CoinMsg::Vote { content: want }, "{ctx}");
+        }
+        let inboxes = deliver(sends);
+        let mut want_grades: Vec<Vec<Grade>> = Vec::new();
+        for (core, inbox) in cores.iter().zip(&inboxes) {
+            let mut votes = core.st.votes.clone();
+            for (from, msg) in inbox {
+                let CoinMsg::Vote { content } = msg else {
+                    unreachable!()
+                };
+                for dealer in 0..n {
+                    votes[dealer * n + from.index()] = content[dealer];
+                }
+            }
+            want_grades.push(
+                (0..n)
+                    .map(
+                        |dealer| match votes[dealer * n..][..n].iter().filter(|&&v| v).count() {
+                            c if c >= n - f => Grade::Two,
+                            c if c + 2 * f >= n => Grade::One,
+                            _ => Grade::Zero,
+                        },
+                    )
+                    .collect(),
+            );
+        }
+        for (c, inbox) in cores.iter_mut().zip(inboxes) {
+            c.recv_vote(&inbox);
+        }
+        for (core, want) in cores.iter().zip(&want_grades) {
+            assert_eq!(&core.st.grades, want, "{ctx}: grades");
+        }
+
+        // Round 3: honest shares are the rows at 0; then the last f
+        // senders lie and node 1 opens only the even dealers.
+        let mut sends = collect(&mut cores, &mut |c, out| c.send_recover(out));
+        for (sender, (core, outs)) in cores.iter().zip(&mut sends).enumerate() {
+            let CoinMsg::Recover { shares } = &outs[0].1 else {
+                unreachable!()
+            };
+            let want: Vec<Option<Vec<u64>>> = core
+                .st
+                .rows
+                .iter()
+                .map(|rows| {
+                    rows.as_ref()
+                        .map(|ps| ps.iter().map(|p| p.eval(&fp, 0)).collect())
+                })
+                .collect();
+            assert_eq!(**shares, want, "{ctx}: shares of {sender}");
+            let mut forged = want;
+            for (dealer, vals) in forged.iter_mut().enumerate() {
+                if sender == 1 && dealer % 2 == 1 {
+                    *vals = None;
+                }
+                for (t, v) in vals.iter_mut().flatten().enumerate() {
+                    if sender >= n - f && (dealer + t + sender) % 3 == 0 {
+                        *v = fp.add(*v, 1) + fp.modulus() * (dealer as u64 % 2);
+                    }
+                }
+            }
+            outs[0].1 = CoinMsg::recover(forged);
+        }
+        let inboxes = deliver(sends);
+        let mut want_recovered: Vec<Vec<Option<u64>>> = Vec::new();
+        let mut want_stats: Vec<DecodeStats> = Vec::new();
+        for ((core, inbox), grades) in cores.iter().zip(&inboxes).zip(&want_grades) {
+            let mut recovered = core.st.recovered.clone();
+            let mut point_sets: Vec<Vec<u64>> = Vec::new();
+            let mut stats = DecodeStats::default();
+            for dealer in (0..n).filter(|&d| grades[d] >= Grade::One) {
+                let opened: Vec<(u64, &Vec<u64>)> = inbox
+                    .iter()
+                    .filter_map(|(from, msg)| {
+                        let CoinMsg::Recover { shares } = msg else {
+                            unreachable!()
+                        };
+                        shares[dealer]
+                            .as_ref()
+                            .map(|vals| (from.share_point(), vals))
+                    })
+                    .collect();
+                for t in 0..targets {
+                    let points: Vec<(u64, u64)> =
+                        opened.iter().map(|&(x, vals)| (x, vals[t])).collect();
+                    recovered[dealer * targets + t] =
+                        byzclock_field::rs::decode(&fp, &points, f).map(|g| g.eval(&fp, 0));
+                }
+                // A usable point set is one batch, however many dealers
+                // share it; every codeword routed through one counts.
+                if opened.len() > f {
+                    let xs: Vec<u64> = opened.iter().map(|&(x, _)| x).collect();
+                    if !point_sets.contains(&xs) {
+                        point_sets.push(xs);
+                        stats.batches += 1;
+                    }
+                    stats.codewords += targets as u64;
+                }
+            }
+            want_recovered.push(recovered);
+            want_stats.push(stats);
+        }
+        for (c, inbox) in cores.iter_mut().zip(inboxes) {
+            c.recv_recover(&inbox);
+        }
+        for (i, core) in cores.iter().enumerate() {
+            assert_eq!(
+                core.st.recovered, want_recovered[i],
+                "{ctx}: node {i} recovered"
+            );
+            assert_eq!(core.decode_stats(), want_stats[i], "{ctx}: node {i} stats");
+        }
+        // Not vacuous: through all of that, an honest dealer's secret
+        // still opens.
+        let honest_dealer = 2;
+        assert!(
+            (0..targets).any(|t| cores[2].recovered(NodeId::new(honest_dealer), t)
+                == Some(cores[honest_dealer as usize].my_secrets()[t])),
+            "{ctx}: nothing opened"
+        );
+    }
+
     #[test]
     fn honest_run_recovers_all_secrets_consistently() {
         let cores = run_honest(7, 2, 3, 9);
@@ -900,15 +1201,7 @@ mod tests {
             c.send_share(&mut rng, |r| r.random_range(0..4), &mut out);
             all_sends.push((NodeId::new(i as u16), out));
         }
-        let mut inboxes: Vec<Vec<(NodeId, CoinMsg)>> = vec![Vec::new(); n];
-        for (from, outs) in all_sends {
-            for (target, msg) in outs {
-                if let Target::One(to) = target {
-                    inboxes[to.index()].push((from, msg));
-                }
-            }
-        }
-        for (c, inbox) in cores.iter_mut().zip(inboxes) {
+        for (c, inbox) in cores.iter_mut().zip(route(n, all_sends)) {
             c.recv_share(&inbox);
         }
         // echo + vote rounds, all nodes (including 3, who is honest but
@@ -927,20 +1220,7 @@ mod tests {
                     (NodeId::new(i as u16), out)
                 })
                 .collect();
-            let mut inboxes: Vec<Vec<(NodeId, CoinMsg)>> = vec![Vec::new(); n];
-            for (from, outs) in sends {
-                for (target, msg) in outs {
-                    match target {
-                        Target::All => {
-                            for to in 0..n {
-                                inboxes[to].push((from, msg.clone()));
-                            }
-                        }
-                        Target::One(to) => inboxes[to.index()].push((from, msg)),
-                    }
-                }
-            }
-            for (c, inbox) in cores.iter_mut().zip(inboxes) {
+            for (c, inbox) in cores.iter_mut().zip(route(n, sends)) {
                 if round == 1 {
                     c.recv_echo(&inbox);
                 } else {
@@ -971,22 +1251,6 @@ mod tests {
         let mut cores: Vec<GvssCore> = (0..n as u16)
             .map(|i| GvssCore::new(NodeCfg::new(NodeId::new(i), n, f), targets))
             .collect();
-        let route = |sends: Vec<(NodeId, Vec<(Target, CoinMsg)>)>| {
-            let mut inboxes: Vec<Vec<(NodeId, CoinMsg)>> = vec![Vec::new(); n];
-            for (from, outs) in sends {
-                for (target, msg) in outs {
-                    match target {
-                        Target::All => {
-                            for to in 0..n {
-                                inboxes[to].push((from, msg.clone()));
-                            }
-                        }
-                        Target::One(to) => inboxes[to.index()].push((from, msg)),
-                    }
-                }
-            }
-            inboxes
-        };
         // Honest rounds 0-2.
         for round in 0..3 {
             let sends: Vec<_> = cores
@@ -1002,7 +1266,7 @@ mod tests {
                     (NodeId::new(i as u16), out)
                 })
                 .collect();
-            for (c, inbox) in cores.iter_mut().zip(route(sends)) {
+            for (c, inbox) in cores.iter_mut().zip(route(n, sends)) {
                 match round {
                     0 => c.recv_share(&inbox),
                     1 => c.recv_echo(&inbox),
@@ -1026,7 +1290,7 @@ mod tests {
             })
             .collect();
         let dealt: Vec<Vec<u64>> = cores.iter().map(|c| c.my_secrets().to_vec()).collect();
-        for (c, inbox) in cores.iter_mut().zip(route(sends)) {
+        for (c, inbox) in cores.iter_mut().zip(route(n, sends)) {
             c.recv_recover(&inbox);
         }
         for core in &cores {
@@ -1040,6 +1304,48 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Cache overflow keeps the point set every beat hits. Hostile
+    /// senders (or a scrambled cohort) can mint fresh opener sets faster
+    /// than the cap; cutting the cache back must not cost the honest set
+    /// its tables and factorization.
+    #[test]
+    fn decoder_cache_overflow_keeps_the_most_hit_point_set() {
+        let (n, f) = (7usize, 2usize);
+        let workspace = GvssWorkspace::new();
+        let cfg = NodeCfg::new(NodeId::new(0), n, f);
+        let mut core = GvssCore::with_workspace(cfg, 1, workspace.clone());
+        core.st.grades.fill(Grade::Two);
+        // Sender `s` opens dealer `d` iff bit `s` of `mask(d)` is set.
+        let inbox = |mask: &dyn Fn(usize) -> usize| -> Vec<(NodeId, CoinMsg)> {
+            (0..n)
+                .map(|s| {
+                    let shares = (0..n).map(|d| (mask(d) >> s & 1 == 1).then(|| vec![0]));
+                    (NodeId::new(s as u16), CoinMsg::recover(shares.collect()))
+                })
+                .collect()
+        };
+        let everyone = (1 << n) - 1;
+        core.recv_recover(&inbox(&|_| everyone));
+        assert_eq!(core.alloc_stats().decoder_builds, 1);
+        // 35 distinct hostile sets, 7 per beat: the 32nd overflows.
+        for beat in 0..5 {
+            core.recv_recover(&inbox(&|d| 1 + beat * n + d));
+        }
+        let builds = core.alloc_stats().decoder_builds;
+        assert_eq!(builds, 36);
+        let cached = workspace.0.lock().unwrap().decoders.len();
+        assert!(
+            cached < DECODER_CACHE_CAP,
+            "the cache was cut back: {cached}"
+        );
+        core.recv_recover(&inbox(&|_| everyone));
+        assert_eq!(
+            core.alloc_stats().decoder_builds,
+            builds,
+            "the honest point set was evicted"
+        );
     }
 
     /// The tally rounds keep the *first* message per sender: a duplicate
@@ -1075,20 +1381,10 @@ mod tests {
         let mut core = GvssCore::new(cfg, 2);
         let from = NodeId::new(1);
         // Wrong target count in a Row.
-        core.recv_share(&[(
-            from,
-            CoinMsg::Row {
-                rows: vec![vec![1]],
-            },
-        )]);
+        core.recv_share(&[(from, CoinMsg::row(vec![vec![1]]))]);
         assert!(core.st.rows[1].is_none());
         // Row polynomial of excessive degree.
-        core.recv_share(&[(
-            from,
-            CoinMsg::Row {
-                rows: vec![vec![1, 2, 3, 4, 5], vec![1]],
-            },
-        )]);
+        core.recv_share(&[(from, CoinMsg::row(vec![vec![1, 2, 3, 4, 5], vec![1]]))]);
         assert!(core.st.rows[1].is_none());
         // Vote with wrong arity.
         core.recv_vote(&[(
@@ -1099,7 +1395,7 @@ mod tests {
         )]);
         assert!(core.st.votes.chunks(4).all(|per| !per[1]));
         // Echo with wrong dealer arity.
-        core.recv_echo(&[(from, CoinMsg::Echo { points: vec![None] })]);
+        core.recv_echo(&[(from, CoinMsg::echo(vec![None]))]);
         assert!(core.st.matches.chunks(4).all(|per| !per[1]));
     }
 

@@ -30,6 +30,7 @@
 //! contract of `Vec<T>`.
 
 use byzclock_sim::{Wire, WireFormat, WireReader, WireWriter};
+use std::sync::Arc;
 
 /// One round's payload of a coin instance.
 ///
@@ -37,19 +38,28 @@ use byzclock_sim::{Wire, WireFormat, WireReader, WireWriter};
 /// (`Option` for dealers the sender has nothing for); `[target]` vectors
 /// have length `targets` (the per-dealer secret count — `n` for the ticket
 /// coin, 1 for the XOR coin).
+///
+/// The three matrix payloads sit behind an [`Arc`]: a message is built
+/// once and then only read, while the runner and every demultiplexing
+/// layer above the coin clone it (per broadcast recipient, into the
+/// phantom-replay history, per delivery), so each of those clones is a
+/// reference-count bump instead of a copy of an O(n·targets) matrix.
+/// Build them with [`CoinMsg::row`], [`CoinMsg::echo`] and
+/// [`CoinMsg::recover`]. The matrices may be ragged — a Byzantine sender
+/// can say anything — and receivers validate shape before use.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CoinMsg {
     /// Round 0, dealer → node `i`: the row polynomials `S_j(x, i)`, one
     /// per target `j` (coefficient vectors, constant term first).
     Row {
         /// `[target] -> row-polynomial coefficients`.
-        rows: Vec<Vec<u64>>,
+        rows: Arc<Vec<Vec<u64>>>,
     },
     /// Round 1, node `i` → node `m`: cross-points `S_j(m, i)` for every
     /// dealer (`None` where `i` holds no row from that dealer).
     Echo {
         /// `[dealer] -> [target] -> point value`.
-        points: Vec<Option<Vec<u64>>>,
+        points: Arc<Vec<Option<Vec<u64>>>>,
     },
     /// Round 2, broadcast: per-dealer contentment (enough matching echoes).
     Vote {
@@ -60,8 +70,31 @@ pub enum CoinMsg {
     /// `S_j(0, sender)` for every dealer it holds rows from.
     Recover {
         /// `[dealer] -> [target] -> share value`.
-        shares: Vec<Option<Vec<u64>>>,
+        shares: Arc<Vec<Option<Vec<u64>>>>,
     },
+}
+
+impl CoinMsg {
+    /// A [`CoinMsg::Row`] carrying `rows`.
+    pub fn row(rows: Vec<Vec<u64>>) -> Self {
+        CoinMsg::Row {
+            rows: Arc::new(rows),
+        }
+    }
+
+    /// A [`CoinMsg::Echo`] carrying `points`.
+    pub fn echo(points: Vec<Option<Vec<u64>>>) -> Self {
+        CoinMsg::Echo {
+            points: Arc::new(points),
+        }
+    }
+
+    /// A [`CoinMsg::Recover`] carrying `shares`.
+    pub fn recover(shares: Vec<Option<Vec<u64>>>) -> Self {
+        CoinMsg::Recover {
+            shares: Arc::new(shares),
+        }
+    }
 }
 
 /// Encodes a count into the packed format's two-byte header.
@@ -174,10 +207,10 @@ impl Wire for CoinMsg {
     fn encode(&self, format: WireFormat, w: &mut WireWriter<'_>) {
         match format {
             WireFormat::Fixed => match self {
-                CoinMsg::Row { rows } => w.put_tagged(0, rows, format),
-                CoinMsg::Echo { points } => w.put_tagged(1, points, format),
+                CoinMsg::Row { rows } => w.put_tagged(0, &**rows, format),
+                CoinMsg::Echo { points } => w.put_tagged(1, &**points, format),
                 CoinMsg::Vote { content } => w.put_tagged(2, content, format),
-                CoinMsg::Recover { shares } => w.put_tagged(3, shares, format),
+                CoinMsg::Recover { shares } => w.put_tagged(3, &**shares, format),
             },
             WireFormat::Packed => match self {
                 CoinMsg::Row { rows } => {
@@ -206,39 +239,27 @@ impl Wire for CoinMsg {
         let tag = r.u8()?;
         Some(match format {
             WireFormat::Fixed => match tag {
-                0 => CoinMsg::Row {
-                    rows: Wire::decode(format, r)?,
-                },
-                1 => CoinMsg::Echo {
-                    points: Wire::decode(format, r)?,
-                },
+                0 => CoinMsg::row(Wire::decode(format, r)?),
+                1 => CoinMsg::echo(Wire::decode(format, r)?),
                 2 => CoinMsg::Vote {
                     content: Wire::decode(format, r)?,
                 },
-                3 => CoinMsg::Recover {
-                    shares: Wire::decode(format, r)?,
-                },
+                3 => CoinMsg::recover(Wire::decode(format, r)?),
                 _ => return None,
             },
             WireFormat::Packed => match tag {
                 0 => {
                     let nrows = get_count(r)?;
-                    CoinMsg::Row {
-                        rows: get_matrix(r, nrows)?,
-                    }
+                    CoinMsg::row(get_matrix(r, nrows)?)
                 }
-                1 => CoinMsg::Echo {
-                    points: get_optioned_matrix(r)?,
-                },
+                1 => CoinMsg::echo(get_optioned_matrix(r)?),
                 2 => {
                     let len = get_count(r)?;
                     CoinMsg::Vote {
                         content: get_bitset(r, len)?,
                     }
                 }
-                3 => CoinMsg::Recover {
-                    shares: get_optioned_matrix(r)?,
-                },
+                3 => CoinMsg::recover(get_optioned_matrix(r)?),
                 _ => return None,
             },
         })
@@ -299,13 +320,9 @@ mod tests {
         };
         // tag + vec header + 3 bools
         assert_eq!(WireFormat::Fixed.len_of(&m), 1 + 4 + 3);
-        let m = CoinMsg::Row {
-            rows: vec![vec![1, 2], vec![3]],
-        };
+        let m = CoinMsg::row(vec![vec![1, 2], vec![3]]);
         assert_eq!(WireFormat::Fixed.len_of(&m), 1 + 4 + (4 + 16) + (4 + 8));
-        let m = CoinMsg::Echo {
-            points: vec![None, Some(vec![7])],
-        };
+        let m = CoinMsg::echo(vec![None, Some(vec![7])]);
         assert_eq!(WireFormat::Fixed.len_of(&m), 1 + 4 + 1 + (1 + 4 + 8));
     }
 
@@ -314,7 +331,7 @@ mod tests {
         // A beat-shaped Echo at n=7, f=2 (the ticket stack's hot message):
         // all 7 dealers present, 7 points each, values inside F_11.
         let points: Vec<Option<Vec<u64>>> = (0..7).map(|d| Some(vec![d % 11; 7])).collect();
-        let echo = CoinMsg::Echo { points };
+        let echo = CoinMsg::echo(points);
         // fixed: tag + 4 + 7 * (1 + 4 + 7*8) = 432
         assert_eq!(WireFormat::Fixed.len_of(&echo), 432);
         // packed: tag + dealers(2) + bitset + width + maxlen(2) +
@@ -328,9 +345,7 @@ mod tests {
         assert_eq!(WireFormat::Packed.len_of(&vote), 1 + 2 + 1);
 
         // Row at f=2: 7 targets x 3 coefficients.
-        let row = CoinMsg::Row {
-            rows: vec![vec![10, 0, 3]; 7],
-        };
+        let row = CoinMsg::row(vec![vec![10, 0, 3]; 7]);
         assert_eq!(WireFormat::Fixed.len_of(&row), 1 + 4 + 7 * (4 + 24));
         assert_eq!(WireFormat::Packed.len_of(&row), 1 + 2 + 1 + 2 + 7 * 5);
     }
@@ -343,7 +358,7 @@ mod tests {
         for n in [4usize, 7, 13] {
             let fp = Fp::for_cluster(n);
             let rows: Vec<Vec<u64>> = (0..n).map(|_| vec![fp.modulus() - 1; 3]).collect();
-            let msg = CoinMsg::Row { rows };
+            let msg = CoinMsg::row(rows);
             let mut buf = bytes::BytesMut::new();
             WireFormat::Packed.encode_into(&msg, &mut buf);
             // Layout: tag(1), nrows(2), width(1), maxlen(2), ...
@@ -354,21 +369,15 @@ mod tests {
     #[test]
     fn both_formats_round_trip_exactly() {
         let samples = [
-            CoinMsg::Row { rows: vec![] },
-            CoinMsg::Row {
-                rows: vec![vec![], vec![1, u64::MAX], vec![7]],
-            },
-            CoinMsg::Echo { points: vec![] },
-            CoinMsg::Echo {
-                points: vec![None, Some(vec![3, 9]), None, Some(vec![])],
-            },
+            CoinMsg::row(vec![]),
+            CoinMsg::row(vec![vec![], vec![1, u64::MAX], vec![7]]),
+            CoinMsg::echo(vec![]),
+            CoinMsg::echo(vec![None, Some(vec![3, 9]), None, Some(vec![])]),
             CoinMsg::Vote { content: vec![] },
             CoinMsg::Vote {
                 content: vec![true, false, true, true, false, false, true, true, false],
             },
-            CoinMsg::Recover {
-                shares: vec![Some(vec![0, 0, 0]), None],
-            },
+            CoinMsg::recover(vec![Some(vec![0, 0, 0]), None]),
         ];
         for msg in &samples {
             for format in [WireFormat::Fixed, WireFormat::Packed] {
@@ -391,11 +400,11 @@ mod tests {
         let vote = CoinMsg::Vote {
             content: (0..300).map(|i| i % 3 == 0).collect(),
         };
-        let echo = CoinMsg::Echo {
-            points: (0..300u64)
+        let echo = CoinMsg::echo(
+            (0..300u64)
                 .map(|d| (d % 2 == 0).then(|| vec![d; 2]))
                 .collect(),
-        };
+        );
         for msg in [vote, echo] {
             let mut buf = bytes::BytesMut::new();
             WireFormat::Packed.encode_into(&msg, &mut buf);
@@ -406,9 +415,7 @@ mod tests {
 
     #[test]
     fn truncated_and_garbage_bytes_never_panic() {
-        let msg = CoinMsg::Echo {
-            points: vec![Some(vec![5, 6]), None, Some(vec![7, 8])],
-        };
+        let msg = CoinMsg::echo(vec![Some(vec![5, 6]), None, Some(vec![7, 8])]);
         for format in [WireFormat::Fixed, WireFormat::Packed] {
             let mut buf = bytes::BytesMut::new();
             format.encode_into(&msg, &mut buf);

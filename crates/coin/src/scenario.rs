@@ -687,6 +687,37 @@ mod tests {
         assert_eq!(report.traffic, base.traffic);
     }
 
+    /// Where decoder-cache misses come from (ROADMAP 1(d)): a scrambled
+    /// cohort opens each dealer through whatever senders happen to hold a
+    /// row, so its point sets differ per dealer — but it retires within
+    /// the pipeline depth, and from then on every beat of every instance
+    /// is served by the one cached honest set.
+    #[test]
+    fn decoder_cache_misses_are_warm_up_only() {
+        let counters = |line: &str| {
+            let spec = ScenarioSpec::parse(line).unwrap();
+            let report = registry().run_exact(&spec).unwrap();
+            (
+                report.extra("alloc_decoder_builds").unwrap(),
+                report.extra("alloc_decoder_hits").unwrap(),
+            )
+        };
+        let stream = "coin-stream n=13 f=4 coin=ticket adv=silent faults=corrupt-start seed=1 \
+                      metrics=alloc";
+        // Depth 4: the last scrambled instance recovers at beat 4.
+        let (warm_builds, warm_hits) = counters(&format!("{stream} budget=6"));
+        let (builds, hits) = counters(&format!("{stream} budget=24"));
+        assert!(warm_builds > 9.0, "scrambled sets do miss: {warm_builds}");
+        assert_eq!(builds, warm_builds, "a steady-state beat built a decoder");
+        assert!(hits > warm_hits);
+        // From a clean start the only misses are each node's first look
+        // at the honest set.
+        let (builds, _) = counters(
+            "coin-stream n=13 f=4 coin=ticket adv=silent faults=none seed=1 metrics=alloc budget=24",
+        );
+        assert_eq!(builds, 9.0, "one build per correct node's workspace");
+    }
+
     #[test]
     fn metrics_alloc_reaches_the_ticket_clock_sync() {
         let spec = ScenarioSpec::parse(

@@ -68,20 +68,16 @@ impl SymmetricBivariate {
 
     /// The row polynomial `f_i(x) = S(x, i)` handed to node `i`.
     pub fn row(&self, fp: &Fp, i: FpElem) -> Poly {
-        let i = fp.reduce(i);
-        // coefficient of x^a is sum_b c[a][b] * i^b
-        let d = self.coeffs.len();
-        let mut row = Vec::with_capacity(d);
-        for a in 0..d {
-            let mut acc: FpElem = 0;
-            let mut ipow: FpElem = 1 % fp.modulus();
-            for b in 0..d {
-                acc = fp.add(acc, fp.mul(self.coeffs[a][b], ipow));
-                ipow = fp.mul(ipow, i);
-            }
-            row.push(acc);
-        }
-        Poly::from_coeffs(row)
+        self.row_powers(fp, &fp.powers(i, self.coeffs.len()))
+    }
+
+    /// [`SymmetricBivariate::row`] given the powers `[i⁰, …, i^deg]` of
+    /// the node's point, for a dealer that cuts many rows at the same
+    /// points: the coefficient of `x^a` is the dot product
+    /// `Σ_b c[a][b]·i^b`.
+    pub fn row_powers(&self, fp: &Fp, ipows: &[FpElem]) -> Poly {
+        debug_assert_eq!(ipows.len(), self.coeffs.len());
+        Poly::from_coeffs(self.coeffs.iter().map(|c| fp.dot(c, ipows)).collect())
     }
 
     /// The share polynomial `g(y) = S(0, y)` whose constant term is the
@@ -128,6 +124,23 @@ mod tests {
     }
 
     proptest! {
+        /// `row` is the written-out double sum `Σ_b c[a][b]·i^b`, one
+        /// `add(mul)` per term.
+        #[test]
+        fn row_matches_the_double_sum(seed in 0u64..1000, deg in 0usize..5, i in 0u64..300) {
+            let fp = Fp::new(101).unwrap();
+            let mut rng = StdRng::seed_from_u64(seed);
+            let s = SymmetricBivariate::random_with_secret(&fp, 7, deg, &mut rng);
+            let expected: Vec<u64> = (0..=deg)
+                .map(|a| {
+                    (0..=deg).fold(0, |acc, b| {
+                        fp.add(acc, fp.mul(s.coeffs[a][b], fp.pow(fp.reduce(i), b as u64)))
+                    })
+                })
+                .collect();
+            prop_assert_eq!(s.row(&fp, i), Poly::from_coeffs(expected));
+        }
+
         #[test]
         fn symmetry_of_cross_points(secret in 0u64..101, seed in 0u64..1000, deg in 0usize..4) {
             let fp = Fp::new(101).unwrap();

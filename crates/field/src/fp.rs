@@ -40,10 +40,12 @@ impl Fp {
     /// # Errors
     ///
     /// Returns [`FieldError::NotPrime`] if `p` is composite and
-    /// [`FieldError::ModulusTooLarge`] if `p` does not fit in 32 bits
-    /// (products are computed in `u128`, but 32-bit moduli keep every
-    /// intermediate comfortably in range and are far beyond any realistic
-    /// cluster size).
+    /// [`FieldError::ModulusTooLarge`] if `p` does not fit in 32 bits.
+    /// The cap is what [`Fp::dot`] stands on: with `p ≤ 2³²` the product of
+    /// two canonical elements fits a `u64`, so products can be summed
+    /// before they are reduced. ([`Fp::mul`] itself still widens to `u128`
+    /// and would work beyond the cap.) 32 bits is far beyond any realistic
+    /// cluster size.
     pub fn new(p: u64) -> Result<Self, FieldError> {
         if p > u64::from(u32::MAX) {
             return Err(FieldError::ModulusTooLarge(p));
@@ -95,9 +97,15 @@ impl Fp {
         }
     }
 
-    /// Reduces an arbitrary `u64` into the field.
+    /// Reduces an arbitrary `u64` into the field. Receivers reduce every
+    /// value a peer sent, and honest peers send canonical ones, so the
+    /// canonical case skips the division.
     pub fn reduce(&self, x: u64) -> FpElem {
-        x % self.p
+        if x < self.p {
+            x
+        } else {
+            x % self.p
+        }
     }
 
     /// Returns `true` if `x` is a canonical element (`x < p`).
@@ -137,9 +145,60 @@ impl Fp {
     }
 
     /// Multiplication in `F_p`.
+    ///
+    /// The reduction is a plain `%` on purpose. A precomputed Barrett
+    /// constant was measured net-neutral on the reference box (ROADMAP
+    /// 1(a)): the dealing loops got faster, the Berlekamp–Welch replay — a
+    /// chain of dependent multiplications on operands of a dozen bits,
+    /// where the hardware divider is already quick — got slower by as
+    /// much, and `Fp` doubles to 16 bytes. The hot loops avoid reductions
+    /// instead ([`Fp::dot`]).
     pub fn mul(&self, a: FpElem, b: FpElem) -> FpElem {
         debug_assert!(self.contains(a) && self.contains(b));
         ((u128::from(a) * u128::from(b)) % u128::from(self.p)) as u64
+    }
+
+    /// The dot product `Σ a[i]·b[i]` over the common prefix of two slices
+    /// of canonical elements, with one reduction per chunk of terms rather
+    /// than one per term.
+    ///
+    /// `p − 1 < 2^bits` bounds every product below `2^(2·bits)`, so
+    /// `2^(64 − 2·bits)` of them sum below `2⁶⁴` — a power-of-two lower
+    /// bound on `⌊u64::MAX / (p − 1)²⌋` that costs no division to find.
+    /// Every cluster field (`p` barely above `n`) is a single chunk; at the
+    /// 32-bit cap of [`Fp::new`] the chunk is one term.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// let fp = byzclock_field::Fp::for_cluster(7); // p = 11
+    /// assert_eq!(fp.dot(&[1, 2, 3], &[4, 5, 6]), (4 + 10 + 18) % 11);
+    /// ```
+    pub fn dot(&self, a: &[FpElem], b: &[FpElem]) -> FpElem {
+        let bits = u64::BITS - (self.p - 1).leading_zeros();
+        let chunk = usize::try_from(1u64 << (64 - 2 * bits)).unwrap_or(usize::MAX);
+        let mut acc: FpElem = 0;
+        for (a, b) in a.chunks(chunk).zip(b.chunks(chunk)) {
+            let sum: u64 = a
+                .iter()
+                .zip(b)
+                .map(|(&x, &y)| {
+                    debug_assert!(self.contains(x) && self.contains(y));
+                    x * y
+                })
+                .sum();
+            acc = self.add(acc, sum % self.p);
+        }
+        acc
+    }
+
+    /// `[x⁰, x¹, …, x^(count−1)]`, the table [`Fp::dot`] evaluates a
+    /// polynomial against.
+    pub fn powers(&self, x: FpElem, count: usize) -> Vec<FpElem> {
+        let x = self.reduce(x);
+        std::iter::successors(Some(1 % self.p), |&xp| Some(self.mul(xp, x)))
+            .take(count)
+            .collect()
     }
 
     /// Exponentiation by squaring.
@@ -183,12 +242,20 @@ impl Fp {
     }
 }
 
+/// The largest modulus [`Fp::new`] admits (`2³² − 5`), where [`Fp::dot`]
+/// reduces after every term.
+#[cfg(test)]
+const LARGEST_PRIME: u64 = 4_294_967_291;
+/// The moduli the field proptests run over.
+#[cfg(test)]
+pub(crate) const TEST_PRIMES: [u64; 6] = [2, 5, 11, 101, 65537, LARGEST_PRIME];
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
-
-    const TEST_PRIMES: [u64; 5] = [2, 5, 11, 101, 65537];
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     #[test]
     fn rejects_composite_modulus() {
@@ -246,6 +313,23 @@ mod tests {
         assert_eq!(fp.pow(0, 0), 1, "0^0 is the empty product");
     }
 
+    #[test]
+    fn the_largest_prime_is_admitted_and_dots_one_term_at_a_time() {
+        let fp = Fp::new(LARGEST_PRIME).unwrap();
+        assert!(Fp::new(LARGEST_PRIME + 4).is_err(), "2^32 - 1 is composite");
+        let top = LARGEST_PRIME - 1; // ≡ −1, so top · top ≡ 1
+        assert_eq!(fp.dot(&[top; 5], &[top; 5]), 5);
+    }
+
+    #[test]
+    fn powers_start_at_one_and_reduce_the_base() {
+        let fp = Fp::new(11).unwrap();
+        assert_eq!(fp.powers(3, 0), Vec::<u64>::new());
+        assert_eq!(fp.powers(3, 4), vec![1, 3, 9, 5]);
+        assert_eq!(fp.powers(14, 4), fp.powers(3, 4));
+        assert_eq!(fp.powers(0, 3), vec![1, 0, 0]);
+    }
+
     fn prime_and_pair() -> impl Strategy<Value = (u64, u64, u64)> {
         proptest::sample::select(TEST_PRIMES.to_vec()).prop_flat_map(|p| (Just(p), 0..p, 0..p))
     }
@@ -290,6 +374,25 @@ mod tests {
             if a != 0 {
                 prop_assert_eq!(fp.pow(a, p - 1), 1 % p);
             }
+        }
+
+        /// `dot` is the `add(mul)` fold, at lengths on both sides of every
+        /// chunk boundary (one term at the largest prime) and over slices
+        /// of unequal length (the common prefix).
+        #[test]
+        fn dot_is_the_add_mul_fold(
+            p in proptest::sample::select(TEST_PRIMES.to_vec()),
+            seed in any::<u64>(),
+            len in 0usize..200,
+            extra in 0usize..3,
+        ) {
+            let fp = Fp::new(p).unwrap();
+            let mut rng = StdRng::seed_from_u64(seed);
+            let a: Vec<u64> = (0..len + extra).map(|_| fp.sample(&mut rng)).collect();
+            let b: Vec<u64> = (0..len).map(|_| fp.sample(&mut rng)).collect();
+            let fold = a.iter().zip(&b).fold(0, |acc, (&x, &y)| fp.add(acc, fp.mul(x, y)));
+            prop_assert_eq!(fp.dot(&a, &b), fold);
+            prop_assert_eq!(fp.dot(&b, &a), fold);
         }
 
         #[test]

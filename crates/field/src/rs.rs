@@ -10,9 +10,10 @@
 //!
 //! # The batched/incremental elimination
 //!
-//! This is the hottest kernel in the repo (`benches/field.rs` measures it;
-//! experiment M1 shows the ticket-coin stack dominating bytes/beat), so the
-//! decode path is built around amortizing its Gaussian elimination:
+//! This is the hottest kernel in the repo (the `benchmark/` package's
+//! `field.decode.*` micro-timings and `coin.recover.recv_ms` span measure
+//! it), so the decode path is built around doing no elimination for a clean
+//! codeword and amortizing the elimination for the rest:
 //!
 //! - The key equation is solved in *homogeneous* form — find a nonzero
 //!   `(Q, E)` with `Q(x_i) = y_i · E(x_i)`, `deg Q ≤ degree + e`,
@@ -31,15 +32,18 @@
 //!   re-solving an ever-larger system from scratch at each error count.
 //! - **Batched decoding** ([`BatchDecoder`]): all codewords that share one
 //!   evaluation-point set (the per-beat GVSS recover case — every dealer's
-//!   share vector uses the same node indices) share the entire Vandermonde
-//!   `Q`-block of the key equation, which only depends on the `x`s. The
-//!   decoder factors that block once per rung (LU-style: the elimination's
-//!   operation log *is* the factorization) and per codeword replays the
-//!   log against just the `y`-dependent columns — back-substitution-sized
-//!   work instead of a full elimination. Only two rungs exist: the clean
-//!   fast path (`e = 0`) and the full-budget stage, which in the
-//!   homogeneous form resolves every error count in between (see
-//!   [`BatchDecoder::decode_one`]).
+//!   share vector uses the same node indices) share everything that
+//!   depends only on the `x`s. Two rungs exist. The *clean* rung (`e = 0`)
+//!   is linear, not an elimination: a view is a codeword iff its last
+//!   `m − degree − 1` values are the Lagrange extension of its first
+//!   `degree + 1`, so a precomputed extension matrix checks it and the
+//!   inverse-Vandermonde rows read the coefficients off — dot products,
+//!   no allocation. A view with a non-zero residual goes to the
+//!   *full-budget* stage, whose Vandermonde `Q`-block is factored once
+//!   (LU-style: the elimination's operation log *is* the factorization)
+//!   and replayed per codeword against just the `y`-dependent columns; in
+//!   the homogeneous form that one stage resolves every error count
+//!   `1..=budget` (see [`BatchDecoder::decode_one`]).
 //!
 //! Both paths return exactly what the one-shot decoder returns: the unique
 //! codeword within `budget` mismatches of the view, or `None`. (Two
@@ -225,29 +229,18 @@ pub fn decode_with_errors(
 
 /// `table[i][j] = xs[i]^j` for `j = 0..=max_pow`.
 fn power_table(fp: &Fp, xs: &[FpElem], max_pow: usize) -> Vec<Vec<FpElem>> {
-    xs.iter()
-        .map(|&x| {
-            let mut row = Vec::with_capacity(max_pow + 1);
-            let mut xp: FpElem = 1 % fp.modulus();
-            for _ in 0..=max_pow {
-                row.push(xp);
-                xp = fp.mul(xp, x);
-            }
-            row
-        })
-        .collect()
+    xs.iter().map(|&x| fp.powers(x, max_pow + 1)).collect()
 }
 
-/// Decodes many codewords that share one evaluation-point set, factoring
-/// the shared Vandermonde block of the Berlekamp–Welch key equation once
-/// (per error count, lazily) and back-substituting per codeword.
+/// Decodes many codewords that share one evaluation-point set: a clean
+/// codeword costs dot products against tables that depend only on the
+/// points, and the rest share one factored Vandermonde block of the
+/// Berlekamp–Welch key equation (both built lazily, once).
 ///
 /// This is the shape of the GVSS recover round: at each beat a node
 /// decodes one degree-`f` polynomial per `(dealer, target)` pair, and all
 /// of them are evaluated at the same node indices. Results are bit-for-bit
-/// identical to calling [`decode`] per codeword (pinned by proptests); the
-/// saving is the elimination of the `Q`-block, which dominates the system
-/// and depends only on the `x`s.
+/// identical to calling [`decode`] per codeword (pinned by proptests).
 ///
 /// # Example
 ///
@@ -265,6 +258,7 @@ fn power_table(fp: &Fp, xs: &[FpElem], max_pow: usize) -> Vec<Vec<FpElem>> {
 ///
 /// let mut dec = BatchDecoder::new(&fp, &xs, 2).expect("distinct xs, enough points");
 /// assert_eq!(dec.budget(), 2);
+/// assert_eq!(dec.decode_at_zero(&ys_p), Some(5));
 /// assert_eq!(dec.decode_batch(&[ys_p, ys_q]), vec![Some(p), Some(q)]);
 /// # Ok(())
 /// # }
@@ -275,18 +269,72 @@ pub struct BatchDecoder {
     xs: Vec<FpElem>,
     degree: usize,
     budget: usize,
-    /// `xpow[i][j] = xs[i]^j`, shared by every stage and codeword.
+    /// `xpow[i][j] = xs[i]^j`, shared by both rungs and every codeword.
     xpow: Vec<Vec<FpElem>>,
-    /// The eliminated Vandermonde `Q`-block for the two rungs the decode
-    /// ladder runs — `e = 0` (the clean fast path) and `e = budget` —
-    /// each built on first use, so a clean batch only ever factors the
-    /// first.
-    clean_stage: Option<Eliminator>,
+    /// The clean rung's tables, built on the first decode.
+    linear: Option<LinearTables>,
+    /// The eliminated Vandermonde `Q`-block of the full-budget rung, built
+    /// on the first view that is not a codeword — a clean batch never
+    /// factors anything.
     full_stage: Option<Eliminator>,
-    /// Reduced-codeword scratch reused across [`BatchDecoder::decode_one`]
-    /// calls, so steady-state decodes allocate only in the candidate
-    /// acceptance path.
+    /// The reduced view under decode, reused across calls so a clean
+    /// decode allocates nothing beyond its result.
     ys_buf: Vec<FpElem>,
+}
+
+/// What the clean rung knows about a point set. With `k = degree + 1` and
+/// the *head* of a view its first `k` values, both matrices are row-major
+/// with rows of length `k`, ready for [`Fp::dot`] against the head.
+#[derive(Debug, Clone)]
+struct LinearTables {
+    /// `k × k`, the inverse Vandermonde matrix of the first `k` points:
+    /// row `c` dotted with the head is coefficient `c` of the polynomial
+    /// through it. Row 0 is the functional "value at 0".
+    interp: Vec<FpElem>,
+    /// `(m − k) × k`: row `r` dotted with the head is that polynomial's
+    /// value at `xs[k + r]` — the view is a codeword iff every one of
+    /// these equals the view's own value there.
+    ext: Vec<FpElem>,
+}
+
+impl LinearTables {
+    fn new(fp: &Fp, xs: &[FpElem], xpow: &[Vec<FpElem>], degree: usize) -> Self {
+        let k = degree + 1;
+        // M(x) = Π_{i<k} (x − x_i), low coefficient first.
+        let mut master = vec![0; k + 1];
+        master[0] = 1;
+        for (len, &x) in xs[..k].iter().enumerate() {
+            for c in (1..=len + 1).rev() {
+                master[c] = fp.sub(master[c - 1], fp.mul(x, master[c]));
+            }
+            master[0] = fp.neg(fp.mul(x, master[0]));
+        }
+        // The Lagrange basis L_j = M / (x − x_j) / M'(x_j), by synthetic
+        // division; its coefficients are column j of the inverse.
+        let mut interp = vec![0; k * k];
+        let mut quot = vec![0; k];
+        for j in 0..k {
+            quot[k - 1] = master[k];
+            for c in (1..k).rev() {
+                quot[c - 1] = fp.add(master[c], fp.mul(xs[j], quot[c]));
+            }
+            let at_xj = fp.dot(&quot, &xpow[j]);
+            let scale = fp.inv(at_xj).expect("distinct xs: M'(x_j) is nonzero");
+            for c in 0..k {
+                interp[c * k + j] = fp.mul(quot[c], scale);
+            }
+        }
+        // ext[r][j] = L_j(x_{k+r}) = Σ_c interp[c][j] · x_{k+r}^c.
+        let mut ext = vec![0; (xs.len() - k) * k];
+        for (row, pows) in ext.chunks_mut(k).zip(&xpow[k..]) {
+            for (c, &xp) in pows[..k].iter().enumerate() {
+                for j in 0..k {
+                    row[j] = fp.add(row[j], fp.mul(interp[c * k + j], xp));
+                }
+            }
+        }
+        LinearTables { interp, ext }
+    }
 }
 
 impl BatchDecoder {
@@ -314,7 +362,7 @@ impl BatchDecoder {
             degree,
             budget,
             xpow,
-            clean_stage: None,
+            linear: None,
             full_stage: None,
             ys_buf: Vec::new(),
         })
@@ -336,76 +384,106 @@ impl BatchDecoder {
     /// `None` — including when `ys.len()` does not match
     /// [`BatchDecoder::codeword_len`].
     ///
-    /// Only two rungs of the error ladder ever run: the clean fast path
-    /// (`e = 0`, a single `y`-column against the small Vandermonde block)
-    /// and the full-budget stage. The intermediate rungs the one-shot
-    /// ladder climbs are redundant here: at the full budget, *any*
-    /// nonzero kernel vector already satisfies `Q = P·E` exactly whenever
-    /// the view is within budget of a codeword `P` (the
-    /// `n ≥ degree + 2·budget + 1` point count makes `Q − P·E` vanish at
-    /// more points than its degree), so every error count `1..=budget`
-    /// is resolved by one stage — and the answer is still identical to
-    /// the one-shot decode by uniqueness.
+    /// Only two rungs of the error ladder ever run: the clean one (`e = 0`:
+    /// `ys` is a codeword iff it equals the extension of its own head, and
+    /// then the polynomial through the head is the answer) and the
+    /// full-budget stage. The intermediate rungs the one-shot ladder climbs
+    /// are redundant here: at the full budget, *any* nonzero kernel vector
+    /// already satisfies `Q = P·E` exactly whenever the view is within
+    /// budget of a codeword `P` (the `n ≥ degree + 2·budget + 1` point
+    /// count makes `Q − P·E` vanish at more points than its degree), so
+    /// every error count `1..=budget` is resolved by one stage — and the
+    /// answer is still identical to the one-shot decode by uniqueness.
     pub fn decode_one(&mut self, ys: &[FpElem]) -> Option<Poly> {
-        let n = self.xs.len();
-        if ys.len() != n {
+        if self.load(ys)? {
+            let (fp, head, tables) = self.clean_parts();
+            let coeffs = tables.interp.chunks(head.len());
+            Some(Poly::from_coeffs(
+                coeffs.map(|row| fp.dot(row, head)).collect(),
+            ))
+        } else {
+            self.decode_loaded_with_errors()
+        }
+    }
+
+    /// The decoded polynomial's value at 0 — what a Shamir recovery wants:
+    /// `decode_one(ys).map(|g| g.eval(fp, 0))`, but a clean codeword pays
+    /// one more dot product instead of building the polynomial.
+    pub fn decode_at_zero(&mut self, ys: &[FpElem]) -> Option<FpElem> {
+        if self.load(ys)? {
+            let (fp, head, tables) = self.clean_parts();
+            Some(fp.dot(&tables.interp[..head.len()], head))
+        } else {
+            let fp = self.fp;
+            self.decode_loaded_with_errors().map(|g| g.eval(&fp, 0))
+        }
+    }
+
+    /// The clean rung: loads the reduced view into `ys_buf` and reports
+    /// whether it is a codeword (`None` on a length mismatch).
+    fn load(&mut self, ys: &[FpElem]) -> Option<bool> {
+        if ys.len() != self.xs.len() {
             return None;
         }
         let fp = self.fp;
         self.ys_buf.clear();
-        self.ys_buf.extend(ys.iter().map(|&y| fp.reduce(y)));
-        for (rung, e) in [0, self.budget].into_iter().enumerate() {
-            if rung > 0 && e == 0 {
-                break; // budget 0: the clean rung was the only one
-            }
-            let q_len = self.degree + e + 1;
-            let xpow = &self.xpow;
-            let ys = &self.ys_buf;
-            let stage = if rung == 0 {
-                &mut self.clean_stage
-            } else {
-                &mut self.full_stage
-            }
-            .get_or_insert_with(|| build_stage(&fp, xpow, q_len));
-            // Push the y-dependent columns (built in recycled column
-            // buffers), read a kernel vector, rewind to the shared
-            // Q-block factorization.
-            let mark = stage.mark();
-            for j in 0..=e {
-                let mut col = stage.spare_col();
-                col.extend((0..n).map(|i| fp.neg(fp.mul(ys[i], xpow[i][j]))));
-                stage.push_col(&fp, col);
-            }
-            let kernel = stage.kernel_vector(&fp);
-            stage.reset(mark);
-            if let Some(kernel) = kernel {
-                let labels: Vec<Unknown> = (0..q_len)
-                    .map(Unknown::Q)
-                    .chain((0..=e).map(Unknown::E))
-                    .collect();
-                // The first kernel candidate settles the decode either
-                // way: over distinct xs the representation of a
-                // dependent column is unique, so the full-budget rung
-                // would re-derive this exact candidate padded with zero
-                // coefficients.
-                return accept_candidate(
-                    &fp,
-                    &self.xs,
-                    ys,
-                    self.degree,
-                    self.budget,
-                    &labels,
-                    &kernel,
-                );
-            }
+        if ys.iter().all(|&y| fp.contains(y)) {
+            self.ys_buf.extend_from_slice(ys);
+        } else {
+            self.ys_buf.extend(ys.iter().map(|&y| fp.reduce(y)));
         }
-        None
+        let (xs, xpow, degree) = (&self.xs, &self.xpow, self.degree);
+        let tables = self
+            .linear
+            .get_or_insert_with(|| LinearTables::new(&fp, xs, xpow, degree));
+        let (head, tail) = self.ys_buf.split_at(degree + 1);
+        let mut extension = tables.ext.chunks(degree + 1).zip(tail);
+        Some(extension.all(|(row, &y)| fp.dot(row, head) == y))
+    }
+
+    /// The field, the loaded view's head and the tables, after a
+    /// [`BatchDecoder::load`] that reported a codeword.
+    fn clean_parts(&self) -> (Fp, &[FpElem], &LinearTables) {
+        let tables = self.linear.as_ref().expect("load built the tables");
+        (self.fp, &self.ys_buf[..=self.degree], tables)
+    }
+
+    /// The full-budget rung over the loaded view, which is not a codeword.
+    fn decode_loaded_with_errors(&mut self) -> Option<Poly> {
+        let e = self.budget;
+        if e == 0 {
+            return None; // the clean rung was the only one
+        }
+        let n = self.xs.len();
+        let fp = self.fp;
+        let q_len = self.degree + e + 1;
+        let xpow = &self.xpow;
+        let ys = &self.ys_buf;
+        let stage = self
+            .full_stage
+            .get_or_insert_with(|| build_stage(&fp, xpow, q_len));
+        // Push the y-dependent columns (built in recycled column buffers),
+        // read a kernel vector, rewind to the shared Q-block factorization.
+        let mark = stage.mark();
+        for j in 0..=e {
+            let mut col = stage.spare_col();
+            col.extend((0..n).map(|i| fp.neg(fp.mul(ys[i], xpow[i][j]))));
+            stage.push_col(&fp, col);
+        }
+        let kernel = stage.kernel_vector(&fp);
+        stage.reset(mark);
+        let kernel = kernel?;
+        let labels: Vec<Unknown> = (0..q_len)
+            .map(Unknown::Q)
+            .chain((0..=e).map(Unknown::E))
+            .collect();
+        accept_candidate(&fp, &self.xs, ys, self.degree, e, &labels, &kernel)
     }
 
     /// Decodes a batch of codewords; `out[i]` is [`decode_one`] of
-    /// `codewords[i]`. The two shared stage factorizations (clean rung,
-    /// full-budget rung) are built at most once across the whole batch —
-    /// the amortization the GVSS recover round leans on.
+    /// `codewords[i]`. The tables and the full-budget factorization are
+    /// built at most once across the whole batch — the amortization the
+    /// GVSS recover round leans on.
     ///
     /// [`decode_one`]: BatchDecoder::decode_one
     pub fn decode_batch(&mut self, codewords: &[Vec<FpElem>]) -> Vec<Option<Poly>> {
@@ -413,9 +491,9 @@ impl BatchDecoder {
     }
 }
 
-/// Eliminates a [`BatchDecoder`] stage's shared Vandermonde `Q`-block.
-/// Distinct xs make the block full column rank, so every column pivots
-/// and the stage is rewindable to this state per codeword.
+/// Eliminates the [`BatchDecoder`] full-budget stage's shared Vandermonde
+/// `Q`-block. Distinct xs make the block full column rank, so every column
+/// pivots and the stage is rewindable to this state per codeword.
 fn build_stage(fp: &Fp, xpow: &[Vec<FpElem>], q_len: usize) -> Eliminator {
     let n = xpow.len();
     let mut el = Eliminator::new(n);
@@ -429,6 +507,7 @@ fn build_stage(fp: &Fp, xpow: &[Vec<FpElem>], q_len: usize) -> Eliminator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fp::TEST_PRIMES;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -633,6 +712,65 @@ mod tests {
                 let pts: Vec<(u64, u64)> = xs.iter().copied().zip(ys.iter().copied()).collect();
                 prop_assert_eq!(got.clone(), decode(&fp, &pts, f));
             }
+        }
+
+        /// The linear clean rung and the value-only entry against the
+        /// one-shot decoder, over every test modulus and every way a view
+        /// can sit relative to the code: a codeword, within budget, one
+        /// past it, damaged only in the head the rung interpolates from,
+        /// non-canonical, `m = degree + 1` (no extension rows, budget 0),
+        /// and the wrong length.
+        #[test]
+        fn linear_rung_and_value_entry_match_one_shot_decode(
+            p in proptest::sample::select(TEST_PRIMES.to_vec()),
+            seed in any::<u64>(),
+            shape in 0usize..6,
+        ) {
+            let fp = Fp::new(p).unwrap();
+            let mut rng = StdRng::seed_from_u64(seed);
+            let m = rng.random_range(1..=p.min(13)) as usize;
+            let degree = if shape == 5 { m - 1 } else { rng.random_range(0..m) };
+            let budget = (m - degree - 1) / 2;
+            // m <= p consecutive residues: distinct points, 0 among them.
+            let start = fp.sample(&mut rng);
+            let xs: Vec<u64> = (0..m as u64).map(|i| fp.add(start, fp.reduce(i))).collect();
+            let g = Poly::random_with_secret(&fp, fp.sample(&mut rng), degree, &mut rng);
+            let mut ys: Vec<u64> = xs.iter().map(|&x| g.eval(&fp, x)).collect();
+            // `errors` distinct positions among the first `span`.
+            let (errors, span) = match shape {
+                0 | 5 => (0, m),
+                2 => (budget + 1, m),
+                3 => (rng.random_range(1..=degree + 1), degree + 1),
+                _ => (rng.random_range(budget.min(1)..=budget), m),
+            };
+            let mut positions: Vec<usize> = (0..span).collect();
+            for i in 0..errors {
+                positions.swap(i, rng.random_range(i..span));
+                let y = &mut ys[positions[i]];
+                *y = fp.add(*y, rng.random_range(1..p));
+            }
+            if shape == 4 {
+                for y in &mut ys {
+                    *y += p * rng.random_range(0..3u64);
+                }
+            }
+            let points: Vec<(u64, u64)> = xs.iter().copied().zip(ys.iter().copied()).collect();
+            let want = decode(&fp, &points, degree);
+            if errors <= budget {
+                prop_assert_eq!(want.as_ref(), Some(&g));
+            }
+            let mut dec = BatchDecoder::new(&fp, &xs, degree).expect("distinct xs");
+            prop_assert_eq!(dec.budget(), budget);
+            // Twice: the second call runs against the cached tables.
+            for _ in 0..2 {
+                prop_assert_eq!(dec.decode_one(&ys), want.clone());
+                prop_assert_eq!(
+                    dec.decode_at_zero(&ys),
+                    want.as_ref().map(|g| g.eval(&fp, 0))
+                );
+            }
+            prop_assert_eq!(dec.decode_one(&ys[..m - 1]), None);
+            prop_assert_eq!(dec.decode_at_zero(&ys[..m - 1]), None);
         }
 
         /// The incremental ladder (`decode_with_errors` with a caller

@@ -63,19 +63,19 @@ fn trit_strategy() -> impl Strategy<Value = Trit> {
 
 fn coin_msg_strategy() -> impl Strategy<Value = CoinMsg> {
     let rows = proptest::collection::vec(proptest::collection::vec(any::<u64>(), 0..4), 0..4)
-        .prop_map(|rows| CoinMsg::Row { rows });
+        .prop_map(CoinMsg::row);
     let echo = proptest::collection::vec(
         proptest::option::of(proptest::collection::vec(any::<u64>(), 0..4)),
         0..5,
     )
-    .prop_map(|points| CoinMsg::Echo { points });
+    .prop_map(CoinMsg::echo);
     let vote = proptest::collection::vec(any::<bool>(), 0..8)
         .prop_map(|content| CoinMsg::Vote { content });
     let recover = proptest::collection::vec(
         proptest::option::of(proptest::collection::vec(any::<u64>(), 0..4)),
         0..5,
     )
-    .prop_map(|shares| CoinMsg::Recover { shares });
+    .prop_map(CoinMsg::recover);
     prop_oneof![rows, echo, vote, recover]
 }
 
@@ -168,6 +168,33 @@ proptest! {
     #[test]
     fn coin_msg_round_trips(msg in coin_msg_strategy()) {
         assert_round_trips(&msg);
+    }
+
+    /// A cloned matrix message — however ragged — is the same allocation,
+    /// through every wrapper the clock stack clones it in, and a decoded
+    /// one is equal but its own.
+    #[test]
+    fn coin_msg_clones_share_their_matrix(msg in coin_msg_strategy(), slot in any::<u8>()) {
+        use std::sync::Arc;
+        let wrapped = ClockSyncMsg::Coin(SlotMsg { slot, msg: msg.clone() }).clone();
+        let ClockSyncMsg::Coin(SlotMsg { msg: copy, .. }) = &wrapped else { unreachable!() };
+        let shared = match (&msg, copy) {
+            (CoinMsg::Row { rows: a }, CoinMsg::Row { rows: b }) => Arc::ptr_eq(a, b),
+            (CoinMsg::Echo { points: a }, CoinMsg::Echo { points: b }) => Arc::ptr_eq(a, b),
+            (CoinMsg::Recover { shares: a }, CoinMsg::Recover { shares: b }) => Arc::ptr_eq(a, b),
+            (CoinMsg::Vote { content: a }, CoinMsg::Vote { content: b }) => a == b,
+            _ => false,
+        };
+        prop_assert!(shared, "{:?}", msg);
+        for format in FORMATS {
+            let mut buf = BytesMut::new();
+            format.encode_into(&msg, &mut buf);
+            let back: CoinMsg = format.decode_from(buf.as_slice()).expect("round trip");
+            prop_assert_eq!(&back, &msg);
+            if let (CoinMsg::Echo { points: a }, CoinMsg::Echo { points: b }) = (&msg, &back) {
+                prop_assert!(!Arc::ptr_eq(a, b));
+            }
+        }
     }
 
     #[test]
