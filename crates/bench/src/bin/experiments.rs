@@ -19,10 +19,12 @@
 //! `--manifest`, the `worker` mode, the environment knobs, and the
 //! offline compat-stub story lives in one place: the `byzclock-bench`
 //! crate docs (`crates/bench/src/lib.rs`), mirrored in ARCHITECTURE.md's
-//! appendix. In short: every run is constructed through the scenario API
-//! — a [`ScenarioSpec`] resolved by the default [`ProtocolRegistry`] — so
-//! each table cell is a replayable one-line spec (pass one back with
-//! `spec` to rerun a single point).
+//! appendix. In short: every named grid builds its cells as a flat
+//! `Vec<ScenarioSpec>` and runs them through one helper ([`Grid::run`],
+//! over [`sweep_specs`]) — so every grid takes `--jsonl`, `--backend`
+//! and `--manifest`, and each table cell is a replayable one-line spec
+//! (pass one back with `spec` to rerun a single point). The grids report
+//! deterministic counters only; wall-clock is `benchmark/`'s business.
 
 use byzclock::coin::default_committee_size;
 use byzclock::scenario::{
@@ -31,15 +33,14 @@ use byzclock::scenario::{
 };
 use byzclock_bench::shard::{worker_exact_requested, worker_loop};
 use byzclock_bench::{
-    default_threads, m2_max_n, md_table, parallel_trials, power_law_exponent, sweep_specs,
-    sweep_specs_timed, trials, Summary, SweepBackend, SweepOptions,
+    default_threads, m2_max_n, md_table, power_law_exponent, sweep_specs, trials, Summary,
+    SweepBackend, SweepOptions,
 };
 use std::path::{Path, PathBuf};
 
 fn main() {
     let mut jsonl = false;
     let mut backend = SweepBackend::Threads(default_threads());
-    let mut backend_given = false;
     let mut manifest: Option<PathBuf> = None;
     let mut args: Vec<String> = Vec::new();
     for arg in std::env::args().skip(1) {
@@ -50,7 +51,6 @@ fn main() {
                 eprintln!("{e}");
                 std::process::exit(2);
             });
-            backend_given = true;
         } else if let Some(v) = arg.strip_prefix("--manifest=") {
             manifest = Some(PathBuf::from(v));
         } else {
@@ -75,11 +75,6 @@ fn main() {
         }
         return;
     }
-    let sweep_based = matches!(which, "d1" | "d2" | "m1" | "m2");
-    if (backend_given || manifest.is_some()) && !sweep_based {
-        eprintln!("--backend/--manifest apply to the sweep-based `d1`/`d2`/`m1`/`m2` grids only");
-        std::process::exit(2);
-    }
     if which == "spec" {
         run_spec_lines(&args[1..]);
         return;
@@ -92,15 +87,6 @@ fn main() {
         run_lint(&args[1..], jsonl);
         return;
     }
-    if jsonl && !sweep_based {
-        // The hand-aggregated paper tables have no JSONL form; refusing
-        // beats silently mixing Markdown and JSON on one stream.
-        eprintln!(
-            "--jsonl applies to `spec`, `model-check`, `lint`, and the sweep-based \
-             `d1`/`d2`/`m1`/`m2` grids only"
-        );
-        std::process::exit(2);
-    }
     let run_all = which == "all";
     if !jsonl {
         println!("# byzclock experiments — PODC'08 reproduction\n");
@@ -110,76 +96,107 @@ fn main() {
             default_threads()
         );
     }
-    if run_all || which == "t1" {
-        t1_table_1();
-    }
-    if run_all || which == "f1" {
-        f1_coin_contract();
-    }
-    if run_all || which == "f2" {
-        f2_two_clock_contract();
-    }
-    if run_all || which == "f3" {
-        f3_four_clock_contract();
-    }
-    if run_all || which == "f4" {
-        f4_k_clock_contract();
-    }
-    if run_all || which == "a1" {
-        a1_broken_rand_ablation();
-    }
-    if run_all || which == "a2" {
-        a2_shared_pipeline_ablation();
-    }
-    if run_all || which == "r1" {
-        r1_resiliency_boundary();
-    }
-    if run_all || which == "s1" {
-        s1_self_stabilization();
-    }
-    let grid = GridOutput {
+    let registry = default_registry();
+    let grid = Grid {
+        registry: &registry,
         jsonl,
         backend,
         manifest: manifest.as_deref(),
     };
-    if run_all || which == "m1" {
-        m1_message_complexity(grid);
-    }
-    if run_all || which == "m2" {
-        // `all` stays interactive: the full curve's n=128/256 GVSS cells
-        // are minutes each and belong to an explicit `m2` invocation
-        // (which now runs to n=512 — the committee column carries the
-        // tail, so the default cap costs seconds, not hours).
-        m2_beat_rate_grid(grid, if run_all { 64 } else { 512 });
-    }
-    if run_all || which == "d1" {
-        d1_bounded_delay_grid(grid);
-    }
-    if run_all || which == "d2" {
-        d2_delay_tolerance_grid(grid);
+    // `all` stays interactive: the full curve's n=128/256 GVSS cells are
+    // minutes each and belong to an explicit `m2` invocation (which runs
+    // to n=512 — the committee column carries the tail, so the default cap
+    // costs seconds, not hours).
+    let m2 = |grid: Grid<'_>| m2_scaling_grid(grid, if run_all { 64 } else { 512 });
+    type Run<'a> = &'a dyn Fn(Grid<'_>);
+    let grids: [(&str, Run<'_>); 13] = [
+        ("t1", &t1_table_1),
+        ("f1", &f1_coin_contract),
+        ("f2", &f2_two_clock_contract),
+        ("f3", &f3_four_clock_contract),
+        ("f4", &f4_k_clock_contract),
+        ("a1", &a1_broken_rand_ablation),
+        ("a2", &a2_shared_pipeline_ablation),
+        ("r1", &r1_resiliency_boundary),
+        ("s1", &s1_self_stabilization),
+        ("m1", &m1_message_complexity),
+        ("m2", &m2),
+        ("d1", &d1_bounded_delay_grid),
+        ("d2", &d2_delay_tolerance_grid),
+    ];
+    for (name, run) in grids {
+        if run_all || which == name {
+            run(grid);
+        }
     }
 }
 
-/// Output format and execution backend shared by the sweep-based grids
-/// (`d1`/`d2`/`m1`/`m2`) — the flags that select them travel together.
+/// The one way this binary runs more than one spec: the registry, output
+/// format, execution backend and manifest every named grid shares.
 #[derive(Clone, Copy)]
-struct GridOutput<'a> {
+struct Grid<'a> {
+    registry: &'a ProtocolRegistry,
     jsonl: bool,
     backend: SweepBackend,
     manifest: Option<&'a Path>,
 }
 
-impl GridOutput<'_> {
-    /// Builds the [`SweepOptions`] every sweep-based grid shares: the
-    /// worker command defaults to re-execing this very binary in `worker`
-    /// mode.
-    fn sweep_options(&self, exact: bool) -> SweepOptions {
-        SweepOptions {
+impl Grid<'_> {
+    /// Runs one flat sweep — converge mode, or with `exact` every spec's
+    /// full beat budget — and returns the reports in spec order. Under
+    /// `--jsonl` each report is also dumped as one JSON line, and the
+    /// caller returns instead of rendering. A failed spec ends the
+    /// process: a missing grid point must not masquerade as a complete
+    /// archive or table.
+    fn run(&self, specs: &[ScenarioSpec], exact: bool) -> Vec<RunReport> {
+        let opts = SweepOptions {
             manifest: self.manifest.map(Path::to_path_buf),
             exact,
             ..SweepOptions::default()
-        }
+        };
+        sweep_specs(self.registry, specs, self.backend, &opts)
+            .into_iter()
+            .zip(specs)
+            .map(|(result, spec)| {
+                let report = result.unwrap_or_else(|e| {
+                    eprintln!("spec `{spec}` failed: {e}");
+                    std::process::exit(1);
+                });
+                if self.jsonl {
+                    println!("{}", report.to_json());
+                }
+                report
+            })
+            .collect()
     }
+
+    /// Converge-mode cells: each `(spec, ntrials)` cell runs as `ntrials`
+    /// seeded copies of its spec (seed = trial index), all cells in one
+    /// flat seed-ordered sweep. Returns one report chunk per cell, in
+    /// cell order.
+    fn converge(&self, cells: &[(ScenarioSpec, u64)]) -> Vec<Vec<RunReport>> {
+        let specs: Vec<ScenarioSpec> = cells
+            .iter()
+            .flat_map(|(spec, ntrials)| (0..*ntrials).map(|seed| spec.clone().with_seed(seed)))
+            .collect();
+        let mut reports = self.run(&specs, false).into_iter();
+        cells
+            .iter()
+            .map(|(_, ntrials)| reports.by_ref().take(*ntrials as usize).collect())
+            .collect()
+    }
+
+    /// Exact-mode cells: one full-budget (steady-state) report per spec.
+    fn exact(&self, specs: &[ScenarioSpec]) -> Vec<RunReport> {
+        self.run(specs, true)
+    }
+}
+
+/// One converge-mode cell as table text: mean beats to stable sync (p95)
+/// over its trials, with the timeout annotation.
+fn beats_cell(cell: &[RunReport], horizon: u64) -> String {
+    let samples: Vec<Option<u64>> = cell.iter().map(RunReport::beats_to_sync).collect();
+    Summary::of(&samples).cell(horizon)
 }
 
 /// `experiments spec "<line>" [...]`: run each scenario line and dump one
@@ -262,7 +279,7 @@ fn run_model_check(rest: &[String], jsonl: bool) {
     let bd_cap = max_states.unwrap_or(if window == Some(1) { 1 << 19 } else { 1 << 17 });
 
     let mut violated = false;
-    let mut show = |report: CheckReport, secs: f64| {
+    let mut show = |report: CheckReport| {
         if jsonl {
             println!("{}", report.to_report().to_json());
             if let Some(v) = &report.violation {
@@ -282,7 +299,7 @@ fn run_model_check(rest: &[String], jsonl: bool) {
                 report.max_rank_beats.to_string()
             };
             println!(
-                "{}: {} states={} edges={} synced={} persistent={} worst={}b bound={}b [{:.1}s]",
+                "{}: {} states={} edges={} synced={} persistent={} worst={}b bound={}b",
                 report.model,
                 verdict,
                 report.states,
@@ -290,8 +307,7 @@ fn run_model_check(rest: &[String], jsonl: bool) {
                 report.synced_states,
                 report.persistent_states,
                 worst,
-                report.bound_beats,
-                secs
+                report.bound_beats
             );
             if let Some(v) = &report.violation {
                 println!("  {}", v.detail);
@@ -303,22 +319,14 @@ fn run_model_check(rest: &[String], jsonl: bool) {
         violated |= report.violation.is_some();
     };
     if wants("two-clock") {
-        let t0 = std::time::Instant::now();
-        let r = check(&TwoClockModel::honest(4, 1), lockstep_cap);
-        show(r, t0.elapsed().as_secs_f64());
+        show(check(&TwoClockModel::honest(4, 1), lockstep_cap));
     }
     if wants("clock-sync") {
-        let t0 = std::time::Instant::now();
-        let r = check(&FourClockModel::new(), lockstep_cap);
-        show(r, t0.elapsed().as_secs_f64());
-        let t0 = std::time::Instant::now();
-        let r = check(&TopLayerModel::new(), lockstep_cap);
-        show(r, t0.elapsed().as_secs_f64());
+        show(check(&FourClockModel::new(), lockstep_cap));
+        show(check(&TopLayerModel::new(), lockstep_cap));
     }
     if wants("bd-clock") {
-        let t0 = std::time::Instant::now();
-        let r = check(&BdModel::new(window.unwrap_or(2)), bd_cap);
-        show(r, t0.elapsed().as_secs_f64());
+        show(check(&BdModel::new(window.unwrap_or(2)), bd_cap));
     }
     if violated {
         std::process::exit(1);
@@ -409,39 +417,11 @@ fn run_lint(rest: &[String], jsonl: bool) {
     }
 }
 
-/// Convergence-beat samples over seeded trials of one spec (the seed field
-/// of the spec is replaced by the trial index).
-fn samples(registry: &ProtocolRegistry, spec: &ScenarioSpec, ntrials: u64) -> Vec<Option<u64>> {
-    parallel_trials(ntrials, default_threads(), |seed| {
-        registry
-            .run(&spec.clone().with_seed(seed))
-            .unwrap_or_else(|e| panic!("spec `{spec}` failed: {e}"))
-            .beats_to_sync()
-    })
-}
-
-/// One full-budget (steady-state) report for a spec.
-fn exact(registry: &ProtocolRegistry, spec: &ScenarioSpec) -> RunReport {
-    registry
-        .run_exact(spec)
-        .unwrap_or_else(|e| panic!("spec `{spec}` failed: {e}"))
-}
-
 // ---------------------------------------------------------------------------
 // T1: Table 1
 // ---------------------------------------------------------------------------
 
-fn t1_table_1() {
-    println!("## T1 — Table 1: convergence beats (measured) by algorithm and n\n");
-    println!(
-        "k = 8; f = ⌊(n−1)/3⌋ (⌊(n−1)/4⌋ for [15]-queen); corrupted starts; silent\n\
-         Byzantine nodes (adversarial stress is measured in R1/A1). Cells:\n\
-         mean beats (p95) over trials.\n"
-    );
-    let registry = default_registry();
-    let ns = [4usize, 7, 10, 13];
-    let mut rows: Vec<Vec<String>> = Vec::new();
-
+fn t1_table_1(grid: Grid<'_>) {
     struct Row {
         label: &'static str,
         protocol: &'static str,
@@ -484,21 +464,43 @@ fn t1_table_1() {
             ntrials: trials(20),
         },
     ];
+    let ns = [4usize, 7, 10, 13];
 
+    // One flat grid, row-major; a cluster too small to carry a fault
+    // (f = 0) has no cell.
+    let mut cells = Vec::new();
+    for row in &spec_rows {
+        for &n in &ns {
+            let f = (row.f_of)(n);
+            if f > 0 {
+                let spec = ScenarioSpec::new(row.protocol, n, f)
+                    .with_coin(row.coin)
+                    .with_faults(FaultPlanSpec::corrupt_start())
+                    .with_budget(row.horizon);
+                cells.push((spec, row.ntrials));
+            }
+        }
+    }
+    let mut chunks = grid.converge(&cells).into_iter();
+    if grid.jsonl {
+        return;
+    }
+
+    println!("## T1 — Table 1: convergence beats (measured) by algorithm and n\n");
+    println!(
+        "k = 8; f = ⌊(n−1)/3⌋ (⌊(n−1)/4⌋ for [15]-queen); corrupted starts; silent\n\
+         Byzantine nodes (adversarial stress is measured in R1/A1). Cells:\n\
+         mean beats (p95) over trials.\n"
+    );
+    let mut rows: Vec<Vec<String>> = Vec::new();
     for row in &spec_rows {
         let mut cells = vec![row.label.to_string()];
         for &n in &ns {
-            let f = (row.f_of)(n);
-            if f == 0 {
-                cells.push("f=0 (n too small)".to_string());
-                continue;
-            }
-            let spec = ScenarioSpec::new(row.protocol, n, f)
-                .with_coin(row.coin)
-                .with_faults(FaultPlanSpec::corrupt_start())
-                .with_budget(row.horizon);
-            let s = samples(&registry, &spec, row.ntrials);
-            cells.push(Summary::of(&s).cell(row.horizon));
+            cells.push(if (row.f_of)(n) == 0 {
+                "f=0 (n too small)".to_string()
+            } else {
+                beats_cell(&chunks.next().expect("grid shape"), row.horizon)
+            });
         }
         rows.push(cells);
     }
@@ -520,9 +522,7 @@ fn t1_table_1() {
 // F1: Fig. 1 contract — the pipelined coin
 // ---------------------------------------------------------------------------
 
-fn f1_coin_contract() {
-    println!("## F1 — Fig. 1 contract: ss-Byz-Coin-Flip quality (p0 / p1 / safe-beat rate)\n");
-    let registry = default_registry();
+fn f1_coin_contract(grid: Grid<'_>) {
     let beats = 40 * trials(1).clamp(1, 10);
     let columns: [(&str, CoinSpec, AdversarySpec); 5] = [
         ("ticket / silent", CoinSpec::Ticket, AdversarySpec::Silent),
@@ -547,19 +547,31 @@ fn f1_coin_contract() {
             AdversarySpec::RecoverEquivocator { slot: 3 },
         ),
     ];
-    let mut rows = Vec::new();
-    for (i, &n) in [4usize, 7, 10].iter().enumerate() {
-        let f = (n - 1) / 3;
-        let mut cells = vec![format!("n={n}, f={f}")];
-        for (j, (_, coin, adversary)) in columns.iter().enumerate() {
-            let spec = ScenarioSpec::new("coin-stream", n, f)
+    let ns = [4usize, 7, 10];
+    // One flat grid, row-major; every cell is one full-budget run.
+    let mut specs = Vec::new();
+    for &n in &ns {
+        for (_, coin, adversary) in &columns {
+            let spec = ScenarioSpec::new("coin-stream", n, (n - 1) / 3)
                 .with_coin(*coin)
                 .with_adversary(*adversary)
                 .with_faults(FaultPlanSpec::none())
                 .with_metrics(MetricsSpec::Decode)
-                .with_seed((i * columns.len() + j) as u64 + 1)
+                .with_seed(specs.len() as u64 + 1)
                 .with_budget(beats);
-            let report = exact(&registry, &spec);
+            specs.push(spec);
+        }
+    }
+    let reports = grid.exact(&specs);
+    if grid.jsonl {
+        return;
+    }
+
+    println!("## F1 — Fig. 1 contract: ss-Byz-Coin-Flip quality (p0 / p1 / safe-beat rate)\n");
+    let mut rows = Vec::new();
+    for (&n, row) in ns.iter().zip(reports.chunks(columns.len())) {
+        let mut cells = vec![format!("n={n}, f={}", (n - 1) / 3)];
+        for report in row {
             cells.push(format!(
                 "p0={:.2} p1={:.2} agree={:.2} b\u{304}={:.0}",
                 report.extra("p0").unwrap_or(f64::NAN),
@@ -587,28 +599,42 @@ fn f1_coin_contract() {
 // F2: Fig. 2 contract — 2-clock convergence law and tail
 // ---------------------------------------------------------------------------
 
-fn f2_two_clock_contract() {
+fn f2_two_clock_contract(grid: Grid<'_>) {
+    let horizon = 20_000u64;
+    let c1s = [1.0f64, 0.8, 0.5, 0.3];
+    let two_clock = |coin: CoinSpec, budget: u64| {
+        ScenarioSpec::new("two-clock", 7, 2)
+            .with_coin(coin)
+            .with_adversary(AdversarySpec::SplitVote)
+            .with_faults(FaultPlanSpec::corrupt_start())
+            .with_budget(budget)
+    };
+    // One cell per coin quality, then the tail cell (Remark 3.2).
+    let mut cells: Vec<(ScenarioSpec, u64)> = c1s
+        .iter()
+        .map(|&c1| {
+            let coin = CoinSpec::oracle(c1 / 2.0, c1 / 2.0);
+            (two_clock(coin, horizon), trials(60))
+        })
+        .collect();
+    cells.push((two_clock(CoinSpec::perfect_oracle(), 2_000), trials(400)));
+    let chunks = grid.converge(&cells);
+    if grid.jsonl {
+        return;
+    }
+
     println!("## F2 — Fig. 2 contract: ss-Byz-2-Clock convergence vs coin quality\n");
     println!(
         "n=7, f=2, splitter adversary, oracle coin with P[safe beat] = c1\n\
          (split beats are adversarial). Theorem 2 predicts expected beats\n\
          = O(1/(c2*c1^2)) with c2 = min(p0,p1) = c1/2.\n"
     );
-    let registry = default_registry();
-    let ntrials = trials(60);
-    let horizon = 20_000u64;
     let mut rows = Vec::new();
-    for &c1 in &[1.0f64, 0.8, 0.5, 0.3] {
-        let spec = ScenarioSpec::new("two-clock", 7, 2)
-            .with_coin(CoinSpec::oracle(c1 / 2.0, c1 / 2.0))
-            .with_adversary(AdversarySpec::SplitVote)
-            .with_faults(FaultPlanSpec::corrupt_start())
-            .with_budget(horizon);
-        let s = Summary::of(&samples(&registry, &spec, ntrials));
+    for (&c1, chunk) in c1s.iter().zip(&chunks) {
         let analytic = 1.0 / ((c1 / 2.0) * c1 * c1);
         rows.push(vec![
             format!("{c1:.1}"),
-            s.cell(horizon),
+            beats_cell(chunk, horizon),
             format!("{analytic:.1}"),
         ]);
     }
@@ -626,18 +652,13 @@ fn f2_two_clock_contract() {
 
     // Geometric tail (Remark 3.2): P[T > l] decays exponentially.
     println!("Tail of the convergence time (perfect coin, splitter adversary):\n");
-    let spec = ScenarioSpec::new("two-clock", 7, 2)
-        .with_coin(CoinSpec::perfect_oracle())
-        .with_adversary(AdversarySpec::SplitVote)
-        .with_faults(FaultPlanSpec::corrupt_start())
-        .with_budget(2_000);
-    let tail_samples = samples(&registry, &spec, trials(400));
-    let total = tail_samples.len() as f64;
+    let tail = &chunks[c1s.len()];
+    let total = tail.len() as f64;
     let mut rows = Vec::new();
     for l in [2u64, 4, 8, 16, 32, 64] {
-        let exceed = tail_samples
+        let exceed = tail
             .iter()
-            .filter(|s| s.is_none_or(|t| t > l))
+            .filter(|r| r.beats_to_sync().is_none_or(|t| t > l))
             .count();
         rows.push(vec![
             format!("{l}"),
@@ -651,22 +672,32 @@ fn f2_two_clock_contract() {
 // F3: Fig. 3 contract — 4-clock
 // ---------------------------------------------------------------------------
 
-fn f3_four_clock_contract() {
-    println!("## F3 — Fig. 3 contract: ss-Byz-4-Clock (GVSS ticket coin)\n");
-    let registry = default_registry();
+fn f3_four_clock_contract(grid: Grid<'_>) {
     let horizon = 3_000u64;
     let spec = ScenarioSpec::new("four-clock", 7, 2)
         .with_coin(CoinSpec::Ticket)
         .with_faults(FaultPlanSpec::corrupt_start())
         .with_budget(horizon);
-    let s = Summary::of(&samples(&registry, &spec, trials(30)));
-    println!("convergence (n=7, f=2): {}\n", s.cell(horizon));
+    let chunks = grid.converge(&[(spec.clone(), trials(30))]);
+    if grid.jsonl {
+        return;
+    }
+
+    println!("## F3 — Fig. 3 contract: ss-Byz-4-Clock (GVSS ticket coin)\n");
+    println!(
+        "convergence (n=7, f=2): {}\n",
+        beats_cell(&chunks[0], horizon)
+    );
 
     // A2 step ratio after convergence (Theorem 3's every-other-beat gate):
     // drive the same spec to convergence, then 200 more beats, comparing
-    // the gate metric the family reports through the extras.
-    let probe = spec.clone().with_seed(5).with_faults(FaultPlanSpec::none());
-    let mut run = registry.start(&probe).expect("four-clock spec resolves");
+    // the gate metric the family reports through the extras. A single
+    // stepped run, not a grid cell — the one direct `registry.start`.
+    let probe = spec.with_seed(5).with_faults(FaultPlanSpec::none());
+    let mut run = grid
+        .registry
+        .start(&probe)
+        .expect("four-clock spec resolves");
     let at_sync = byzclock::scenario::drive(run.as_mut(), &probe, 8);
     let before = at_sync.extra("a2_step_ratio").unwrap_or(f64::NAN);
     for _ in 0..200 {
@@ -686,53 +717,47 @@ fn f3_four_clock_contract() {
 // F4: Fig. 4 contract — k-independence
 // ---------------------------------------------------------------------------
 
-fn f4_k_clock_contract() {
+fn f4_k_clock_contract(grid: Grid<'_>) {
+    let ntrials = trials(30);
+    let ks = [4u64, 16, 64, 256, 1024];
+    // (protocol, coin, horizon, trials) — three cells per k, in column
+    // order.
+    let columns = [
+        ("clock-sync", CoinSpec::perfect_oracle(), 5_000u64, ntrials),
+        ("recursive", CoinSpec::perfect_oracle(), 20_000, ntrials),
+        ("dw-clock", CoinSpec::Local, 300_000, ntrials.min(10)),
+    ];
+    let mut cells = Vec::new();
+    for &k in &ks {
+        for &(protocol, coin, horizon, ntrials) in &columns {
+            let spec = ScenarioSpec::new(protocol, 7, 2)
+                .with_modulus(k)
+                .with_coin(coin)
+                .with_faults(FaultPlanSpec::corrupt_start())
+                .with_budget(horizon);
+            cells.push((spec, ntrials));
+        }
+    }
+    let chunks = grid.converge(&cells);
+    if grid.jsonl {
+        return;
+    }
+
     println!("## F4 — Fig. 4 contract: convergence vs k (n=7, f=2)\n");
     println!(
         "ss-Byz-Clock-Sync is flat in k (Theorem 4); the paragraph-5\n\
          recursive doubling grows with log k; Dolev–Welch blows up with k.\n\
          Oracle coins isolate k-scaling from coin cost; DW uses local coins.\n"
     );
-    let registry = default_registry();
-    let ntrials = trials(30);
     let mut rows = Vec::new();
-    for &k in &[4u64, 16, 64, 256, 1024] {
-        let horizon_cs = 5_000u64;
-        let cs = samples(
-            &registry,
-            &ScenarioSpec::new("clock-sync", 7, 2)
-                .with_modulus(k)
-                .with_coin(CoinSpec::perfect_oracle())
-                .with_faults(FaultPlanSpec::corrupt_start())
-                .with_budget(horizon_cs),
-            ntrials,
-        );
+    for (&k, row) in ks.iter().zip(chunks.chunks(columns.len())) {
         let levels = (k as f64).log2().ceil() as usize;
-        let horizon_rec = 20_000u64;
-        let rec = samples(
-            &registry,
-            &ScenarioSpec::new("recursive", 7, 2)
-                .with_modulus(k)
-                .with_coin(CoinSpec::perfect_oracle())
-                .with_faults(FaultPlanSpec::corrupt_start())
-                .with_budget(horizon_rec),
-            ntrials,
-        );
-        let horizon_dw = 300_000u64;
-        let dw = samples(
-            &registry,
-            &ScenarioSpec::new("dw-clock", 7, 2)
-                .with_modulus(k)
-                .with_coin(CoinSpec::Local)
-                .with_faults(FaultPlanSpec::corrupt_start())
-                .with_budget(horizon_dw),
-            ntrials.min(10),
-        );
+        let [cs, rec, dw] = [0, 1, 2].map(|c| beats_cell(&row[c], columns[c].2));
         rows.push(vec![
             format!("{k}"),
-            Summary::of(&cs).cell(horizon_cs),
-            format!("{} (levels={levels})", Summary::of(&rec).cell(horizon_rec)),
-            Summary::of(&dw).cell(horizon_dw),
+            cs,
+            format!("{rec} (levels={levels})"),
+            dw,
         ]);
     }
     println!(
@@ -753,7 +778,25 @@ fn f4_k_clock_contract() {
 // A1: Remark 3.1 ablation
 // ---------------------------------------------------------------------------
 
-fn a1_broken_rand_ablation() {
+fn a1_broken_rand_ablation(grid: Grid<'_>) {
+    let horizon = 5_000u64;
+    let variants = [
+        ("ss-Byz-2-Clock (correct)", "two-clock"),
+        ("broken variant (Remark 3.1)", "broken-two-clock"),
+    ];
+    let cells = variants.map(|(_, protocol)| {
+        let spec = ScenarioSpec::new(protocol, 7, 2)
+            .with_coin(CoinSpec::perfect_oracle())
+            .with_adversary(AdversarySpec::RandAwareSplitter)
+            .with_faults(FaultPlanSpec::corrupt_start())
+            .with_budget(horizon);
+        (spec, trials(60))
+    });
+    let chunks = grid.converge(&cells);
+    if grid.jsonl {
+        return;
+    }
+
     println!("## A1 — Remark 3.1 ablation: sender-side substitution is exploitable\n");
     println!(
         "Both clocks run over a perfect beacon; the adversary holds a beacon\n\
@@ -761,22 +804,11 @@ fn a1_broken_rand_ablation() {
          shrugs it off; the broken variant (senders substitute *yesterday's*\n\
          bit) lets the adversary steer vote counts with full knowledge.\n"
     );
-    let registry = default_registry();
-    let ntrials = trials(60);
-    let horizon = 5_000u64;
-    let mut rows = Vec::new();
-    for (label, protocol) in [
-        ("ss-Byz-2-Clock (correct)", "two-clock"),
-        ("broken variant (Remark 3.1)", "broken-two-clock"),
-    ] {
-        let spec = ScenarioSpec::new(protocol, 7, 2)
-            .with_coin(CoinSpec::perfect_oracle())
-            .with_adversary(AdversarySpec::RandAwareSplitter)
-            .with_faults(FaultPlanSpec::corrupt_start())
-            .with_budget(horizon);
-        let s = Summary::of(&samples(&registry, &spec, ntrials));
-        rows.push(vec![label.to_string(), s.cell(horizon)]);
-    }
+    let rows: Vec<Vec<String>> = variants
+        .iter()
+        .zip(&chunks)
+        .map(|((label, _), chunk)| vec![label.to_string(), beats_cell(chunk, horizon)])
+        .collect();
     println!(
         "{}",
         md_table(&["protocol", "convergence beats (n=7, f=2)"], &rows)
@@ -787,31 +819,39 @@ fn a1_broken_rand_ablation() {
 // A2: Remark 4.1 ablation — shared coin pipeline
 // ---------------------------------------------------------------------------
 
-fn a2_shared_pipeline_ablation() {
-    println!("## A2 — Remark 4.1 ablation: per-sub-clock pipelines vs one shared pipeline\n");
-    let registry = default_registry();
-    let ntrials = trials(20);
+fn a2_shared_pipeline_ablation(grid: Grid<'_>) {
     let horizon = 3_000u64;
-    let mut rows = Vec::new();
-    for (label, protocol) in [
+    let variants = [
         ("two pipelines (paper)", "four-clock"),
         ("shared pipeline (Remark 4.1)", "shared-four-clock"),
-    ] {
-        let converge_spec = ScenarioSpec::new(protocol, 7, 2)
-            .with_coin(CoinSpec::Ticket)
+    ];
+    let ticket = |protocol: &str| ScenarioSpec::new(protocol, 7, 2).with_coin(CoinSpec::Ticket);
+    let converge = variants.map(|(_, protocol)| {
+        let spec = ticket(protocol)
             .with_faults(FaultPlanSpec::corrupt_start())
             .with_budget(horizon);
-        let s = Summary::of(&samples(&registry, &converge_spec, ntrials));
-        // Traffic: steady state over exactly 100 beats, clean boot.
-        let traffic_spec = ScenarioSpec::new(protocol, 7, 2)
-            .with_coin(CoinSpec::Ticket)
+        (spec, trials(20))
+    });
+    // Traffic: steady state over exactly 100 beats, clean boot.
+    let traffic = variants.map(|(_, protocol)| {
+        ticket(protocol)
             .with_faults(FaultPlanSpec::none())
             .with_seed(1)
-            .with_budget(100);
-        let t = exact(&registry, &traffic_spec).traffic;
+            .with_budget(100)
+    });
+    let chunks = grid.converge(&converge);
+    let steady = grid.exact(&traffic);
+    if grid.jsonl {
+        return;
+    }
+
+    println!("## A2 — Remark 4.1 ablation: per-sub-clock pipelines vs one shared pipeline\n");
+    let mut rows = Vec::new();
+    for (((label, _), chunk), report) in variants.iter().zip(&chunks).zip(&steady) {
+        let t = &report.traffic;
         rows.push(vec![
             label.to_string(),
-            s.cell(horizon),
+            beats_cell(chunk, horizon),
             format!("{:.0}", t.mean_correct_msgs_per_beat),
             format!("{:.0}", t.mean_correct_bytes_per_beat),
         ]);
@@ -829,15 +869,9 @@ fn a2_shared_pipeline_ablation() {
 // R1: resiliency boundary
 // ---------------------------------------------------------------------------
 
-fn r1_resiliency_boundary() {
-    println!("## R1 — resiliency boundary (f < n/3 optimality; f < n/4 for the queen)\n");
-    let registry = default_registry();
+fn r1_resiliency_boundary(grid: Grid<'_>) {
     let ntrials = trials(20);
     let horizon = 2_000u64;
-    let rate = |samples: &[Option<u64>]| {
-        let ok = samples.iter().filter(|s| s.is_some()).count();
-        format!("{}/{} converged", ok, samples.len())
-    };
     let cs_spec = |n: usize, f: usize| {
         ScenarioSpec::new("clock-sync", n, f)
             .with_modulus(8)
@@ -846,9 +880,7 @@ fn r1_resiliency_boundary() {
             .with_faults(FaultPlanSpec::corrupt_start())
             .with_budget(horizon)
     };
-    let legal = samples(&registry, &cs_spec(7, 2), ntrials); // 2 < 7/3
-    let boundary = samples(&registry, &cs_spec(6, 2), ntrials); // 2 = 6/3
-                                                                // Queen clock under an equivocating Byzantine queen, within budget.
+    // Queen clock under an equivocating Byzantine queen, within budget.
     let queen_spec = ScenarioSpec::new("queen-clock", 5, 1)
         .with_modulus(8)
         .with_coin(CoinSpec::None)
@@ -856,21 +888,35 @@ fn r1_resiliency_boundary() {
         .with_byzantine([0])
         .with_faults(FaultPlanSpec::corrupt_start())
         .with_budget(horizon);
-    let queen_legal = samples(&registry, &queen_spec, ntrials);
-    let rows = vec![
-        vec![
-            "ss-Byz-Clock-Sync n=7, f=2 + splitter (legal)".into(),
-            rate(&legal),
-        ],
-        vec![
-            "ss-Byz-Clock-Sync n=6, f=2 + splitter (f = n/3)".into(),
-            rate(&boundary),
-        ],
-        vec![
-            "queen clock n=5, f=1 + equivocating queen (legal)".into(),
-            rate(&queen_legal),
-        ],
+    let configurations = [
+        (
+            "ss-Byz-Clock-Sync n=7, f=2 + splitter (legal)", // 2 < 7/3
+            cs_spec(7, 2),
+        ),
+        (
+            "ss-Byz-Clock-Sync n=6, f=2 + splitter (f = n/3)", // 2 = 6/3
+            cs_spec(6, 2),
+        ),
+        (
+            "queen clock n=5, f=1 + equivocating queen (legal)",
+            queen_spec,
+        ),
     ];
+    let cells = configurations.clone().map(|(_, spec)| (spec, ntrials));
+    let chunks = grid.converge(&cells);
+    if grid.jsonl {
+        return;
+    }
+
+    println!("## R1 — resiliency boundary (f < n/3 optimality; f < n/4 for the queen)\n");
+    let rows: Vec<Vec<String>> = configurations
+        .iter()
+        .zip(&chunks)
+        .map(|((label, _), chunk)| {
+            let ok = chunk.iter().filter(|r| r.beats_to_sync().is_some()).count();
+            vec![label.to_string(), format!("{ok}/{} converged", chunk.len())]
+        })
+        .collect();
     println!(
         "{}",
         md_table(&["configuration", "success within horizon"], &rows)
@@ -889,46 +935,44 @@ fn r1_resiliency_boundary() {
 // S1: self-stabilization
 // ---------------------------------------------------------------------------
 
-fn s1_self_stabilization() {
+fn s1_self_stabilization(grid: Grid<'_>) {
+    let ntrials = trials(30);
+    let horizon = 3_000u64;
+    let base = ScenarioSpec::new("clock-sync", 7, 2)
+        .with_modulus(64)
+        .with_coin(CoinSpec::Ticket);
+    let scenarios = [
+        (
+            "fresh start (corrupted init)",
+            base.clone()
+                .with_faults(FaultPlanSpec::corrupt_start())
+                .with_budget(horizon),
+        ),
+        // beats_to_sync counts from the end of the beat-60 storm
+        // automatically.
+        (
+            "post-fault recovery (beats after fault)",
+            base.with_faults(FaultPlanSpec::storm(60, 100))
+                .with_budget(61 + horizon),
+        ),
+    ];
+    let cells = scenarios.clone().map(|(_, spec)| (spec, ntrials));
+    let chunks = grid.converge(&cells);
+    if grid.jsonl {
+        return;
+    }
+
     println!("## S1 — self-stabilization: recovery after transient memory corruption\n");
     println!(
         "Full GVSS stack (n=7, f=2, k=64). At beat 60: every correct node's\n\
          memory is scrambled and 100 phantom messages are replayed. Recovery\n\
          time is measured from the fault and compared with a fresh start.\n"
     );
-    let registry = default_registry();
-    let ntrials = trials(30);
-    let horizon = 3_000u64;
-    let base = ScenarioSpec::new("clock-sync", 7, 2)
-        .with_modulus(64)
-        .with_coin(CoinSpec::Ticket);
-    let fresh = samples(
-        &registry,
-        &base
-            .clone()
-            .with_faults(FaultPlanSpec::corrupt_start())
-            .with_budget(horizon),
-        ntrials,
-    );
-    // beats_to_sync counts from the end of the beat-60 storm automatically.
-    let recovery = samples(
-        &registry,
-        &base
-            .clone()
-            .with_faults(FaultPlanSpec::storm(60, 100))
-            .with_budget(61 + horizon),
-        ntrials,
-    );
-    let rows = vec![
-        vec![
-            "fresh start (corrupted init)".to_string(),
-            Summary::of(&fresh).cell(horizon),
-        ],
-        vec![
-            "post-fault recovery (beats after fault)".to_string(),
-            Summary::of(&recovery).cell(horizon),
-        ],
-    ];
+    let rows: Vec<Vec<String>> = scenarios
+        .iter()
+        .zip(&chunks)
+        .map(|((label, _), chunk)| vec![label.to_string(), beats_cell(chunk, horizon)])
+        .collect();
     println!("{}", md_table(&["scenario", "beats to stable sync"], &rows));
 }
 
@@ -936,8 +980,7 @@ fn s1_self_stabilization() {
 // M1: message complexity
 // ---------------------------------------------------------------------------
 
-fn m1_message_complexity(grid: GridOutput<'_>) {
-    let registry = default_registry();
+fn m1_message_complexity(grid: Grid<'_>) {
     let columns: [(&str, &str, CoinSpec); 4] = [
         ("ClockSync (GVSS ticket)", "clock-sync", CoinSpec::Ticket),
         ("Recursive x6 levels", "recursive", CoinSpec::Ticket),
@@ -946,7 +989,7 @@ fn m1_message_complexity(grid: GridOutput<'_>) {
     ];
     // One flat grid in cell order — per n, per column: the fixed-wire
     // spec then its packed-wire twin. Every cell is a full-budget
-    // (steady-state) run, so the sweep carries `exact`.
+    // (steady-state) run.
     let ns = [4usize, 7, 10, 13];
     let mut specs = Vec::new();
     for &n in &ns {
@@ -962,18 +1005,8 @@ fn m1_message_complexity(grid: GridOutput<'_>) {
             specs.push(spec.with_wire(WireSpec::Packed));
         }
     }
-    let reports = sweep_specs(&registry, &specs, grid.backend, &grid.sweep_options(true));
-
+    let reports = grid.exact(&specs);
     if grid.jsonl {
-        for (spec, report) in specs.iter().zip(&reports) {
-            match report {
-                Ok(r) => println!("{}", r.to_json()),
-                Err(e) => {
-                    eprintln!("spec `{spec}` failed: {e}");
-                    std::process::exit(1);
-                }
-            }
-        }
         return;
     }
 
@@ -991,11 +1024,7 @@ fn m1_message_complexity(grid: GridOutput<'_>) {
         let mut cells = vec![format!("n={n}, f={f}")];
         for _ in &columns {
             let pair = cells_iter.next().expect("grid shape");
-            let [fixed, packed] = [&pair[0], &pair[1]].map(|r| {
-                &r.as_ref()
-                    .unwrap_or_else(|e| panic!("m1 spec failed: {e}"))
-                    .traffic
-            });
+            let [fixed, packed] = [&pair[0].traffic, &pair[1].traffic];
             cells.push(format!(
                 "{:.0} / {:.0} / {:.0} ({:.1}x)",
                 fixed.mean_correct_msgs_per_beat,
@@ -1020,11 +1049,10 @@ fn m1_message_complexity(grid: GridOutput<'_>) {
 }
 
 // ---------------------------------------------------------------------------
-// M2: beats/sec × n throughput curve
+// M2: traffic × n scaling curve
 // ---------------------------------------------------------------------------
 
-fn m2_beat_rate_grid(grid: GridOutput<'_>, default_cap: usize) {
-    let registry = default_registry();
+fn m2_scaling_grid(grid: Grid<'_>, default_cap: usize) {
     // (header, protocol, coin, committee-subsampled?) — the committee
     // column runs the same clock-sync protocol over the subsampled coin
     // (`committee=default_committee_size(n)`), so the gap to the full
@@ -1118,7 +1146,7 @@ fn m2_beat_rate_grid(grid: GridOutput<'_>, default_cap: usize) {
             cells.push((n, ci));
         }
     }
-    let results = sweep_specs_timed(&registry, &specs, grid.backend, &grid.sweep_options(true));
+    let reports = grid.exact(&specs);
 
     // The committee family's headline number: the least-squares
     // power-law exponent of its bytes/beat curve. The full coin is
@@ -1127,14 +1155,9 @@ fn m2_beat_rate_grid(grid: GridOutput<'_>, default_cap: usize) {
     // Asserted in both output modes, so the CI --jsonl slice enforces it.
     let committee_points: Vec<(f64, f64)> = cells
         .iter()
-        .zip(&results)
+        .zip(&reports)
         .filter(|((n, ci), _)| columns[*ci].3 && *n >= 32)
-        .filter_map(|((n, _), (report, _))| {
-            report
-                .as_ref()
-                .ok()
-                .map(|r| (*n as f64, r.traffic.mean_correct_bytes_per_beat))
-        })
+        .map(|((n, _), report)| (*n as f64, report.traffic.mean_correct_bytes_per_beat))
         .collect();
     let committee_fit = (committee_points.len() >= 2).then(|| {
         let fitted = power_law_exponent(&committee_points);
@@ -1147,24 +1170,14 @@ fn m2_beat_rate_grid(grid: GridOutput<'_>, default_cap: usize) {
     });
 
     if grid.jsonl {
-        for (spec, (report, _)) in specs.iter().zip(&results) {
-            match report {
-                Ok(r) => println!("{}", r.to_json()),
-                Err(e) => {
-                    eprintln!("spec `{spec}` failed: {e}");
-                    std::process::exit(1);
-                }
-            }
-        }
         return;
     }
 
-    println!("## M2 — simulated beats/sec by cluster size (exact budgets, k = 64)\n");
+    println!("## M2 — per-beat traffic by cluster size (exact budgets, k = 64)\n");
     println!(
-        "Cells: beats/sec / bytes per beat (correct senders). Rates are\n\
-         coordinator wall-clock over full-budget runs, so concurrent cells\n\
-         share the machine — read them as scaling shape, not single-run\n\
-         peaks. Manifest-served cells did not run and show `cached`.\n\
+        "Cells: msgs per beat / bytes per beat (correct senders), means over\n\
+         full-budget runs — deterministic counters, the same on every\n\
+         machine and backend.\n\
          Full-coin clock-sync stops at n=128 (three GVSS pipelines per\n\
          node) and the full coin stream at n=256; the committee column\n\
          (`committee=c(n)`, c(n) = smallest c ≡ 1 mod 3 with\n\
@@ -1174,25 +1187,19 @@ fn m2_beat_rate_grid(grid: GridOutput<'_>, default_cap: usize) {
          runs the 128 slice).\n"
     );
     let mut rows = Vec::new();
-    let mut it = cells.iter().zip(&results).peekable();
+    let mut it = cells.iter().zip(&reports).peekable();
     for &n in &ns {
         let f = (n - 1) / 3;
         let mut row = vec![format!("n={n}, f={f} ({} beats)", budget(n))];
         for ci in 0..columns.len() {
             let cell = match it.peek() {
                 Some(((cn, cc), _)) if *cn == n && *cc == ci => {
-                    let (_, (report, elapsed)) = it.next().expect("peeked");
-                    let report = report
-                        .as_ref()
-                        .unwrap_or_else(|e| panic!("m2 spec failed: {e}"));
-                    let bytes = report.traffic.mean_correct_bytes_per_beat;
-                    match elapsed {
-                        Some(wall) => {
-                            let rate = report.beats as f64 / wall.as_secs_f64().max(1e-9);
-                            format!("{rate:.1} beats/s / {bytes:.0} B")
-                        }
-                        None => format!("cached / {bytes:.0} B"),
-                    }
+                    let (_, report) = it.next().expect("peeked");
+                    format!(
+                        "{:.0} msgs / {:.0} B",
+                        report.traffic.mean_correct_msgs_per_beat,
+                        report.traffic.mean_correct_bytes_per_beat
+                    )
                 }
                 _ => "–".to_string(),
             };
@@ -1216,32 +1223,27 @@ fn m2_beat_rate_grid(grid: GridOutput<'_>, default_cap: usize) {
         );
     }
     println!(
-        "Shape check: the oracle column isolates the simulator + clock\n\
-         layer (no GVSS algebra), so the gap between it and the ticket\n\
-         column is the per-beat price of three real coin pipelines. The\n\
-         full-GVSS columns decay ~n³ in rate (n² messages × O(n) share\n\
-         handling) while the committee column stays ~n·c in messages; the\n\
-         in-beat parallel stepping (`BYZCLOCK_STEP_THREADS`) divides the\n\
-         wall-clock without changing any report byte.\n"
+        "Shape check: the oracle column isolates the clock layer's own\n\
+         traffic (n² scalar messages, no GVSS), so the gap between it and\n\
+         the ticket column is the per-beat price of three real coin\n\
+         pipelines. The full-GVSS columns grow ~n\u{2074} in bytes (n² messages\n\
+         × n² bytes each) while the committee column stays ~n·c in\n\
+         messages. How fast a beat runs is `benchmark/`'s question\n\
+         (`beats_per_s`, repeated, with a spread) — not this grid's.\n"
     );
 }
 
-/// Shared scaffolding of the lockstep-vs-delay grids (D1/D2): fans every
-/// `(row, delay, trial)` out as one spec through [`byzclock_bench::sweep`]
-/// (flat, seed-ordered — the chunked aggregation below mirrors this build
-/// order exactly), dumps one JSON line per report under `--jsonl`, or
-/// renders the aggregated Markdown table. `annotate` appends a grid's
-/// per-cell extras (D1: mean message delay; D2: the quorum/timeout
-/// advancement split).
+/// Shared scaffolding of the lockstep-vs-delay grids (D1/D2): every
+/// `(row, delay)` is one converge-mode cell, rendered as the aggregated
+/// Markdown table. `annotate` appends a grid's per-cell extras (D1: mean
+/// message delay; D2: the quorum/timeout advancement split).
 fn delay_grid(
-    grid: GridOutput<'_>,
-    name: &str,
+    grid: Grid<'_>,
     heading: &str,
     intro: &str,
     rows: &[(&str, ScenarioSpec)],
-    annotate: impl Fn(&mut String, &[&RunReport], u64),
+    annotate: impl Fn(&mut String, &[RunReport], u64),
 ) {
-    let registry = default_registry();
     let ntrials = trials(20);
     let horizon = rows
         .iter()
@@ -1250,51 +1252,25 @@ fn delay_grid(
         .unwrap_or(10_000);
     let delays: [u64; 4] = [0, 1, 2, 3];
 
-    // One flat, seed-ordered grid: every (row, delay, trial) is a spec.
-    let mut specs = Vec::new();
+    let mut cells = Vec::new();
     for (_, base) in rows {
         for &delay in &delays {
-            for seed in 0..ntrials {
-                specs.push(base.clone().with_delay(delay).with_seed(seed));
-            }
+            cells.push((base.clone().with_delay(delay), ntrials));
         }
     }
-    let reports = sweep_specs(&registry, &specs, grid.backend, &grid.sweep_options(false));
-
+    let mut chunks = grid.converge(&cells).into_iter();
     if grid.jsonl {
-        // A missing grid point must not masquerade as a complete archive:
-        // fail loudly, matching the Markdown path's panic on the same
-        // error.
-        for (spec, report) in specs.iter().zip(&reports) {
-            match report {
-                Ok(r) => println!("{}", r.to_json()),
-                Err(e) => {
-                    eprintln!("spec `{spec}` failed: {e}");
-                    std::process::exit(1);
-                }
-            }
-        }
         return;
     }
 
     println!("{heading}\n");
     println!("{intro}\n");
     let mut table = Vec::new();
-    let mut chunks = reports.chunks(ntrials as usize);
     for (label, _) in rows {
         let mut cells = vec![label.to_string()];
         for &delay in &delays {
-            let chunk: Vec<&RunReport> = chunks
-                .next()
-                .expect("grid shape")
-                .iter()
-                .map(|r| {
-                    r.as_ref()
-                        .unwrap_or_else(|e| panic!("{name} spec failed: {e}"))
-                })
-                .collect();
-            let samples: Vec<Option<u64>> = chunk.iter().map(|r| r.beats_to_sync()).collect();
-            let mut cell = Summary::of(&samples).cell(horizon);
+            let chunk = chunks.next().expect("grid shape");
+            let mut cell = beats_cell(&chunk, horizon);
             annotate(&mut cell, &chunk, delay);
             cells.push(cell);
         }
@@ -1320,10 +1296,8 @@ fn delay_grid(
 /// Lockstep vs bounded-delay sweep: the paper's protocols are specified
 /// for the global beat system, so this grid *measures* how far each one
 /// degrades when delivery stretches over a window — the §6.3 future-work
-/// rows of Table 1 turned into runnable scenarios. Built on
-/// [`byzclock_bench::sweep`]; `--jsonl` dumps every report as one JSON
-/// line instead of the aggregated table.
-fn d1_bounded_delay_grid(grid: GridOutput<'_>) {
+/// rows of Table 1 turned into runnable scenarios.
+fn d1_bounded_delay_grid(grid: Grid<'_>) {
     let horizon = 10_000u64;
     let rows = [
         (
@@ -1353,7 +1327,6 @@ fn d1_bounded_delay_grid(grid: GridOutput<'_>) {
     ];
     delay_grid(
         grid,
-        "d1",
         "## D1 — \u{a7}6.3 bounded-delay grid: convergence vs delivery window",
         "delay=0 is the paper's lockstep beat; delay=d delivers each correct\n\
          message within a seeded d-beat window while the adversary rushes.\n\
@@ -1384,9 +1357,8 @@ fn d1_bounded_delay_grid(grid: GridOutput<'_>) {
 /// protocols stop converging at `delay>=2`; `bd-clock` keeps a finite
 /// convergence beat across the whole `delay=0..3` range, with extras
 /// showing how its progress splits between quorum ticks and
-/// timeout-driven merge events. Built on [`byzclock_bench::sweep`];
-/// `--jsonl` dumps every report as one JSON line.
-fn d2_delay_tolerance_grid(grid: GridOutput<'_>) {
+/// timeout-driven merge events.
+fn d2_delay_tolerance_grid(grid: Grid<'_>) {
     let horizon = 10_000u64;
     let rows = [
         (
@@ -1424,7 +1396,6 @@ fn d2_delay_tolerance_grid(grid: GridOutput<'_>) {
     ];
     delay_grid(
         grid,
-        "d2",
         "## D2 — delay tolerance: bd-clock closes the d1 grid gap",
         "Same sweep as D1 (corrupted starts, mean beats (p95) over trials),\n\
          with the buffered-round-engine clock added. Lockstep-specified\n\

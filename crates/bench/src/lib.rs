@@ -1,6 +1,6 @@
-//! Measurement utilities for the reproduction harness: parallel
-//! Monte-Carlo trials, spec-grid sweeps, summary statistics, and Markdown
-//! table rendering — plus the `experiments` binary built on them.
+//! Measurement utilities for the reproduction harness: the spec-grid
+//! runner ([`sweep_specs`]), summary statistics, and Markdown table
+//! rendering — plus the `experiments` binary built on them.
 //!
 //! This page is the reference for the harness's command-line surface and
 //! for the offline-dependency story (ARCHITECTURE.md carries the same
@@ -16,6 +16,9 @@
 //! cargo run --release -p byzclock-bench --bin experiments -- \
 //!     [--jsonl] spec "<scenario line>" ["<scenario line>" ...]
 //! cargo run --release -p byzclock-bench --bin experiments -- \
+//!     [--jsonl] model-check [two-clock|clock-sync|bd-clock|all] \
+//!     [--window=1|2] [--max-states=N]
+//! cargo run --release -p byzclock-bench --bin experiments -- \
 //!     [--jsonl] lint [--rule=D1|P1|A1|W1|S1]
 //! cargo run --release -p byzclock-bench --bin experiments -- \
 //!     worker [--exact]
@@ -25,13 +28,13 @@
 //! paper as Markdown on stdout: `t1` (Table 1 convergence), `f1`–`f4`
 //! (the Fig. 1–4 contracts), `a1`/`a2` (the Remark 3.1/4.1 ablations),
 //! `r1` (resiliency boundary), `s1` (self-stabilization), `m1` (message
-//! complexity), `m2` (the beats/sec × n throughput curve — how fast one
-//! simulated beat runs as n scales to 512, plus bytes/beat and the
-//! committee column's fitted bytes/beat exponent), `d1`
-//! (lockstep vs bounded-delay degradation), `d2` (bd-clock delay
-//! tolerance). `all` (the default) runs everything.
-//! Every cell is produced through the scenario API, so each one is a
-//! replayable one-line spec.
+//! complexity), `m2` (the traffic × n scaling curve — msgs/beat and
+//! bytes/beat as n scales to 512, plus the committee column's fitted
+//! bytes/beat exponent), `d1` (lockstep vs bounded-delay degradation),
+//! `d2` (bd-clock delay tolerance). `all` (the default) runs everything.
+//! Every grid builds its cells as a flat `Vec<ScenarioSpec>` and runs
+//! them through [`sweep_specs`], so each cell is a replayable one-line
+//! spec and every grid takes the same three flags below.
 //!
 //! **`spec` subcommand.** Runs each quoted scenario line through the
 //! default registry and prints one `RunReport::to_json` line per spec —
@@ -52,18 +55,18 @@
 //! `--rule=ID` restricts the pass to one rule.
 //!
 //! **`--jsonl`.** Switches output to one stable-keyed JSON line per
-//! executed spec (diffable, archivable). It applies to `spec` and to the
-//! sweep-based `d1`/`d2`/`m1`/`m2` grids; the hand-aggregated paper tables
-//! always render Markdown, and the binary exits with an error rather than
-//! mixing formats on one stream.
+//! executed spec (diffable, archivable) instead of the aggregated
+//! Markdown. It applies to `spec`, `model-check`, `lint` and every named
+//! grid: a grid emits its converge-mode cells in build order, then its
+//! full-budget (exact-mode) cells, and nothing else on the stream.
 //!
-//! **`--backend` and `--manifest`.** The sweep-based grids
-//! (`d1`/`d2`/`m1`/`m2`) accept `--backend=threads[:N]` (the default: a
-//! thread pool in this process) or `--backend=procs[:N]` (N worker
-//! subprocesses, each an `experiments worker` re-exec — see
-//! [`shard`]). Output is byte-identical across backends.
-//! `--manifest=FILE` makes the sweep resumable: completed reports are
-//! appended to `FILE` as they land and served from it on restart.
+//! **`--backend` and `--manifest`.** Every named grid accepts
+//! `--backend=threads[:N]` (the default: worker threads in this process)
+//! or `--backend=procs[:N]` (N worker subprocesses, each an
+//! `experiments worker` re-exec — see [`shard`]). Output is
+//! byte-identical across backends. `--manifest=FILE` makes the grid
+//! resumable: completed reports are appended to `FILE` as they land and
+//! served from it on restart.
 //!
 //! **`worker` subcommand.** The worker half of the process backend:
 //! reads canonical spec lines on stdin, writes one `RunReport::to_json`
@@ -81,44 +84,47 @@
 //! `BYZCLOCK_M2_MAX_N` caps the largest n the `m2` grid runs
 //! ([`m2_max_n`]: a standalone `m2` defaults to the full 512-point
 //! curve, `all` caps at 64 to stay interactive, the CI smoke sets 128);
-//! `BYZCLOCK_BEAT_SCALING_NS` trims the cluster sizes
-//! `benches/beat_scaling.rs` prices; `PROPTEST_CASES` and
-//! `CRITERION_MEASURE_MS` keep the property tests and benches fast in
-//! CI.
+//! `PROPTEST_CASES` keeps the property tests fast in CI.
+//!
+//! **Wall-clock.** Nothing here reads a clock: the grids report
+//! deterministic counters only (stabilisation beats, msgs and bytes per
+//! beat). Speed — beats/s, per-op `field.*` / `sim.wire.*` prices — is
+//! measured by the one harness that repeats it and reports a spread, the
+//! `benchmark/` package (see `benchmark/README.md`).
 //!
 //! # Offline compat stubs and the swap-back path
 //!
-//! The build environment has no crates.io access, so four third-party
+//! The build environment has no crates.io access, so three third-party
 //! dependencies resolve to API-compatible stand-ins under
 //! `crates/compat/`: `rand` (seedable `StdRng`-style PRNG), `bytes`
-//! (`BytesMut` encode buffers), `proptest` (strategy/`proptest!` subset),
-//! and `criterion` (timing-loop bench harness; results print as
-//! `name … time/iter`). `serde` and `parking_lot` were dropped outright
-//! (hand-rolled JSON in `RunReport::to_json`, std `Mutex` in the oracle
-//! beacon). **Swap-back:** to use the real crates, replace the four
+//! (`BytesMut` encode buffers) and `proptest` (strategy/`proptest!`
+//! subset). `serde` and `parking_lot` were dropped outright (hand-rolled
+//! JSON in `RunReport::to_json`, std `Mutex` in the oracle beacon).
+//! **Swap-back:** to use the real crates, replace the three
 //! `[workspace.dependencies]` path entries in the root `Cargo.toml` with
-//! registry versions (`rand = "0.9"`, `bytes = "1"`, `proptest = "1"`,
-//! `criterion = "0.5"`) and delete `crates/compat/` — the stubs expose
-//! the same call surface the workspace uses, so no source change is
-//! expected beyond the manifests.
+//! registry versions (`rand = "0.9"`, `bytes = "1"`, `proptest = "1"`)
+//! and delete `crates/compat/` — the stubs expose the same call surface
+//! the workspace uses, so no source change is expected beyond the
+//! manifests.
 //!
 //! # Example
 //!
 //! ```
 //! use byzclock::scenario::{default_registry, ScenarioSpec};
-//! use byzclock_bench::{md_table, sweep, Summary};
+//! use byzclock_bench::{md_table, sweep_specs, Summary, SweepBackend, SweepOptions};
 //!
-//! // A two-point sweep over one thread pool, aggregated into a table.
+//! // A two-point grid over two worker threads, aggregated into a table.
 //! let registry = default_registry();
 //! let specs: Vec<ScenarioSpec> = (0..2)
 //!     .map(|seed| ScenarioSpec::parse("two-clock n=4 f=1 coin=oracle budget=300")
 //!         .unwrap()
 //!         .with_seed(seed))
 //!     .collect();
-//! let samples: Vec<Option<u64>> = sweep(&registry, &specs, 2)
-//!     .into_iter()
-//!     .map(|r| r.expect("registered protocol").beats_to_sync())
-//!     .collect();
+//! let samples: Vec<Option<u64>> =
+//!     sweep_specs(&registry, &specs, SweepBackend::Threads(2), &SweepOptions::default())
+//!         .into_iter()
+//!         .map(|r| r.expect("registered protocol").beats_to_sync())
+//!         .collect();
 //! let summary = Summary::of(&samples);
 //! assert_eq!(summary.trials, 2);
 //! let table = md_table(&["protocol", "beats"], &[vec!["two-clock".into(), summary.cell(300)]]);
@@ -128,15 +134,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use byzclock::scenario::{ProtocolRegistry, RunReport, ScenarioError, ScenarioSpec};
 use std::fmt::Write as _;
 
 pub mod shard;
 
-pub use shard::{
-    step_threads_per_worker, sweep_specs, sweep_specs_timed, SweepBackend, SweepOptions,
-    SweepResult,
-};
+pub use shard::{step_threads_per_worker, sweep_specs, SweepBackend, SweepOptions, SweepResult};
 
 /// Summary statistics over convergence-time samples; `None` samples are
 /// timeouts at the experiment's horizon.
@@ -198,61 +200,6 @@ impl Summary {
         }
         s
     }
-}
-
-/// Runs `trials` seeded trials in parallel (scoped threads) and returns
-/// the results in seed order. `run` must be deterministic in the seed.
-pub fn parallel_trials<T, F>(trials: u64, threads: usize, run: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(u64) -> T + Sync,
-{
-    // Balanced chunking: sizes differ by at most one, so every thread
-    // receives work whenever `trials >= threads` (e.g. 17 trials over 4
-    // threads is 5+4+4+4, not 5+5+5+2).
-    let threads = threads.max(1).min((trials as usize).max(1));
-    let base = trials as usize / threads;
-    let extra = trials as usize % threads;
-    let mut results: Vec<Option<T>> = (0..trials).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        let mut rest: &mut [Option<T>] = &mut results;
-        let mut start = 0u64;
-        for t in 0..threads {
-            let size = base + usize::from(t < extra);
-            let (chunk, tail) = rest.split_at_mut(size);
-            rest = tail;
-            let run = &run;
-            let first = start;
-            scope.spawn(move || {
-                for (i, slot) in chunk.iter_mut().enumerate() {
-                    *slot = Some(run(first + i as u64));
-                }
-            });
-            start += size as u64;
-        }
-    });
-    results
-        .into_iter()
-        .map(|r| r.expect("all slots filled"))
-        .collect()
-}
-
-/// Fans a grid of scenario specs across `threads` worker threads and
-/// returns one result per spec, **in input order** — build the grid in
-/// seed order and the aggregation is deterministic regardless of thread
-/// scheduling (each run is itself a pure function of its spec).
-///
-/// This is the multi-spec generalization of [`parallel_trials`]: trials
-/// vary only the seed of one spec, a sweep varies anything — protocol,
-/// delivery delay, adversary — across one thread pool.
-pub fn sweep(
-    registry: &ProtocolRegistry,
-    specs: &[ScenarioSpec],
-    threads: usize,
-) -> Vec<Result<RunReport, ScenarioError>> {
-    parallel_trials(specs.len() as u64, threads, |i| {
-        registry.run(&specs[i as usize])
-    })
 }
 
 /// Renders a Markdown table.
@@ -334,6 +281,7 @@ pub fn trials(base: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use byzclock::scenario::ScenarioSpec;
 
     #[test]
     fn summary_basic() {
@@ -354,37 +302,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_trials_are_seed_ordered() {
-        let out = parallel_trials(17, 4, |seed| seed * 2);
-        assert_eq!(out, (0..17).map(|s| s * 2).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn parallel_trials_chunks_are_balanced_and_feed_every_thread() {
-        // Every spawned thread must receive work whenever
-        // trials >= threads, and chunk sizes may differ by at most one.
-        for (trials, threads) in [(17u64, 4usize), (16, 4), (4, 4), (5, 4), (100, 7), (3, 8)] {
-            let ids = parallel_trials(trials, threads, |_| std::thread::current().id());
-            let mut counts = std::collections::HashMap::new();
-            for id in &ids {
-                *counts.entry(*id).or_insert(0usize) += 1;
-            }
-            let expected_workers = threads.min(trials as usize);
-            assert_eq!(
-                counts.len(),
-                expected_workers,
-                "{trials} trials / {threads} threads left a worker idle"
-            );
-            let min = counts.values().min().copied().unwrap();
-            let max = counts.values().max().copied().unwrap();
-            assert!(
-                max - min <= 1,
-                "{trials} trials / {threads} threads unbalanced: {min}..{max}"
-            );
-        }
-    }
-
-    #[test]
     fn sweep_preserves_spec_order_and_determinism() {
         let registry = byzclock::scenario::default_registry();
         let specs: Vec<ScenarioSpec> = (0..6)
@@ -396,8 +313,9 @@ mod tests {
                     .with_budget(500)
             })
             .collect();
-        let a = sweep(&registry, &specs, 3);
-        let b = sweep(&registry, &specs, 1);
+        let opts = SweepOptions::default();
+        let a = sweep_specs(&registry, &specs, SweepBackend::Threads(3), &opts);
+        let b = sweep_specs(&registry, &specs, SweepBackend::Threads(1), &opts);
         assert_eq!(a.len(), specs.len());
         for ((ra, rb), spec) in a.iter().zip(&b).zip(&specs) {
             let ra = ra.as_ref().expect("spec runs");
@@ -415,7 +333,14 @@ mod tests {
                 .with_budget(300),
             ScenarioSpec::new("no-such-clock", 4, 1),
         ];
-        let out = sweep(&registry, &specs, 2);
+        // The thread backend keeps the registry's typed error (the process
+        // backend can only relay its message, as `ScenarioError::Sweep`).
+        let out = sweep_specs(
+            &registry,
+            &specs,
+            SweepBackend::Threads(2),
+            &SweepOptions::default(),
+        );
         assert!(out[0].is_ok());
         assert!(matches!(
             out[1],

@@ -1,6 +1,8 @@
 //! End-to-end tests of the process-sharded sweep backend: byte-identity
 //! against the thread backend, every worker-failure path (malformed
-//! output, death mid-sweep, per-spec timeout), and manifest resume.
+//! output, death mid-sweep, per-spec timeout), and manifest resume — at
+//! the library seam and, for a named grid, through the binary's own
+//! `--jsonl` / `--backend` / `--manifest` flags.
 //!
 //! The worker under test is the real `experiments` binary in `worker`
 //! mode (cargo exports its path as `CARGO_BIN_EXE_experiments` for this
@@ -9,7 +11,7 @@
 //! through marker files — and then hand over to the real worker, so
 //! every test still ends with a complete result set to compare.
 
-use byzclock::scenario::{default_registry, CoinSpec, ScenarioError, ScenarioSpec};
+use byzclock::scenario::{default_registry, CoinSpec, RunReport, ScenarioError, ScenarioSpec};
 use byzclock_bench::{sweep_specs, SweepBackend, SweepOptions, SweepResult};
 use std::path::{Path, PathBuf};
 use std::time::Duration;
@@ -444,6 +446,68 @@ fn growing_the_grid_reuses_the_manifest_and_appends_only_the_new_specs() {
         std::fs::read_to_string(&manifest).unwrap().lines().count(),
         big.len(),
         "only the three new specs should have been appended"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Runs the real `experiments` binary at `BYZCLOCK_TRIALS=2` and returns
+/// its stdout.
+fn experiments(args: &[&str]) -> String {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_experiments"))
+        .args(args)
+        .env("BYZCLOCK_TRIALS", "2")
+        .output()
+        .expect("run the experiments binary");
+    assert!(
+        out.status.success(),
+        "experiments {args:?} failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    String::from_utf8(out.stdout).expect("utf-8 output")
+}
+
+/// `a2` is a mixed-mode grid: two converge cells of two trials each, then
+/// two full-budget traffic runs — two sweeps on one stream.
+#[test]
+fn mixed_mode_named_grid_is_byte_identical_across_backends_via_jsonl() {
+    let threads = experiments(&["--jsonl", "--backend=threads:2", "a2"]);
+    let procs = experiments(&["--jsonl", "--backend=procs:2", "a2"]);
+    assert_eq!(threads, procs);
+    // Nothing but report lines on the stream, each exact at the JSON level.
+    assert_eq!(threads.lines().count(), 6);
+    for line in threads.lines() {
+        let report = RunReport::from_json(line).unwrap_or_else(|| panic!("not a report: {line}"));
+        assert_eq!(report.to_json(), line);
+    }
+    // The exact-mode cells ran their whole 100-beat budget; the converge
+    // cells stopped at stable sync long before their 3000.
+    let full_budget = |l: &&str| l.contains("budget=100\"") && l.contains("\"beats\":100,");
+    assert_eq!(threads.lines().filter(full_budget).count(), 2);
+    assert!(!threads.contains("\"beats\":3000,"));
+}
+
+/// The binary takes no worker-command option, so "nothing re-ran" is shown
+/// the other way round: every executed spec appends to the manifest, and
+/// the second pass leaves it byte-for-byte alone.
+#[test]
+fn named_grid_rerenders_the_same_markdown_from_its_manifest_alone() {
+    let dir = scratch("grid-manifest");
+    let manifest = dir.join("a2.manifest.jsonl");
+    let flag = format!("--manifest={}", manifest.display());
+    let first = experiments(&[&flag, "--backend=threads:2", "a2"]);
+    let filled = std::fs::read_to_string(&manifest).unwrap();
+    let tagged = |mode: &str| {
+        let prefix = format!("{{\"mode\":\"{mode}\",");
+        filled.lines().filter(|l| l.starts_with(&prefix)).count()
+    };
+    assert_eq!((tagged("converge"), tagged("exact")), (4, 2));
+    let second = experiments(&[&flag, "--backend=procs:2", "a2"]);
+    assert!(first.contains("| two pipelines (paper) |"), "{first}");
+    assert_eq!(first, second);
+    assert_eq!(
+        std::fs::read_to_string(&manifest).unwrap(),
+        filled,
+        "a fully cached grid must not run anything"
     );
     let _ = std::fs::remove_dir_all(&dir);
 }

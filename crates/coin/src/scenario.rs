@@ -718,6 +718,32 @@ mod tests {
         assert_eq!(builds, 9.0, "one build per correct node's workspace");
     }
 
+    /// The same contract under committee rotation: mid-epoch (both
+    /// budgets end inside epoch 1, well past the flip's one-time
+    /// re-checkouts), forty more beats build no storage and no decoder —
+    /// they only recycle. Fault-free on purpose: under rotation a fixed
+    /// silent set projects onto a different committee every beat, a
+    /// share-pattern key space no warm-up exhausts.
+    #[test]
+    fn committee_builds_stop_growing_mid_epoch() {
+        let counters = |budget: u64| {
+            let spec = ScenarioSpec::parse(&format!(
+                "coin-stream n=64 f=0 coin=ticket committee=13 adv=silent faults=none seed=1 \
+                 metrics=alloc budget={budget}"
+            ))
+            .unwrap();
+            let report = registry().run_exact(&spec).unwrap();
+            ["storage_builds", "decoder_builds", "storage_reuses"]
+                .map(|key| report.extra(&format!("alloc_{key}")).unwrap())
+        };
+        let [builds, decoders, reuses] = counters(80);
+        let [later_builds, later_decoders, later_reuses] = counters(120);
+        assert_eq!((builds, decoders), (180.0, 64.0));
+        assert_eq!(later_builds, builds, "a mid-epoch beat built GVSS storage");
+        assert_eq!(later_decoders, decoders, "a mid-epoch beat built a decoder");
+        assert!(later_reuses > reuses, "{reuses} -> {later_reuses}");
+    }
+
     #[test]
     fn metrics_alloc_reaches_the_ticket_clock_sync() {
         let spec = ScenarioSpec::parse(
