@@ -7,7 +7,9 @@
 //! silent, and *rush* — choose its messages for a phase after observing the
 //! correct nodes' messages of that same phase.
 
+use crate::envelope::{correct_envelope, for_each_send};
 use crate::{Envelope, NodeId, SimRng, Target};
+use std::cell::OnceCell;
 
 /// What the adversary is allowed to observe.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -26,6 +28,11 @@ pub enum Visibility {
 
 /// Everything the adversary can see when choosing a phase's Byzantine
 /// traffic.
+///
+/// The view borrows the correct nodes' send lists as the runner holds
+/// them; the visible envelopes are expanded from those lists the first
+/// time a strategy reads them, so a strategy that never looks (the silent
+/// one) costs nothing per envelope.
 pub struct AdversaryView<'a, M> {
     pub(crate) beat: u64,
     pub(crate) phase: usize,
@@ -33,7 +40,13 @@ pub struct AdversaryView<'a, M> {
     pub(crate) f: usize,
     pub(crate) delay_window: u64,
     pub(crate) byz: &'a [NodeId],
-    pub(crate) visible: &'a [Envelope<M>],
+    /// `byz_mask[i]` = node `i` is Byzantine (length `n`).
+    pub(crate) byz_mask: &'a [bool],
+    pub(crate) visibility: Visibility,
+    /// This phase's `(target, message)` lists, indexed by sender (empty
+    /// for a Byzantine one, which runs no application).
+    pub(crate) sends: &'a [Vec<(Target, M)>],
+    pub(crate) visible: OnceCell<Vec<Envelope<M>>>,
 }
 
 impl<'a, M> AdversaryView<'a, M> {
@@ -72,25 +85,6 @@ impl<'a, M> AdversaryView<'a, M> {
         self.byz
     }
 
-    /// All envelopes visible under the configured [`Visibility`], in
-    /// deterministic (sender, emission) order. Rushing is implicit: these
-    /// are the *current* phase's correct messages.
-    pub fn visible(&self) -> &[Envelope<M>] {
-        self.visible
-    }
-
-    /// Convenience: the visible envelopes addressed to `to`.
-    pub fn visible_to(&self, to: NodeId) -> impl Iterator<Item = &Envelope<M>> {
-        self.visible.iter().filter(move |e| e.to == to)
-    }
-
-    /// Convenience: one visible copy of each broadcast-style message a
-    /// correct sender directed at Byzantine node `observer` — the usual way
-    /// adversaries read the correct nodes' public values.
-    pub fn observed_by(&self, observer: NodeId) -> impl Iterator<Item = &Envelope<M>> {
-        self.visible.iter().filter(move |e| e.to == observer)
-    }
-
     /// Iterates over all node ids.
     pub fn all_ids(&self) -> impl Iterator<Item = NodeId> {
         (0..self.n as u16).map(NodeId::new)
@@ -98,8 +92,44 @@ impl<'a, M> AdversaryView<'a, M> {
 
     /// `true` if `id` is Byzantine.
     pub fn is_byzantine(&self, id: NodeId) -> bool {
-        self.byz.contains(&id)
+        is_byzantine(self.byz_mask, id)
     }
+}
+
+impl<'a, M: Clone> AdversaryView<'a, M> {
+    /// All envelopes visible under the configured [`Visibility`], in
+    /// deterministic (sender, emission) order. Rushing is implicit: these
+    /// are the *current* phase's correct messages.
+    pub fn visible(&self) -> &[Envelope<M>] {
+        self.visible.get_or_init(|| {
+            let omniscient = self.visibility == Visibility::Omniscient;
+            let mut visible = Vec::new();
+            for_each_send(self.sends, self.n, |from, to, msg| {
+                if omniscient || self.is_byzantine(to) {
+                    visible.push(correct_envelope(from, to, self.beat, msg));
+                }
+            });
+            visible
+        })
+    }
+
+    /// Convenience: the visible envelopes addressed to `to`.
+    pub fn visible_to(&self, to: NodeId) -> impl Iterator<Item = &Envelope<M>> {
+        self.visible().iter().filter(move |e| e.to == to)
+    }
+
+    /// Convenience: one visible copy of each broadcast-style message a
+    /// correct sender directed at Byzantine node `observer` — the usual way
+    /// adversaries read the correct nodes' public values.
+    pub fn observed_by(&self, observer: NodeId) -> impl Iterator<Item = &Envelope<M>> {
+        self.visible_to(observer)
+    }
+}
+
+/// Membership test against a per-simulation Byzantine mask; ids outside
+/// the cluster are nobody's.
+fn is_byzantine(byz_mask: &[bool], id: NodeId) -> bool {
+    byz_mask.get(id.index()).copied().unwrap_or(false)
 }
 
 /// Collects the Byzantine nodes' envelopes for a phase.
@@ -113,23 +143,30 @@ impl<'a, M> AdversaryView<'a, M> {
 /// the same beat, the worst case the model allows);
 /// [`ByzOutbox::send_after`] schedules an arrival a chosen number of
 /// beats ahead (clamped to the window — a no-op offset under lockstep).
+///
+/// Like [`crate::Outbox`], the `(delay, envelope)` buffer is owned by the
+/// runner and recycled across phases.
 pub struct ByzOutbox<'a, M> {
-    byz: &'a [NodeId],
+    byz_mask: &'a [bool],
     beat: u64,
-    sends: Vec<(u64, Envelope<M>)>,
+    sends: &'a mut Vec<(u64, Envelope<M>)>,
     forged_dropped: u64,
-    n: usize,
     rng: &'a mut SimRng,
 }
 
 impl<'a, M: Clone> ByzOutbox<'a, M> {
-    pub(crate) fn new(byz: &'a [NodeId], beat: u64, n: usize, rng: &'a mut SimRng) -> Self {
+    pub(crate) fn new(
+        byz_mask: &'a [bool],
+        beat: u64,
+        sends: &'a mut Vec<(u64, Envelope<M>)>,
+        rng: &'a mut SimRng,
+    ) -> Self {
+        sends.clear();
         ByzOutbox {
-            byz,
+            byz_mask,
             beat,
-            sends: Vec::new(),
+            sends,
             forged_dropped: 0,
-            n,
             rng,
         }
     }
@@ -177,7 +214,7 @@ impl<'a, M: Clone> ByzOutbox<'a, M> {
     }
 
     fn send_raw(&mut self, from: NodeId, to: NodeId, msg: M, round: u64, delay_beats: u64) {
-        if self.byz.contains(&from) {
+        if is_byzantine(self.byz_mask, from) {
             self.sends.push((
                 delay_beats,
                 Envelope {
@@ -195,7 +232,7 @@ impl<'a, M: Clone> ByzOutbox<'a, M> {
     /// Send `msg` from `from` to every node (including other Byzantine
     /// nodes, matching the accounting of a correct broadcast).
     pub fn broadcast(&mut self, from: NodeId, msg: M) {
-        for to in (0..self.n as u16).map(NodeId::new) {
+        for to in (0..self.byz_mask.len() as u16).map(NodeId::new) {
             self.send(from, to, msg.clone());
         }
     }
@@ -205,8 +242,9 @@ impl<'a, M: Clone> ByzOutbox<'a, M> {
         self.rng
     }
 
-    pub(crate) fn into_parts(self) -> (Vec<(u64, Envelope<M>)>, u64) {
-        (self.sends, self.forged_dropped)
+    /// Sends attempted from identities the adversary does not control.
+    pub(crate) fn forged_dropped(&self) -> u64 {
+        self.forged_dropped
     }
 }
 
@@ -241,81 +279,45 @@ impl<M: Clone> Adversary<M> for SilentAdversary {
     fn act(&mut self, _view: &AdversaryView<'_, M>, _out: &mut ByzOutbox<'_, M>) {}
 }
 
-/// Filters envelopes per the visibility policy.
-pub(crate) fn visible_slice<M: Clone>(
-    all: &[Envelope<M>],
-    byz: &[NodeId],
-    visibility: Visibility,
-) -> Vec<Envelope<M>> {
-    match visibility {
-        Visibility::Omniscient => all.to_vec(),
-        Visibility::PrivateChannels => all
-            .iter()
-            .filter(|e| byz.contains(&e.to))
-            .cloned()
-            .collect(),
-    }
-}
-
-/// Expands a correct node's sends into stamped envelopes: the runner
-/// authenticates `from` and stamps the true send beat as the round tag.
-pub(crate) fn stamp<M: Clone>(
-    from: NodeId,
-    beat: u64,
-    sends: &mut Vec<(Target, M)>,
-    n: usize,
-    out: &mut Vec<Envelope<M>>,
-) {
-    for (target, msg) in sends.drain(..) {
-        match target {
-            Target::One(to) => out.push(Envelope {
-                from,
-                to,
-                round: beat,
-                msg,
-            }),
-            Target::All => {
-                for to in (0..n as u16).map(NodeId::new) {
-                    out.push(Envelope {
-                        from,
-                        to,
-                        round: beat,
-                        msg: msg.clone(),
-                    });
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::SeedableRng;
+    use std::cell::Cell;
+    use std::rc::Rc;
+
+    /// `mask(n, byz)[i]` = `i` is one of `byz`.
+    fn mask(n: usize, byz: &[NodeId]) -> Vec<bool> {
+        (0..n as u16)
+            .map(|i| byz.contains(&NodeId::new(i)))
+            .collect()
+    }
 
     #[test]
     fn forged_sender_is_dropped() {
-        let byz = [NodeId::new(3)];
+        let mask = mask(4, &[NodeId::new(3)]);
         let mut rng = SimRng::seed_from_u64(0);
-        let mut out = ByzOutbox::new(&byz, 0, 4, &mut rng);
+        let mut sends = Vec::new();
+        let mut out = ByzOutbox::new(&mask, 0, &mut sends, &mut rng);
         out.send(NodeId::new(3), NodeId::new(0), 1u64); // legit
         out.send(NodeId::new(1), NodeId::new(0), 2u64); // forged
         out.send_after(NodeId::new(1), NodeId::new(0), 3u64, 2); // forged, delayed
         out.send_tagged(NodeId::new(1), NodeId::new(0), 4u64, 9); // forged, lying
-        let (sends, forged) = out.into_parts();
+        out.send(NodeId::new(9), NodeId::new(0), 5u64); // forged, from outside the cluster
+        assert_eq!(out.forged_dropped(), 4);
         assert_eq!(sends.len(), 1);
-        assert_eq!(forged, 3);
         assert_eq!(sends[0].1.from, NodeId::new(3));
         assert_eq!(sends[0].0, 0, "plain send rushes");
     }
 
     #[test]
     fn send_after_records_the_requested_delay() {
-        let byz = [NodeId::new(2)];
+        let mask = mask(4, &[NodeId::new(2)]);
         let mut rng = SimRng::seed_from_u64(0);
-        let mut out = ByzOutbox::new(&byz, 5, 4, &mut rng);
+        let mut sends = vec![(9, Envelope::new(NodeId::new(2), NodeId::new(1), 0u64))];
+        let mut out = ByzOutbox::new(&mask, 5, &mut sends, &mut rng);
         out.send_after(NodeId::new(2), NodeId::new(0), 7u64, 3);
-        let (sends, _) = out.into_parts();
         assert_eq!(
             sends,
             vec![(
@@ -326,18 +328,19 @@ mod tests {
                     round: 5,
                     msg: 7u64,
                 }
-            )]
+            )],
+            "stale sends cleared on reuse"
         );
     }
 
     #[test]
     fn tagged_sends_carry_the_claimed_round() {
-        let byz = [NodeId::new(2)];
+        let mask = mask(4, &[NodeId::new(2)]);
         let mut rng = SimRng::seed_from_u64(0);
-        let mut out = ByzOutbox::new(&byz, 10, 4, &mut rng);
+        let mut sends = Vec::new();
+        let mut out = ByzOutbox::new(&mask, 10, &mut sends, &mut rng);
         out.send_tagged(NodeId::new(2), NodeId::new(0), 7u64, 3);
         out.send_tagged_after(NodeId::new(2), NodeId::new(1), 8u64, 99, 2);
-        let (sends, _) = out.into_parts();
         assert_eq!(sends[0].1.round, 3, "claimed tag, not the true beat");
         assert_eq!(sends[0].0, 0, "send_tagged rushes");
         assert_eq!(sends[1].1.round, 99);
@@ -346,41 +349,135 @@ mod tests {
 
     #[test]
     fn byz_broadcast_reaches_all() {
-        let byz = [NodeId::new(0)];
+        let mask = mask(5, &[NodeId::new(0)]);
         let mut rng = SimRng::seed_from_u64(0);
-        let mut out = ByzOutbox::new(&byz, 2, 5, &mut rng);
+        let mut sends = Vec::new();
+        let mut out = ByzOutbox::new(&mask, 2, &mut sends, &mut rng);
         out.broadcast(NodeId::new(0), 9u64);
-        let (sends, forged) = out.into_parts();
+        assert_eq!(out.forged_dropped(), 0);
         assert_eq!(sends.len(), 5);
         assert!(sends.iter().all(|(_, e)| e.round == 2));
-        assert_eq!(forged, 0);
+    }
+
+    fn view<'a, M>(
+        byz: &'a [NodeId],
+        byz_mask: &'a [bool],
+        visibility: Visibility,
+        sends: &'a [Vec<(Target, M)>],
+    ) -> AdversaryView<'a, M> {
+        AdversaryView {
+            beat: 6,
+            phase: 0,
+            n: byz_mask.len(),
+            f: byz.len(),
+            delay_window: 1,
+            byz,
+            byz_mask,
+            visibility,
+            sends,
+            visible: OnceCell::new(),
+        }
     }
 
     #[test]
     fn private_channels_hide_correct_unicasts() {
-        let byz = vec![NodeId::new(2)];
-        let all = vec![
-            Envelope::new(NodeId::new(0), NodeId::new(1), 1u64), // hidden
-            Envelope::new(NodeId::new(0), NodeId::new(2), 2u64), // visible
+        let byz = [NodeId::new(2)];
+        let mask = mask(3, &byz);
+        let sends = vec![
+            vec![
+                (Target::One(NodeId::new(1)), 1u64), // hidden
+                (Target::One(NodeId::new(2)), 2u64), // visible
+            ],
+            vec![],
+            vec![],
         ];
-        let vis = visible_slice(&all, &byz, Visibility::PrivateChannels);
-        assert_eq!(vis.len(), 1);
-        assert_eq!(vis[0].msg, 2);
-        let omni = visible_slice(&all, &byz, Visibility::Omniscient);
-        assert_eq!(omni.len(), 2);
+        let private = view(&byz, &mask, Visibility::PrivateChannels, &sends);
+        assert_eq!(private.visible().len(), 1);
+        assert_eq!(private.visible()[0].msg, 2);
+        assert_eq!(private.visible()[0].round, 6, "stamped with the send beat");
+        assert_eq!(private.observed_by(NodeId::new(2)).count(), 1);
+        assert_eq!(private.visible_to(NodeId::new(1)).count(), 0);
+        let omniscient = view(&byz, &mask, Visibility::Omniscient, &sends);
+        assert_eq!(omniscient.visible().len(), 2);
     }
 
-    #[test]
-    fn stamp_expands_broadcast_to_all() {
-        let mut out = Vec::new();
-        let mut sends = vec![(Target::All, 7u64)];
-        stamp(NodeId::new(1), 6, &mut sends, 4, &mut out);
-        assert!(sends.is_empty(), "stamp drains the send buffer for reuse");
-        assert_eq!(out.len(), 4);
-        assert!(out
-            .iter()
-            .all(|e| e.from == NodeId::new(1) && e.msg == 7 && e.round == 6));
-        let tos: Vec<u16> = out.iter().map(|e| e.to.raw()).collect();
-        assert_eq!(tos, vec![0, 1, 2, 3]);
+    /// A payload that counts how often it is cloned.
+    #[derive(Debug)]
+    struct Counted {
+        tag: u64,
+        clones: Rc<Cell<usize>>,
+    }
+
+    impl Clone for Counted {
+        fn clone(&self) -> Self {
+            self.clones.set(self.clones.get() + 1);
+            Counted {
+                tag: self.tag,
+                clones: Rc::clone(&self.clones),
+            }
+        }
+    }
+
+    proptest! {
+        /// The lazily expanded view equals the eager filter of the flat
+        /// stamped envelope list, under both visibilities, and clones a
+        /// payload only for an envelope somebody reads.
+        #[test]
+        fn lazy_view_equals_the_eager_filter(
+            n in 2usize..8,
+            byz_bits in proptest::collection::vec(any::<bool>(), 8),
+            // (kind, to, tag): kind 0 broadcasts, `to` may lie outside the cluster.
+            lists in proptest::collection::vec(
+                proptest::collection::vec((0u8..3, 0u16..12, any::<u64>()), 0..4),
+                8,
+            ),
+        ) {
+            let byz: Vec<NodeId> = (0..n).filter(|&i| byz_bits[i]).map(|i| NodeId::new(i as u16)).collect();
+            let mask = mask(n, &byz);
+            let clones = Rc::new(Cell::new(0));
+            let sends: Vec<Vec<(Target, Counted)>> = (0..n)
+                .map(|from| {
+                    let list = if mask[from] { &[][..] } else { &lists[from][..] };
+                    list.iter()
+                        .map(|&(kind, to, tag)| {
+                            let target = if kind == 0 { Target::All } else { Target::One(NodeId::new(to)) };
+                            (target, Counted { tag, clones: Rc::clone(&clones) })
+                        })
+                        .collect()
+                })
+                .collect();
+            // The flat stamped list: (from, to, round, tag) per envelope.
+            let mut flat = Vec::new();
+            for (from, list) in sends.iter().enumerate() {
+                for (target, msg) in list {
+                    match *target {
+                        Target::One(to) => flat.push((from as u16, to.raw(), 6, msg.tag)),
+                        Target::All => flat.extend((0..n as u16).map(|to| (from as u16, to, 6, msg.tag))),
+                    }
+                }
+            }
+            for visibility in [Visibility::PrivateChannels, Visibility::Omniscient] {
+                let expected: Vec<_> = flat
+                    .iter()
+                    .filter(|&&(_, to, _, _)| {
+                        visibility == Visibility::Omniscient || byz.contains(&NodeId::new(to))
+                    })
+                    .copied()
+                    .collect();
+                clones.set(0);
+                let view = view(&byz, &mask, visibility, &sends);
+                prop_assert!(view.byzantine() == &byz[..] && view.n() == n);
+                prop_assert_eq!(clones.get(), 0, "an unread view clones nothing");
+                let flatten = |e: &Envelope<Counted>| (e.from.raw(), e.to.raw(), e.round, e.msg.tag);
+                let got: Vec<_> = view.visible().iter().map(flatten).collect();
+                prop_assert_eq!(&got, &expected);
+                for to in view.all_ids() {
+                    let got: Vec<_> = view.visible_to(to).map(flatten).collect();
+                    let expected: Vec<_> = expected.iter().filter(|e| e.1 == to.raw()).copied().collect();
+                    prop_assert_eq!(got, expected);
+                }
+                prop_assert_eq!(clones.get(), expected.len(), "expanded once, only what is visible");
+            }
+        }
     }
 }

@@ -73,6 +73,42 @@ pub enum Target {
     One(NodeId),
 }
 
+/// Calls `f(from, to, msg)` once per envelope the per-sender send lists
+/// stand for — a broadcast is `n` of them — in (sender, emission,
+/// recipient) order: the one order the adversary's view, the delay draws,
+/// the history ring and the inboxes all follow.
+pub(crate) fn for_each_send<M>(
+    sends: &[Vec<(Target, M)>],
+    n: usize,
+    mut f: impl FnMut(NodeId, NodeId, &M),
+) {
+    for (from, sends) in sends.iter().enumerate() {
+        let from = NodeId::new(from as u16);
+        for (target, msg) in sends {
+            match *target {
+                Target::One(to) => f(from, to, msg),
+                Target::All => (0..n as u16).for_each(|to| f(from, NodeId::new(to), msg)),
+            }
+        }
+    }
+}
+
+/// A correct node's envelope: the runner authenticates `from` and stamps
+/// the true send beat as the round tag.
+pub(crate) fn correct_envelope<M: Clone>(
+    from: NodeId,
+    to: NodeId,
+    beat: u64,
+    msg: &M,
+) -> Envelope<M> {
+    Envelope {
+        from,
+        to,
+        round: beat,
+        msg: msg.clone(),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,22 +1,43 @@
 //! The beat-by-beat simulation loop.
 //!
-//! # Delivery and the timing model
+//! # One pass from outbox to inbox
 //!
-//! Every envelope a phase produces — correct sends, Byzantine sends,
-//! phantom replays — is routed through one [`DeliveryScheduler`], the
-//! single place delivery policy lives. The run's [`TimingModel`] decides
-//! the arrival beat:
+//! The paper's network (Def. 2.2) is memoryless: a message sent in phase
+//! `p` is simply *there* when phase `p` is delivered. The runner matches
+//! that with one pass per phase. Correct nodes fill their recycled send
+//! lists; the runner walks those lists in node-id order and stamps every
+//! `(target, message)` straight into its recipient's inbox inside the
+//! [`DeliveryScheduler`] — a ring of per-recipient inboxes, one slot per
+//! `(arrival beat, phase)` — then sorts, delivers and empties the inboxes
+//! of the slot that is due. Nothing is gathered into an intermediate list
+//! on the way:
+//!
+//! - the adversary's [`AdversaryView`] borrows the send lists and expands
+//!   the envelopes it may see only if the strategy reads them;
+//! - traffic accounting reads the send lists (a broadcast is `n` envelopes
+//!   of one measured length);
+//! - the phantom-replay history ring is fed only when the fault plan
+//!   contains a [`FaultKind::PhantomBurst`] that could ever read it.
+//!
+//! Within a phase the routing order is fixed — correct envelopes in
+//! (sender, emission, recipient) order, then Byzantine sends, then phantom
+//! replays — and every inbox is stable-sorted by sender before delivery,
+//! so a run is a pure function of its configuration whatever the thread
+//! count.
+//!
+//! # The timing model
+//!
+//! The run's [`TimingModel`] decides the arrival beat:
 //!
 //! - [`TimingModel::Lockstep`] (default): a message sent in phase `p` of
 //!   beat `r` is delivered in phase `p` of beat `r` — the paper's global
-//!   beat system, bit-for-bit identical to the historical same-beat loop
-//!   (the delay RNG stream is never touched).
+//!   beat system (the delay RNG stream is never touched).
 //! - [`TimingModel::BoundedDelay`]`{ window }`: a correct message sent at
 //!   beat `r` arrives at a seeded-uniform beat in `r ..= r + window - 1`
-//!   (same phase). The adversary is not bound to the draw: its sends rush
-//!   by default and may be placed anywhere in the window via
-//!   [`crate::ByzOutbox::send_after`]. The observed delays are recorded in
-//!   [`Simulation::delay_histogram`].
+//!   (same phase), drawn once per envelope in routing order. The adversary
+//!   is not bound to the draw: its sends rush by default and may be placed
+//!   anywhere in the window via [`crate::ByzOutbox::send_after`]. The
+//!   observed delays are recorded in [`Simulation::delay_histogram`].
 //!
 //! Blackout faults interact with delay at the *arrival* end: a message
 //! due during a blacked-out beat is lost, one due after the blackout
@@ -26,14 +47,16 @@
 //! can order envelopes into `(beat, phase)` delivery slots can replace the
 //! scheduler without touching the protocol or adversary layers.
 
-use crate::adversary::{stamp, visible_slice, Adversary, AdversaryView, ByzOutbox, Visibility};
+use crate::adversary::{Adversary, AdversaryView, ByzOutbox, Visibility};
 use crate::app::{Application, Outbox};
+use crate::envelope::{correct_envelope, for_each_send};
 use crate::faults::{FaultKind, FaultPlan};
 use crate::stats::TrafficStats;
 use crate::timing::DeliveryScheduler;
-use crate::{Envelope, NodeId, SimRng, Target, TimingModel, WireConfig};
+use crate::{Envelope, NodeId, SimRng, Target, TimingModel, WireConfig, WireFormat};
 use bytes::BytesMut;
 use rand::Rng;
+use std::cell::OnceCell;
 use std::collections::VecDeque;
 
 /// Applies `f` to every correct node's `(app, rng, buf)` triple, fanned
@@ -92,6 +115,9 @@ pub struct Simulation<A: Application, Adv> {
     n: usize,
     f: usize,
     byz: Vec<NodeId>,
+    /// `byz_mask[i]` = node `i` is Byzantine: the constant-time form of
+    /// `byz` every per-envelope membership test reads.
+    byz_mask: Vec<bool>,
     visibility: Visibility,
     apps: Vec<Option<A>>,
     node_rngs: Vec<SimRng>,
@@ -106,8 +132,12 @@ pub struct Simulation<A: Application, Adv> {
     scheduler: DeliveryScheduler<A::Msg>,
     beat: u64,
     stats: TrafficStats,
+    /// The last `history_cap` envelopes routed, for phantom replay.
+    /// Recorded only when `record_history` says a fault can read it.
     history: VecDeque<Envelope<A::Msg>>,
     history_cap: usize,
+    /// Whether the (immutable) fault plan contains a phantom burst.
+    record_history: bool,
     pending_phantoms: Vec<Envelope<A::Msg>>,
     blackout_until: u64,
     wire: WireConfig,
@@ -117,12 +147,24 @@ pub struct Simulation<A: Application, Adv> {
     /// ([`Application::parallel_safe`]); computed once at construction.
     parallel_ok: bool,
     /// Recycled per-node outbox buffers: cleared and refilled each send
-    /// phase, so steady-state sends allocate nothing.
+    /// phase, so steady-state sends allocate nothing. A Byzantine node
+    /// runs no application, so its buffer stays empty.
     send_bufs: Vec<Vec<(Target, A::Msg)>>,
-    /// Recycled envelope accumulator for the send/adversary half of a phase.
-    envelope_buf: Vec<Envelope<A::Msg>>,
-    /// Recycled per-node inboxes for the delivery half of a phase.
-    inboxes: Vec<Vec<Envelope<A::Msg>>>,
+    /// Recycled `(delay, envelope)` buffer the adversary's outbox fills.
+    byz_buf: Vec<(u64, Envelope<A::Msg>)>,
+    /// Recycled encode buffer for the byte-boundary seam.
+    wire_scratch: BytesMut,
+}
+
+/// The byte-boundary seam: the payload is serialized in the run's wire
+/// format and re-parsed before it enters the delivery scheduler — what a
+/// cross-process backend would do with a real socket between the two
+/// halves. `None` when the bytes fail to parse; a correct node's messages
+/// always round-trip, so only hostile or stale garbage can fail here.
+fn reserialize<M: crate::Wire>(format: WireFormat, scratch: &mut BytesMut, msg: &M) -> Option<M> {
+    scratch.clear();
+    format.encode_into(msg, scratch);
+    format.decode_from(scratch.as_slice())
 }
 
 impl<A, Adv> Simulation<A, Adv>
@@ -151,11 +193,19 @@ where
     ) -> Self {
         let parallel_ok = apps.iter().flatten().all(Application::parallel_safe);
         let send_bufs = (0..n).map(|_| Vec::new()).collect();
-        let inboxes = (0..n).map(|_| Vec::new()).collect();
+        let mut byz_mask = vec![false; n];
+        for id in &byz {
+            byz_mask[id.index()] = true;
+        }
+        let record_history = fault_plan
+            .events()
+            .iter()
+            .any(|e| matches!(e.kind, FaultKind::PhantomBurst { .. }));
         Simulation {
             n,
             f,
             byz,
+            byz_mask,
             visibility,
             apps,
             node_rngs,
@@ -164,19 +214,20 @@ where
             fault_rng,
             phantom_tag_rng,
             fault_plan,
-            scheduler: DeliveryScheduler::new(timing, delay_rng),
+            scheduler: DeliveryScheduler::new(timing, delay_rng, n),
             beat: 0,
             stats: TrafficStats::default(),
             history: VecDeque::new(),
             history_cap,
+            record_history,
             pending_phantoms: Vec::new(),
             blackout_until: 0,
             wire,
             step_threads: step_threads.max(1),
             parallel_ok,
             send_bufs,
-            envelope_buf: Vec::new(),
-            inboxes,
+            byz_buf: Vec::new(),
+            wire_scratch: BytesMut::new(),
         }
     }
 
@@ -213,29 +264,6 @@ where
     /// The run's wire-codec configuration.
     pub fn wire(&self) -> WireConfig {
         self.wire
-    }
-
-    /// The byte-boundary seam: when enabled, an envelope's payload is
-    /// serialized in the run's wire format and re-parsed before it enters
-    /// the delivery scheduler — what a cross-process backend would do with
-    /// a real socket between the two halves. Envelopes whose bytes fail to
-    /// parse are dropped; a correct node's messages always round-trip, so
-    /// only hostile or stale garbage can fail here.
-    fn reserialize(&self, e: Envelope<A::Msg>) -> Option<Envelope<A::Msg>> {
-        if !self.wire.byte_boundary {
-            return Some(e);
-        }
-        // No capacity hint: computing an exact packed length would cost
-        // another full scan per envelope, and these payloads are tiny.
-        let mut buf = BytesMut::new();
-        self.wire.format.encode_into(&e.msg, &mut buf);
-        let msg = self.wire.format.decode_from(buf.as_slice())?;
-        Some(Envelope {
-            from: e.from,
-            to: e.to,
-            round: e.round,
-            msg,
-        })
     }
 
     /// Observed-delay histogram: `histogram[d]` counts messages scheduled
@@ -287,48 +315,35 @@ where
             app.begin_beat(self.beat);
         }
         self.stats.begin_beat();
+        self.scheduler.begin_beat(self.beat);
         let threads = self.effective_step_threads();
 
         for phase in 0..phases {
             // --- send phase: correct nodes, fanned across the pool ---
-            let mut send_bufs = std::mem::take(&mut self.send_bufs);
             for_each_correct(
                 &mut self.apps,
                 &mut self.node_rngs,
-                &mut send_bufs,
+                &mut self.send_bufs,
                 threads,
                 |app, rng, buf| {
                     let mut out = Outbox::new(buf, rng);
                     app.send(phase, &mut out);
                 },
             );
-            // Collect in node-ID order: the combined envelope stream is
-            // byte-identical to the serial loop whatever the thread count.
-            let mut envelopes = std::mem::take(&mut self.envelope_buf);
-            for (i, buf) in send_bufs.iter_mut().enumerate() {
-                if self.apps[i].is_some() {
-                    stamp(
-                        NodeId::new(i as u16),
-                        self.beat,
-                        buf,
-                        self.n,
-                        &mut envelopes,
-                    );
-                }
-            }
-            self.send_bufs = send_bufs;
             {
                 let format = self.wire.format;
                 let cur = self.stats.current();
-                cur.correct_msgs += envelopes.len() as u64;
-                cur.correct_bytes += envelopes
-                    .iter()
-                    .map(|e| format.len_of(&e.msg) as u64)
-                    .sum::<u64>();
+                for (target, msg) in self.send_bufs.iter().flatten() {
+                    let fanout = match target {
+                        Target::All => self.n as u64,
+                        Target::One(_) => 1,
+                    };
+                    cur.correct_msgs += fanout;
+                    cur.correct_bytes += fanout * format.len_of(msg) as u64;
+                }
             }
 
             // --- adversary phase (rushing: sees this phase's traffic) ---
-            let visible = visible_slice(&envelopes, &self.byz, self.visibility);
             let view = AdversaryView {
                 beat: self.beat,
                 phase,
@@ -336,80 +351,47 @@ where
                 f: self.f,
                 delay_window: self.scheduler.model().window(),
                 byz: &self.byz,
-                visible: &visible,
+                byz_mask: &self.byz_mask,
+                visibility: self.visibility,
+                sends: &self.send_bufs,
+                visible: OnceCell::new(),
             };
-            let mut byz_out = ByzOutbox::new(&self.byz, self.beat, self.n, &mut self.adv_rng);
+            let mut byz_out = ByzOutbox::new(
+                &self.byz_mask,
+                self.beat,
+                &mut self.byz_buf,
+                &mut self.adv_rng,
+            );
             self.adversary.act(&view, &mut byz_out);
-            let (byz_sends, forged) = byz_out.into_parts();
             {
                 let format = self.wire.format;
                 let cur = self.stats.current();
-                cur.byz_msgs += byz_sends.len() as u64;
-                cur.byz_bytes += byz_sends
+                cur.forged_dropped += byz_out.forged_dropped();
+                cur.byz_msgs += self.byz_buf.len() as u64;
+                cur.byz_bytes += self
+                    .byz_buf
                     .iter()
                     .map(|(_, e)| format.len_of(&e.msg) as u64)
                     .sum::<u64>();
-                cur.forged_dropped += forged;
             }
 
-            // --- phantom replay from an earlier fault event ---
-            let phantoms = if phase == 0 && !self.pending_phantoms.is_empty() {
-                let phantoms = std::mem::take(&mut self.pending_phantoms);
-                self.stats.current().phantom_msgs += phantoms.len() as u64;
-                phantoms
+            // --- route every envelope into its recipient's inbox ---
+            if self.record_history {
+                self.record_phase();
+            }
+            if self.wire.byte_boundary {
+                self.route::<true>(phase);
             } else {
-                Vec::new()
-            };
-
-            // --- record history for future phantom replay ---
-            for e in envelopes
-                .iter()
-                .chain(byz_sends.iter().map(|(_, e)| e))
-                .chain(phantoms.iter())
-            {
-                if self.history.len() == self.history_cap {
-                    self.history.pop_front();
-                }
-                self.history.push_back(e.clone());
-            }
-
-            // --- route everything through the delivery scheduler ---
-            // (crossing the byte boundary first, when the run has one)
-            for e in envelopes.drain(..) {
-                if let Some(e) = self.reserialize(e) {
-                    self.scheduler.schedule(self.beat, phase, e);
-                }
-            }
-            self.envelope_buf = envelopes;
-            for (delay, e) in byz_sends {
-                if let Some(e) = self.reserialize(e) {
-                    self.scheduler.schedule_at(self.beat, phase, delay, e);
-                }
-            }
-            for e in phantoms {
-                // Phantoms model stale traffic resurfacing *now*.
-                if let Some(e) = self.reserialize(e) {
-                    self.scheduler.schedule_at(self.beat, phase, 0, e);
-                }
+                self.route::<false>(phase);
             }
 
             // --- deliver what is due this (beat, phase) slot ---
-            let due = self.scheduler.take_due(self.beat, phase);
+            let due = self.scheduler.due_inboxes(phase);
             if self.beat >= self.blackout_until {
-                let mut inboxes = std::mem::take(&mut self.inboxes);
-                for inbox in &mut inboxes {
-                    inbox.clear();
-                }
-                for e in due {
-                    let idx = e.to.index();
-                    if idx < self.n {
-                        inboxes[idx].push(e);
-                    }
-                }
                 for_each_correct(
                     &mut self.apps,
                     &mut self.node_rngs,
-                    &mut inboxes,
+                    due,
                     threads,
                     |app, rng, inbox| {
                         // Stable sort: a deterministic inbox order whatever
@@ -418,10 +400,14 @@ where
                         app.deliver(phase, inbox, rng);
                     },
                 );
-                self.inboxes = inboxes;
             }
             // else: envelopes due during a blackout are lost — Def. 2.2
-            // only holds once the network is non-faulty again.
+            // only holds once the network is non-faulty again. Either way
+            // the slot is emptied (a Byzantine recipient's inbox included)
+            // so the ring can reuse it and shared payloads are released.
+            for inbox in due {
+                inbox.clear();
+            }
         }
 
         // --- end-of-beat fault events ---
@@ -435,6 +421,57 @@ where
         }
 
         self.beat += 1;
+    }
+
+    /// Feeds the phantom-replay ring with everything the current phase is
+    /// about to route, in routing order: correct, Byzantine, phantom.
+    fn record_phase(&mut self) {
+        let mut record = |e: Envelope<A::Msg>| {
+            if self.history.len() == self.history_cap {
+                self.history.pop_front();
+            }
+            self.history.push_back(e);
+        };
+        for_each_send(&self.send_bufs, self.n, |from, to, msg| {
+            record(correct_envelope(from, to, self.beat, msg));
+        });
+        self.byz_buf.iter().for_each(|(_, e)| record(e.clone()));
+        self.pending_phantoms.iter().for_each(|e| record(e.clone()));
+    }
+
+    /// Routes `phase`'s envelopes into their recipients' inboxes: correct
+    /// sends in (sender, emission, recipient) order, then Byzantine sends,
+    /// then phantoms — the order the delay draws and the in-inbox arrival
+    /// order follow. `BYTE_BOUNDARY` is the run's [`WireConfig`] flag as
+    /// a constant, which keeps the serializer out of the in-memory loop.
+    fn route<const BYTE_BOUNDARY: bool>(&mut self, phase: usize) {
+        let format = self.wire.format;
+        let mut route = |e: Envelope<A::Msg>, placed: Option<u64>| {
+            let e = if BYTE_BOUNDARY {
+                match reserialize(format, &mut self.wire_scratch, &e.msg) {
+                    Some(msg) => e.map(msg),
+                    None => return,
+                }
+            } else {
+                e
+            };
+            match placed {
+                None => self.scheduler.schedule(phase, e),
+                Some(delay) => self.scheduler.schedule_at(phase, delay, e),
+            }
+        };
+        for_each_send(&self.send_bufs, self.n, |from, to, msg| {
+            route(correct_envelope(from, to, self.beat, msg), None);
+        });
+        for (delay, e) in self.byz_buf.drain(..) {
+            route(e, Some(delay));
+        }
+        // Phantoms model stale traffic resurfacing *now*; a burst fires at
+        // the end of a beat, so it is the next beat's phase 0 that finds any.
+        self.stats.current().phantom_msgs += self.pending_phantoms.len() as u64;
+        for e in self.pending_phantoms.drain(..) {
+            route(e, Some(0));
+        }
     }
 
     fn apply_fault(&mut self, kind: FaultKind) {
@@ -595,6 +632,53 @@ mod tests {
         }
     }
 
+    /// Remembers every envelope delivered to it.
+    struct Inbox {
+        me: NodeId,
+        got: Vec<Envelope<u64>>,
+    }
+
+    impl Application for Inbox {
+        type Msg = u64;
+        fn send(&mut self, _phase: usize, out: &mut Outbox<'_, u64>) {
+            if self.me == NodeId::new(1) {
+                out.broadcast(7);
+            }
+        }
+        fn deliver(&mut self, _phase: usize, inbox: &[Envelope<u64>], _rng: &mut SimRng) {
+            self.got.extend_from_slice(inbox);
+        }
+        fn corrupt(&mut self, _rng: &mut SimRng) {}
+    }
+
+    /// A broadcast lands once in every inbox, stamped with its sender and
+    /// send beat.
+    #[test]
+    fn broadcast_lands_stamped_in_every_inbox() {
+        let mut sim = SimBuilder::new(4, 1).all_correct().build(
+            |cfg, _rng| Inbox {
+                me: cfg.id,
+                got: Vec::new(),
+            },
+            SilentAdversary,
+        );
+        sim.run_beats(7);
+        for (id, app) in sim.correct_apps() {
+            let last = app.got.last().expect("a delivery per beat");
+            assert_eq!(app.got.len(), 7, "one copy per beat");
+            assert_eq!(
+                *last,
+                Envelope {
+                    from: NodeId::new(1),
+                    to: id,
+                    round: 6,
+                    msg: 7,
+                }
+            );
+        }
+        assert_eq!(sim.correct_apps().count(), 4);
+    }
+
     #[test]
     fn inbox_is_sorted_by_sender() {
         let mut sim = recorder_sim(5, 1, 1, FaultPlan::none());
@@ -746,6 +830,9 @@ mod tests {
 
     impl Application for WindowProbe {
         type Msg = Tagged;
+        fn begin_beat(&mut self, beat: u64) {
+            self.beat = beat;
+        }
         fn send(&mut self, _phase: usize, out: &mut Outbox<'_, Tagged>) {
             out.broadcast(Tagged(self.me.raw(), self.beat));
         }
@@ -753,15 +840,23 @@ mod tests {
             for e in inbox {
                 self.arrivals.push((e.msg.0, e.msg.1, self.beat));
             }
-            self.beat += 1;
         }
         fn corrupt(&mut self, _rng: &mut SimRng) {}
     }
 
     fn probe_sim<Adv: Adversary<Tagged>>(window: u64, adv: Adv) -> Simulation<WindowProbe, Adv> {
+        probe_sim_with(window, FaultPlan::none(), adv)
+    }
+
+    fn probe_sim_with<Adv: Adversary<Tagged>>(
+        window: u64,
+        plan: FaultPlan,
+        adv: Adv,
+    ) -> Simulation<WindowProbe, Adv> {
         SimBuilder::new(5, 1)
             .seed(11)
             .timing(crate::TimingModel::bounded(window))
+            .faults(plan)
             .build(
                 |cfg, _rng| WindowProbe {
                     me: cfg.id,
@@ -942,6 +1037,134 @@ mod tests {
             .map(|((_, a), b)| a.round_trips.len() - b)
             .sum();
         assert!(grew > 2 * 3 * 3, "phantom deliveries missing: {grew}");
+    }
+
+    /// The phantom-history ring is fed iff the plan holds a phantom burst
+    /// that could read it — and then from beat 0, however late the burst.
+    #[test]
+    fn history_records_only_when_the_plan_can_replay_it() {
+        let no_burst = FaultPlan::new(vec![
+            FaultEvent {
+                beat: 3,
+                kind: FaultKind::CorruptAllCorrect,
+            },
+            FaultEvent {
+                beat: 5,
+                kind: FaultKind::Blackout { beats: 2 },
+            },
+        ]);
+        let mut sim = recorder_sim(4, 1, 2, no_burst);
+        for _ in 0..50 {
+            sim.step();
+            assert!(sim.history.is_empty());
+        }
+
+        let late_burst = FaultPlan::new(vec![FaultEvent {
+            beat: 40,
+            kind: FaultKind::PhantomBurst { count: 200 },
+        }]);
+        let mut sim = recorder_sim(4, 1, 1, late_burst);
+        sim.step();
+        // 3 correct broadcasts to 4 recipients, recorded long before the burst.
+        assert_eq!(sim.history.len(), 12);
+        sim.run_beats(40);
+        assert_eq!(sim.history.len(), 12 * 41);
+        assert_eq!(sim.pending_phantoms.len(), 200);
+        let replayed = |lo: u64, hi: u64| {
+            sim.pending_phantoms
+                .iter()
+                .any(|e| (lo..=hi).contains(&e.msg.1))
+        };
+        assert!(replayed(0, 9), "beat-0..9 traffic is still replayable");
+        assert!(replayed(30, 40));
+    }
+
+    /// Broadcasts `500 + beat` from its one Byzantine node.
+    struct Needle;
+    impl Adversary<Tagged> for Needle {
+        fn act(&mut self, view: &AdversaryView<'_, Tagged>, out: &mut ByzOutbox<'_, Tagged>) {
+            let b = view.byzantine()[0];
+            out.broadcast(b, Tagged(b.raw(), 500 + view.beat()));
+        }
+    }
+
+    /// Within one phase an inbox is sorted by sender, and among one
+    /// sender's envelopes the fresh one (correct or Byzantine) precedes
+    /// every phantom replay carrying the same `from`.
+    #[test]
+    fn fresh_traffic_precedes_phantoms_of_the_same_sender() {
+        let plan = FaultPlan::new(vec![FaultEvent {
+            beat: 1,
+            kind: FaultKind::PhantomBurst { count: 64 },
+        }]);
+        let mut sim = SimBuilder::new(4, 1).seed(5).faults(plan).build(
+            |cfg, _rng| Recorder {
+                me: cfg.id,
+                nphases: 1,
+                round_trips: Vec::new(),
+                counter: 0,
+                corrupted: false,
+            },
+            Needle,
+        );
+        sim.run_beats(2);
+        let before = sim.app(NodeId::new(0)).unwrap().round_trips.len();
+        sim.step();
+        let inbox = &sim.app(NodeId::new(0)).unwrap().round_trips[before..];
+        let froms: Vec<u16> = inbox.iter().map(|&(_, from, _)| from).collect();
+        assert!(froms.is_sorted(), "{froms:?}");
+        for (from, fresh) in [(0, 2), (1, 2), (2, 2), (3, 502)] {
+            let values: Vec<u64> = inbox
+                .iter()
+                .filter(|&&(_, f, _)| f == from)
+                .map(|&(_, _, v)| v)
+                .collect();
+            assert_eq!(values[0], fresh, "sender {from}: {values:?}");
+            assert!(values[1..].iter().all(|&v| v < fresh), "{values:?}");
+        }
+        // The burst put stale copies behind a correct and a Byzantine sender.
+        let stale = |from: u16| inbox.iter().filter(|&&(_, f, _)| f == from).count() > 1;
+        assert!((0..3).any(stale) && stale(3), "{inbox:?}");
+    }
+
+    /// A blackout acts on the arrival end of the delay window: what is due
+    /// in a blacked-out beat is lost, what is due the beat after arrives.
+    #[test]
+    fn blackout_loses_what_is_due_and_spares_what_is_due_later() {
+        struct Placed;
+        impl Adversary<Tagged> for Placed {
+            fn act(&mut self, view: &AdversaryView<'_, Tagged>, out: &mut ByzOutbox<'_, Tagged>) {
+                if view.beat() == 5 {
+                    let b = view.byzantine()[0];
+                    out.send_after(b, NodeId::new(0), Tagged(b.raw(), 601), 1);
+                    out.send_after(b, NodeId::new(0), Tagged(b.raw(), 602), 2);
+                }
+            }
+        }
+        // Fires at the end of beat 5: beat 6 is dark, beat 7 is not.
+        let plan = FaultPlan::new(vec![FaultEvent {
+            beat: 5,
+            kind: FaultKind::Blackout { beats: 1 },
+        }]);
+        let mut sim = probe_sim_with(3, plan, Placed);
+        sim.run_beats(12);
+        let probe = sim.app(NodeId::new(0)).unwrap();
+        let from_byz: Vec<(u64, u64)> = probe
+            .arrivals
+            .iter()
+            .filter(|&&(from, _, _)| from == 4)
+            .map(|&(_, tag, received)| (tag, received))
+            .collect();
+        assert_eq!(from_byz, vec![(602, 7)]);
+        assert!(probe.arrivals.iter().all(|&(_, _, received)| received != 6));
+        // Correct traffic sent before and during the blackout, due after it.
+        for sent in [5, 6] {
+            assert!(
+                probe.arrivals.contains(&(0, sent, 7)) || probe.arrivals.contains(&(1, sent, 7)),
+                "{:?}",
+                probe.arrivals
+            );
+        }
     }
 
     /// The byte-boundary seam is behaviorally invisible: a run whose

@@ -16,7 +16,6 @@
 
 use crate::{Envelope, SimRng};
 use rand::Rng;
-use std::collections::BTreeMap;
 
 /// When messages sent at beat `r` are delivered.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -72,25 +71,35 @@ impl std::fmt::Display for TimingModel {
     }
 }
 
-/// Routes every envelope of a run through a per-message delivery queue.
+/// Routes every envelope of a run into the inbox it will be delivered from.
 ///
-/// Envelopes are keyed by `(deliver_beat, phase)`; a message sent in phase
-/// `p` arrives in phase `p` of its arrival beat, so multi-phase protocols
-/// keep their phase structure under delay. Within one delivery slot,
-/// envelopes keep their scheduling order (earlier-scheduled first), which
-/// makes delayed runs exactly replayable.
+/// The scheduler is a ring of recycled per-recipient inboxes: the slot of
+/// `(deliver_beat, phase)` is `n` inboxes, one per recipient, and a ring of
+/// `window` beats per phase covers every arrival the model can produce
+/// (lockstep is a ring of one). A message sent in phase `p` arrives in
+/// phase `p` of its arrival beat, so multi-phase protocols keep their
+/// phase structure under delay. Within one inbox, envelopes keep their
+/// scheduling order (earlier-scheduled first), which makes delayed runs
+/// exactly replayable. Inboxes keep their capacity across beats, so
+/// steady-state scheduling allocates nothing.
 #[derive(Debug)]
 pub(crate) struct DeliveryScheduler<M> {
     model: TimingModel,
     delay_rng: SimRng,
-    pending: BTreeMap<(u64, usize), Vec<Envelope<M>>>,
+    n: usize,
+    /// The ring row of the current beat: `beat % window`.
+    row: usize,
+    /// `inboxes[(phase * window + deliver_beat % window) * n + to]`;
+    /// phase-major, so the ring grows by whole phases the first time a
+    /// phase is used.
+    inboxes: Vec<Vec<Envelope<M>>>,
     /// `histogram[d]` = messages scheduled to arrive `d` beats after they
     /// were sent. Left empty under lockstep (no observation to report).
     histogram: Vec<u64>,
 }
 
 impl<M> DeliveryScheduler<M> {
-    pub(crate) fn new(model: TimingModel, delay_rng: SimRng) -> Self {
+    pub(crate) fn new(model: TimingModel, delay_rng: SimRng, n: usize) -> Self {
         // Normalize a hand-built `BoundedDelay { window: 0 }` (the struct
         // field is necessarily public for matching) so behavior and
         // reporting agree everywhere downstream.
@@ -108,7 +117,9 @@ impl<M> DeliveryScheduler<M> {
         DeliveryScheduler {
             model,
             delay_rng,
-            pending: BTreeMap::new(),
+            n,
+            row: 0,
+            inboxes: Vec::new(),
             histogram,
         }
     }
@@ -121,15 +132,30 @@ impl<M> DeliveryScheduler<M> {
         &self.histogram
     }
 
-    fn record(&mut self, delay: u64) {
-        if let Some(slot) = self.histogram.get_mut(delay as usize) {
-            *slot += 1;
-        }
+    /// Moves the scheduler to `beat`: everything scheduled until the next
+    /// call is sent in, and everything taken is due in, this beat.
+    pub(crate) fn begin_beat(&mut self, beat: u64) {
+        self.row = (beat % self.model.window()) as usize;
     }
 
-    /// Schedules a correct node's envelope sent in `(beat, phase)`; the
-    /// model draws the arrival beat.
-    pub(crate) fn schedule(&mut self, beat: u64, phase: usize, envelope: Envelope<M>) {
+    /// The `n` inboxes of the slot `delay < window` beats ahead.
+    fn slot(&mut self, delay: u64, phase: usize) -> &mut [Vec<Envelope<M>>] {
+        let window = self.model.window() as usize;
+        let mut row = self.row + delay as usize;
+        if row >= window {
+            row -= window;
+        }
+        let phases_end = (phase + 1) * window * self.n;
+        if self.inboxes.len() < phases_end {
+            self.inboxes.resize_with(phases_end, Vec::new);
+        }
+        let start = (phase * window + row) * self.n;
+        &mut self.inboxes[start..start + self.n]
+    }
+
+    /// Schedules a correct node's envelope sent in `phase` of the current
+    /// beat; the model draws the arrival beat.
+    pub(crate) fn schedule(&mut self, phase: usize, envelope: Envelope<M>) {
         let delay = match self.model {
             TimingModel::Lockstep => 0,
             TimingModel::BoundedDelay { window } => {
@@ -140,42 +166,40 @@ impl<M> DeliveryScheduler<M> {
                 }
             }
         };
-        self.record(delay);
-        self.schedule_raw(beat + delay, phase, envelope);
+        self.schedule_raw(phase, delay, envelope);
     }
 
     /// Schedules an envelope at an adversary- or fault-chosen delay,
     /// clamped into the model's window (0 under lockstep) — the seam
     /// through which Byzantine senders rush or reorder.
-    pub(crate) fn schedule_at(
-        &mut self,
-        beat: u64,
-        phase: usize,
-        delay: u64,
-        envelope: Envelope<M>,
-    ) {
+    pub(crate) fn schedule_at(&mut self, phase: usize, delay: u64, envelope: Envelope<M>) {
         let delay = delay.min(self.model.window() - 1);
-        self.record(delay);
-        self.schedule_raw(beat + delay, phase, envelope);
+        self.schedule_raw(phase, delay, envelope);
     }
 
-    fn schedule_raw(&mut self, deliver_beat: u64, phase: usize, envelope: Envelope<M>) {
-        self.pending
-            .entry((deliver_beat, phase))
-            .or_default()
-            .push(envelope);
+    /// An envelope addressed outside the cluster is observed (and was
+    /// drawn for) like any other; it has no inbox and is dropped.
+    fn schedule_raw(&mut self, phase: usize, delay: u64, envelope: Envelope<M>) {
+        if let Some(count) = self.histogram.get_mut(delay as usize) {
+            *count += 1;
+        }
+        if let Some(inbox) = self.slot(delay, phase).get_mut(envelope.to.index()) {
+            inbox.push(envelope);
+        }
     }
 
-    /// Removes and returns everything due in `(beat, phase)`, in
-    /// scheduling order.
-    pub(crate) fn take_due(&mut self, beat: u64, phase: usize) -> Vec<Envelope<M>> {
-        self.pending.remove(&(beat, phase)).unwrap_or_default()
+    /// The per-recipient inboxes due in `phase` of the current beat, each
+    /// in scheduling order. The caller empties them (delivered or not)
+    /// before the ring wraps around to this slot again, `window` beats
+    /// later.
+    pub(crate) fn due_inboxes(&mut self, phase: usize) -> &mut [Vec<Envelope<M>>] {
+        self.slot(0, phase)
     }
 
     /// Envelopes still in flight (tests and shutdown accounting).
     #[cfg(test)]
     pub(crate) fn in_flight(&self) -> usize {
-        self.pending.values().map(Vec::len).sum()
+        self.inboxes.iter().map(Vec::len).sum()
     }
 }
 
@@ -189,13 +213,29 @@ mod tests {
         Envelope::new(NodeId::new(0), NodeId::new(1), tag)
     }
 
+    fn scheduler(model: TimingModel, seed: u64) -> DeliveryScheduler<u64> {
+        DeliveryScheduler::new(model, SimRng::seed_from_u64(seed), 2)
+    }
+
+    /// Empties the slot due in `phase` of `beat`, returning node 1's inbox.
+    fn drain_due(s: &mut DeliveryScheduler<u64>, beat: u64, phase: usize) -> Vec<u64> {
+        s.begin_beat(beat);
+        let due = s.due_inboxes(phase);
+        assert!(due[0].is_empty(), "nothing was addressed to node 0");
+        due[1].drain(..).map(|e| e.msg).collect()
+    }
+
     #[test]
     fn lockstep_delivers_same_slot_in_order() {
-        let mut s = DeliveryScheduler::new(TimingModel::Lockstep, SimRng::seed_from_u64(0));
-        s.schedule(3, 1, env(10));
-        s.schedule(3, 1, env(11));
-        let due: Vec<u64> = s.take_due(3, 1).into_iter().map(|e| e.msg).collect();
-        assert_eq!(due, vec![10, 11]);
+        let mut s = scheduler(TimingModel::Lockstep, 0);
+        s.begin_beat(3);
+        s.schedule(1, env(10));
+        s.schedule(1, env(11));
+        assert!(
+            s.due_inboxes(0).iter().all(Vec::is_empty),
+            "phases are apart"
+        );
+        assert_eq!(drain_due(&mut s, 3, 1), vec![10, 11]);
         assert_eq!(s.in_flight(), 0);
         assert!(s.histogram().is_empty(), "lockstep reports no histogram");
     }
@@ -203,15 +243,19 @@ mod tests {
     #[test]
     fn bounded_delay_lands_inside_the_window() {
         let window = 3;
-        let mut s = DeliveryScheduler::new(TimingModel::bounded(window), SimRng::seed_from_u64(7));
+        let mut s = scheduler(TimingModel::bounded(window), 7);
+        s.begin_beat(10);
         for i in 0..200 {
-            s.schedule(10, 0, env(i));
+            s.schedule(0, env(i));
         }
-        let mut seen = 0;
+        assert_eq!(s.in_flight(), 200);
+        let mut seen = Vec::new();
         for beat in 10..10 + window {
-            seen += s.take_due(beat, 0).len();
+            let due = drain_due(&mut s, beat, 0);
+            assert!(due.is_sorted(), "an inbox keeps its scheduling order");
+            seen.extend(due);
         }
-        assert_eq!(seen, 200, "every message lands within the window");
+        assert_eq!(seen.len(), 200, "every message lands within the window");
         assert_eq!(s.in_flight(), 0);
         assert_eq!(s.histogram().iter().sum::<u64>(), 200);
         assert!(
@@ -223,22 +267,36 @@ mod tests {
 
     #[test]
     fn adversary_delay_is_clamped_to_the_window() {
-        let mut s = DeliveryScheduler::new(TimingModel::bounded(2), SimRng::seed_from_u64(1));
-        s.schedule_at(5, 0, 99, env(1)); // clamped to delay 1
-        assert!(s.take_due(5, 0).is_empty());
-        assert_eq!(s.take_due(6, 0).len(), 1);
+        let mut s = scheduler(TimingModel::bounded(2), 1);
+        s.begin_beat(5);
+        s.schedule_at(0, 99, env(1)); // clamped to delay 1
+        assert!(drain_due(&mut s, 5, 0).is_empty());
+        assert_eq!(drain_due(&mut s, 6, 0), vec![1]);
 
-        let mut lock = DeliveryScheduler::new(TimingModel::Lockstep, SimRng::seed_from_u64(1));
-        lock.schedule_at(5, 0, 99, env(2)); // lockstep forces delay 0
-        assert_eq!(lock.take_due(5, 0).len(), 1);
+        let mut lock = scheduler(TimingModel::Lockstep, 1);
+        lock.begin_beat(5);
+        lock.schedule_at(0, 99, env(2)); // lockstep forces delay 0
+        assert_eq!(drain_due(&mut lock, 5, 0), vec![2]);
     }
 
     #[test]
     fn window_one_is_instant_but_still_observed() {
-        let mut s = DeliveryScheduler::new(TimingModel::bounded(1), SimRng::seed_from_u64(3));
-        s.schedule(0, 0, env(1));
-        assert_eq!(s.take_due(0, 0).len(), 1);
+        let mut s = scheduler(TimingModel::bounded(1), 3);
+        s.begin_beat(0);
+        s.schedule(0, env(1));
+        assert_eq!(drain_due(&mut s, 0, 0), vec![1]);
         assert_eq!(s.histogram(), &[1]);
+    }
+
+    /// An envelope addressed outside the cluster is observed, then has no
+    /// inbox to land in.
+    #[test]
+    fn out_of_range_recipients_are_counted_then_dropped() {
+        let mut s = scheduler(TimingModel::bounded(1), 3);
+        s.begin_beat(0);
+        s.schedule(0, Envelope::new(NodeId::new(0), NodeId::new(2), 9));
+        assert_eq!(s.histogram(), &[1]);
+        assert_eq!(s.in_flight(), 0);
     }
 
     #[test]
