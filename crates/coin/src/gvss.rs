@@ -214,7 +214,9 @@ const DECODER_CACHE_CAP: usize = 32;
 ///
 /// The last two are pure functions of `(n, f, point set)` — constants in
 /// the sense of the paper's Remark 2.1, not protocol memory — which is why
-/// [`GvssCore::corrupt`] leaves the workspace alone.
+/// [`GvssCore::corrupt`] leaves the workspace alone. The one learned thing
+/// a cached decoder holds, its liar hint, is exempt on another ground: it
+/// changes what a decode costs, never what it returns.
 #[derive(Debug, Clone, Default)]
 pub struct GvssWorkspace(Arc<Mutex<WorkspaceInner>>);
 

@@ -33,24 +33,37 @@
 //! - **Batched decoding** ([`BatchDecoder`]): all codewords that share one
 //!   evaluation-point set (the per-beat GVSS recover case — every dealer's
 //!   share vector uses the same node indices) share everything that
-//!   depends only on the `x`s. Two rungs exist. The *clean* rung (`e = 0`)
-//!   is linear, not an elimination: a view is a codeword iff its last
-//!   `m − degree − 1` values are the Lagrange extension of its first
-//!   `degree + 1`, so a precomputed extension matrix checks it and the
-//!   inverse-Vandermonde rows read the coefficients off — dot products,
-//!   no allocation. A view with a non-zero residual goes to the
-//!   *full-budget* stage, whose Vandermonde `Q`-block is factored once
-//!   (LU-style: the elimination's operation log *is* the factorization)
-//!   and replayed per codeword against just the `y`-dependent columns; in
-//!   the homogeneous form that one stage resolves every error count
-//!   `1..=budget` (see [`BatchDecoder::decode_one`]).
+//!   depends only on the `x`s. Three rungs exist, tried in order:
+//!   1. The *clean* rung (`e = 0`) is linear, not an elimination: a view
+//!      is a codeword iff its last `m − degree − 1` values are the
+//!      Lagrange extension of its first `degree + 1`, so a precomputed
+//!      extension matrix checks it and the inverse-Vandermonde rows read
+//!      the coefficients off — dot products, no allocation.
+//!   2. The *erasure* rung is the clean rung over the points outside a
+//!      learned *liar hint* `S` (`1 ≤ |S| ≤ budget` positions the last
+//!      full-budget solves found wrong), with its own tables. The paper's
+//!      Byzantine set is fixed, so the wrong shares of one beat's — and
+//!      the next beat's — codewords come from the same `≤ f` senders, and
+//!      once `S` covers them a dirty view costs dot products too.
+//!   3. The *full-budget* stage, for a view neither linear rung explains,
+//!      factors its Vandermonde `Q`-block once (LU-style: the
+//!      elimination's operation log *is* the factorization) and replays
+//!      it per codeword against just the `y`-dependent columns; in the
+//!      homogeneous form that one stage resolves every error count
+//!      `1..=budget` (see [`BatchDecoder::decode_one`]). A success folds
+//!      the positions it found wrong into `S`.
 //!
-//! Both paths return exactly what the one-shot decoder returns: the unique
-//! codeword within `budget` mismatches of the view, or `None`. (Two
+//! Every path returns exactly what the one-shot decoder returns: the
+//! unique codeword within `budget` mismatches of the view, or `None`. Two
 //! degree-`≤ d` polynomials within `budget = (n − d − 1) / 2` mismatches
-//! of the same `n`-point view would agree on `≥ d + 1` points and hence be
-//! equal, so *which* candidate generation succeeds first cannot change the
-//! answer — a property the proptests below pin.)
+//! of the same `n`-point view agree on `≥ n − 2·budget ≥ d + 1` points and
+//! hence are equal, so *which* rung or candidate generation succeeds first
+//! cannot change the answer. For the erasure rung: if the `n − |S|` kept
+//! points fit a polynomial `P` of degree `≤ d`, then `P` differs from the
+//! view in at most `|S| ≤ budget` positions, so it is that unique
+//! codeword — whatever `S` is. A wrong or stale hint can only send a view
+//! on to the full-budget stage; it changes what a decode costs, never what
+//! it returns (the proptests below install arbitrary hints to pin this).
 
 // Indexed loops in this file mirror the paper's matrix/polynomial
 // subscripts; iterator rewrites would obscure the math.
@@ -133,7 +146,10 @@ fn split_kernel(labels: &[Unknown], kernel: &[FpElem]) -> (Vec<FpElem>, Vec<FpEl
 /// or `None` when the candidate does not survive the checks: `E ≢ 0`, the
 /// division `Q / E` exact, the quotient of degree `≤ degree` and within
 /// `budget` mismatches of the view. Shared by the ladder and the batch
-/// decoder so acceptance can never drift between them.
+/// decoder so acceptance can never drift between them. Once a quotient
+/// exists, `mismatches` holds the positions where it disagrees with the
+/// view (the batch decoder's liar hint learns from them).
+#[allow(clippy::too_many_arguments)]
 fn accept_candidate(
     fp: &Fp,
     xs: &[FpElem],
@@ -142,6 +158,7 @@ fn accept_candidate(
     budget: usize,
     labels: &[Unknown],
     kernel: &[FpElem],
+    mismatches: &mut Vec<usize>,
 ) -> Option<Poly> {
     let (q_coeffs, e_coeffs) = split_kernel(labels, kernel);
     let q = Poly::from_coeffs(q_coeffs);
@@ -158,12 +175,9 @@ fn accept_candidate(
     }
     // Accept only if the candidate explains all but <= budget points; this
     // rejects spurious solutions of the key equation.
-    let mismatches = xs
-        .iter()
-        .zip(ys)
-        .filter(|&(&x, &y)| p.eval(fp, x) != y)
-        .count();
-    (mismatches <= budget).then_some(p)
+    mismatches.clear();
+    mismatches.extend((0..xs.len()).filter(|&i| p.eval(fp, xs[i]) != ys[i]));
+    (mismatches.len() <= budget).then_some(p)
 }
 
 /// Berlekamp–Welch with an explicit error budget `e`.
@@ -221,7 +235,8 @@ pub fn decode_with_errors(
             // coefficients to that padded vector (a free column is zero
             // at and below the elimination front of its time), so every
             // later rung would re-derive this exact candidate.
-            return accept_candidate(fp, &xs, &ys, degree, budget, &labels, &kernel);
+            let mismatches = &mut Vec::new();
+            return accept_candidate(fp, &xs, &ys, degree, budget, &labels, &kernel, mismatches);
         }
     }
     None
@@ -234,8 +249,9 @@ fn power_table(fp: &Fp, xs: &[FpElem], max_pow: usize) -> Vec<Vec<FpElem>> {
 
 /// Decodes many codewords that share one evaluation-point set: a clean
 /// codeword costs dot products against tables that depend only on the
-/// points, and the rest share one factored Vandermonde block of the
-/// Berlekamp–Welch key equation (both built lazily, once).
+/// points, so does one whose wrong shares sit where earlier ones' did, and
+/// the rest share one factored Vandermonde block of the Berlekamp–Welch
+/// key equation (all built lazily, once).
 ///
 /// This is the shape of the GVSS recover round: at each beat a node
 /// decodes one degree-`f` polynomial per `(dealer, target)` pair, and all
@@ -269,24 +285,74 @@ pub struct BatchDecoder {
     xs: Vec<FpElem>,
     degree: usize,
     budget: usize,
-    /// `xpow[i][j] = xs[i]^j`, shared by both rungs and every codeword.
+    /// `xpow[i][j] = xs[i]^j`, shared by every rung and every codeword.
     xpow: Vec<Vec<FpElem>>,
     /// The clean rung's tables, built on the first decode.
     linear: Option<LinearTables>,
-    /// The eliminated Vandermonde `Q`-block of the full-budget rung, built
-    /// on the first view that is not a codeword — a clean batch never
-    /// factors anything.
-    full_stage: Option<Eliminator>,
-    /// The reduced view under decode, reused across calls so a clean
-    /// decode allocates nothing beyond its result.
+    /// The erasure rung, learned from full-budget solves. Not a function
+    /// of the points: it changes what a decode costs, never what it
+    /// returns (see the module docs).
+    hint: Option<LiarHint>,
+    /// The full-budget rung, built on the first view neither linear rung
+    /// explains — a clean batch never factors anything.
+    full_stage: Option<FullStage>,
+    /// The reduced view under decode, reused across calls so a decode by
+    /// a linear rung allocates nothing beyond its result.
     ys_buf: Vec<FpElem>,
+    /// The loaded view's values at the hint's kept positions.
+    kept_buf: Vec<FpElem>,
+    /// Where the last accepted full-budget candidate disagreed with its
+    /// view.
+    mismatches: Vec<usize>,
 }
 
-/// What the clean rung knows about a point set. With `k = degree + 1` and
+/// The erasure rung's state: the positions presumed wrong and the clean
+/// rung's tables over the rest.
+#[derive(Debug, Clone)]
+struct LiarHint {
+    /// `S`: ascending, `1..=budget` positions.
+    liars: Vec<usize>,
+    /// The other positions, ascending.
+    kept: Vec<usize>,
+    /// [`LinearTables`] over the points at `kept`.
+    tables: LinearTables,
+}
+
+/// The full-budget rung: the eliminated Vandermonde `Q`-block and what
+/// each column of the key equation solves for — `Q(0..q_len)`, then the
+/// per-codeword columns `E(0..=budget)`.
+#[derive(Debug, Clone)]
+struct FullStage {
+    el: Eliminator,
+    labels: Vec<Unknown>,
+}
+
+impl FullStage {
+    /// Eliminates the shared `Q`-block. Distinct xs make it full column
+    /// rank, so every column pivots and the stage is rewindable to this
+    /// state per codeword.
+    fn new(fp: &Fp, xpow: &[Vec<FpElem>], degree: usize, budget: usize) -> Self {
+        let n = xpow.len();
+        let q_len = degree + budget + 1;
+        let mut el = Eliminator::new(n);
+        for j in 0..q_len {
+            let pivoted = el.push_col(fp, (0..n).map(|i| xpow[i][j]).collect());
+            debug_assert!(pivoted, "Vandermonde columns over distinct xs pivot");
+        }
+        let labels = (0..q_len)
+            .map(Unknown::Q)
+            .chain((0..=budget).map(Unknown::E))
+            .collect();
+        FullStage { el, labels }
+    }
+}
+
+/// What a linear rung knows about a point set. With `k = degree + 1` and
 /// the *head* of a view its first `k` values, both matrices are row-major
 /// with rows of length `k`, ready for [`Fp::dot`] against the head.
 #[derive(Debug, Clone)]
 struct LinearTables {
+    k: usize,
     /// `k × k`, the inverse Vandermonde matrix of the first `k` points:
     /// row `c` dotted with the head is coefficient `c` of the polynomial
     /// through it. Row 0 is the functional "value at 0".
@@ -333,7 +399,26 @@ impl LinearTables {
                 }
             }
         }
-        LinearTables { interp, ext }
+        LinearTables { k, interp, ext }
+    }
+
+    /// Whether `view` (one value per point) is a codeword: its tail is
+    /// the extension of its head.
+    fn fits(&self, fp: &Fp, view: &[FpElem]) -> bool {
+        let (head, tail) = view.split_at(self.k);
+        let mut extension = self.ext.chunks(self.k).zip(tail);
+        extension.all(|(row, &y)| fp.dot(row, head) == y)
+    }
+
+    /// The polynomial through `head`.
+    fn poly(&self, fp: &Fp, head: &[FpElem]) -> Poly {
+        let coeffs = self.interp.chunks(self.k);
+        Poly::from_coeffs(coeffs.map(|row| fp.dot(row, head)).collect())
+    }
+
+    /// Its value at 0: one dot product.
+    fn at_zero(&self, fp: &Fp, head: &[FpElem]) -> FpElem {
+        fp.dot(&self.interp[..self.k], head)
     }
 }
 
@@ -363,8 +448,11 @@ impl BatchDecoder {
             budget,
             xpow,
             linear: None,
+            hint: None,
             full_stage: None,
             ys_buf: Vec::new(),
+            kept_buf: Vec::new(),
+            mismatches: Vec::new(),
         })
     }
 
@@ -384,44 +472,49 @@ impl BatchDecoder {
     /// `None` — including when `ys.len()` does not match
     /// [`BatchDecoder::codeword_len`].
     ///
-    /// Only two rungs of the error ladder ever run: the clean one (`e = 0`:
-    /// `ys` is a codeword iff it equals the extension of its own head, and
-    /// then the polynomial through the head is the answer) and the
-    /// full-budget stage. The intermediate rungs the one-shot ladder climbs
-    /// are redundant here: at the full budget, *any* nonzero kernel vector
-    /// already satisfies `Q = P·E` exactly whenever the view is within
-    /// budget of a codeword `P` (the `n ≥ degree + 2·budget + 1` point
-    /// count makes `Q − P·E` vanish at more points than its degree), so
-    /// every error count `1..=budget` is resolved by one stage — and the
-    /// answer is still identical to the one-shot decode by uniqueness.
+    /// Three rungs of the error ladder run, the first that explains `ys`
+    /// answering. The *clean* rung (`e = 0`: `ys` is a codeword iff it
+    /// equals the extension of its own head, and then the polynomial
+    /// through the head is the answer). The *erasure* rung: the same
+    /// check over the positions outside the liar hint — if those
+    /// `m − |S|` points fit a polynomial `P` of degree `≤ degree`, then
+    /// `P` is within `|S| ≤ budget` mismatches of `ys`, and any two
+    /// polynomials within `budget` of one view agree on
+    /// `m − 2·budget ≥ degree + 1` points, so `P` is the unique codeword
+    /// Berlekamp–Welch returns, whatever the hint is. And the
+    /// *full-budget* stage. The intermediate rungs the one-shot ladder
+    /// climbs are redundant here: at the full budget, *any* nonzero
+    /// kernel vector already satisfies `Q = P·E` exactly whenever the view
+    /// is within budget of a codeword `P` (the `m ≥ degree + 2·budget + 1`
+    /// point count makes `Q − P·E` vanish at more points than its
+    /// degree), so every error count `1..=budget` is resolved by one stage
+    /// — and the answer is still identical to the one-shot decode by
+    /// uniqueness.
     pub fn decode_one(&mut self, ys: &[FpElem]) -> Option<Poly> {
-        if self.load(ys)? {
-            let (fp, head, tables) = self.clean_parts();
-            let coeffs = tables.interp.chunks(head.len());
-            Some(Poly::from_coeffs(
-                coeffs.map(|row| fp.dot(row, head)).collect(),
-            ))
-        } else {
-            self.decode_loaded_with_errors()
+        let fp = self.fp;
+        match self.linear_rungs(ys)? {
+            Some((tables, head)) => Some(tables.poly(&fp, head)),
+            None => self.decode_full(),
         }
     }
 
     /// The decoded polynomial's value at 0 — what a Shamir recovery wants:
-    /// `decode_one(ys).map(|g| g.eval(fp, 0))`, but a clean codeword pays
-    /// one more dot product instead of building the polynomial.
+    /// `decode_one(ys).map(|g| g.eval(fp, 0))`, but a view a linear rung
+    /// explains pays one more dot product instead of building the
+    /// polynomial.
     pub fn decode_at_zero(&mut self, ys: &[FpElem]) -> Option<FpElem> {
-        if self.load(ys)? {
-            let (fp, head, tables) = self.clean_parts();
-            Some(fp.dot(&tables.interp[..head.len()], head))
-        } else {
-            let fp = self.fp;
-            self.decode_loaded_with_errors().map(|g| g.eval(&fp, 0))
+        let fp = self.fp;
+        match self.linear_rungs(ys)? {
+            Some((tables, head)) => Some(tables.at_zero(&fp, head)),
+            None => self.decode_full().map(|g| g.eval(&fp, 0)),
         }
     }
 
-    /// The clean rung: loads the reduced view into `ys_buf` and reports
-    /// whether it is a codeword (`None` on a length mismatch).
-    fn load(&mut self, ys: &[FpElem]) -> Option<bool> {
+    /// The clean and erasure rungs: loads the reduced view into `ys_buf`
+    /// and returns the tables and head whose interpolation is the answer,
+    /// or `Some(None)` when only the full-budget stage can tell (`None` on
+    /// a length mismatch).
+    fn linear_rungs(&mut self, ys: &[FpElem]) -> Option<Option<(&LinearTables, &[FpElem])>> {
         if ys.len() != self.xs.len() {
             return None;
         }
@@ -433,75 +526,107 @@ impl BatchDecoder {
             self.ys_buf.extend(ys.iter().map(|&y| fp.reduce(y)));
         }
         let (xs, xpow, degree) = (&self.xs, &self.xpow, self.degree);
-        let tables = self
+        let clean = self
             .linear
             .get_or_insert_with(|| LinearTables::new(&fp, xs, xpow, degree));
-        let (head, tail) = self.ys_buf.split_at(degree + 1);
-        let mut extension = tables.ext.chunks(degree + 1).zip(tail);
-        Some(extension.all(|(row, &y)| fp.dot(row, head) == y))
+        if clean.fits(&fp, &self.ys_buf) {
+            return Some(Some((clean, &self.ys_buf[..=degree])));
+        }
+        let Some(hint) = &self.hint else {
+            return Some(None);
+        };
+        self.kept_buf.clear();
+        self.kept_buf
+            .extend(hint.kept.iter().map(|&i| self.ys_buf[i]));
+        let erased = hint.tables.fits(&fp, &self.kept_buf);
+        Some(erased.then(|| (&hint.tables, &self.kept_buf[..=degree])))
     }
 
-    /// The field, the loaded view's head and the tables, after a
-    /// [`BatchDecoder::load`] that reported a codeword.
-    fn clean_parts(&self) -> (Fp, &[FpElem], &LinearTables) {
-        let tables = self.linear.as_ref().expect("load built the tables");
-        (self.fp, &self.ys_buf[..=self.degree], tables)
-    }
-
-    /// The full-budget rung over the loaded view, which is not a codeword.
-    fn decode_loaded_with_errors(&mut self) -> Option<Poly> {
+    /// The full-budget rung over the loaded view, which neither linear
+    /// rung explains. A decoded view teaches the liar hint where it was
+    /// wrong.
+    fn decode_full(&mut self) -> Option<Poly> {
         let e = self.budget;
         if e == 0 {
             return None; // the clean rung was the only one
         }
         let n = self.xs.len();
         let fp = self.fp;
-        let q_len = self.degree + e + 1;
-        let xpow = &self.xpow;
+        let (xpow, degree) = (&self.xpow, self.degree);
         let ys = &self.ys_buf;
         let stage = self
             .full_stage
-            .get_or_insert_with(|| build_stage(&fp, xpow, q_len));
+            .get_or_insert_with(|| FullStage::new(&fp, xpow, degree, e));
         // Push the y-dependent columns (built in recycled column buffers),
         // read a kernel vector, rewind to the shared Q-block factorization.
-        let mark = stage.mark();
+        let el = &mut stage.el;
+        let mark = el.mark();
         for j in 0..=e {
-            let mut col = stage.spare_col();
+            let mut col = el.spare_col();
             col.extend((0..n).map(|i| fp.neg(fp.mul(ys[i], xpow[i][j]))));
-            stage.push_col(&fp, col);
+            el.push_col(&fp, col);
         }
-        let kernel = stage.kernel_vector(&fp);
-        stage.reset(mark);
-        let kernel = kernel?;
-        let labels: Vec<Unknown> = (0..q_len)
-            .map(Unknown::Q)
-            .chain((0..=e).map(Unknown::E))
-            .collect();
-        accept_candidate(&fp, &self.xs, ys, self.degree, e, &labels, &kernel)
+        let kernel = el.kernel_vector(&fp);
+        el.reset(mark);
+        let (xs, mismatches) = (&self.xs, &mut self.mismatches);
+        let p = accept_candidate(&fp, xs, ys, degree, e, &stage.labels, &kernel?, mismatches)?;
+        self.learn_liars();
+        Some(p)
+    }
+
+    /// Folds the mismatch set `M` of an accepted full-budget solve into
+    /// the hint: `S ∪ M` while that fits the budget, else `M` alone. The
+    /// union is what lets `S` reach the true liar set even when a lie
+    /// happens to equal the correct share. Tables are rebuilt only when
+    /// `S` changes.
+    fn learn_liars(&mut self) {
+        let liars = &mut self.mismatches;
+        let old = self.hint.as_ref().map_or(&[][..], |h| &h.liars);
+        let m_len = liars.len();
+        for &i in old {
+            if !liars[..m_len].contains(&i) {
+                liars.push(i);
+            }
+        }
+        if liars.len() > self.budget {
+            liars.truncate(m_len);
+        }
+        liars.sort_unstable();
+        if liars[..] != *old {
+            let liars = liars.clone();
+            self.set_hint(liars);
+        }
+    }
+
+    /// Makes `liars` (ascending, at most `budget` positions) the erasure
+    /// rung's hint and builds its tables; an empty set clears the hint.
+    fn set_hint(&mut self, liars: Vec<usize>) {
+        debug_assert!(liars.len() <= self.budget && liars.windows(2).all(|w| w[0] < w[1]));
+        self.hint = (!liars.is_empty()).then(|| {
+            let kept: Vec<usize> = (0..self.xs.len())
+                .filter(|i| liars.binary_search(i).is_err())
+                .collect();
+            let xs: Vec<FpElem> = kept.iter().map(|&i| self.xs[i]).collect();
+            let xpow: Vec<Vec<FpElem>> = kept.iter().map(|&i| self.xpow[i].clone()).collect();
+            let tables = LinearTables::new(&self.fp, &xs, &xpow, self.degree);
+            LiarHint {
+                liars,
+                kept,
+                tables,
+            }
+        });
     }
 
     /// Decodes a batch of codewords; `out[i]` is [`decode_one`] of
-    /// `codewords[i]`. The tables and the full-budget factorization are
-    /// built at most once across the whole batch — the amortization the
-    /// GVSS recover round leans on.
+    /// `codewords[i]`. The clean tables and the full-budget factorization
+    /// are built at most once across the whole batch, and the liar hint
+    /// one codeword teaches serves the next — the amortization the GVSS
+    /// recover round leans on.
     ///
     /// [`decode_one`]: BatchDecoder::decode_one
     pub fn decode_batch(&mut self, codewords: &[Vec<FpElem>]) -> Vec<Option<Poly>> {
         codewords.iter().map(|ys| self.decode_one(ys)).collect()
     }
-}
-
-/// Eliminates the [`BatchDecoder`] full-budget stage's shared Vandermonde
-/// `Q`-block. Distinct xs make the block full column rank, so every column
-/// pivots and the stage is rewindable to this state per codeword.
-fn build_stage(fp: &Fp, xpow: &[Vec<FpElem>], q_len: usize) -> Eliminator {
-    let n = xpow.len();
-    let mut el = Eliminator::new(n);
-    for j in 0..q_len {
-        let pivoted = el.push_col(fp, (0..n).map(|i| xpow[i][j]).collect());
-        debug_assert!(pivoted, "Vandermonde columns over distinct xs pivot");
-    }
-    el
 }
 
 #[cfg(test)]
@@ -514,6 +639,32 @@ mod tests {
 
     fn eval_points(fp: &Fp, p: &Poly, n: u64) -> Vec<(u64, u64)> {
         (1..=n).map(|x| (x, p.eval(fp, x))).collect()
+    }
+
+    /// `count` distinct members of `pool`, ascending.
+    fn pick(rng: &mut StdRng, mut pool: Vec<usize>, count: usize) -> Vec<usize> {
+        let len = pool.len();
+        for i in 0..count {
+            pool.swap(i, rng.random_range(i..len));
+        }
+        pool.truncate(count);
+        pool.sort_unstable();
+        pool
+    }
+
+    /// The one-shot reference for a view over `xs`.
+    fn one_shot(fp: &Fp, xs: &[u64], ys: &[u64], degree: usize) -> Option<Poly> {
+        let points: Vec<(u64, u64)> = xs.iter().copied().zip(ys.iter().copied()).collect();
+        decode(fp, &points, degree)
+    }
+
+    /// Both batch entries against `want`, twice: the second call runs
+    /// against the tables (and whatever hint) the first left behind.
+    fn assert_batch_matches(fp: &Fp, dec: &mut BatchDecoder, ys: &[u64], want: &Option<Poly>) {
+        for _ in 0..2 {
+            assert_eq!(&dec.decode_one(ys), want);
+            assert_eq!(dec.decode_at_zero(ys), want.as_ref().map(|g| g.eval(fp, 0)));
+        }
     }
 
     #[test]
@@ -637,6 +788,126 @@ mod tests {
         }
     }
 
+    /// A degree-`f` codeword over `1..=n` whose `liars` carry a random
+    /// share (which may happen to equal the correct one when `visible` is
+    /// false, and never does when it is true).
+    fn lying_view(
+        fp: &Fp,
+        rng: &mut StdRng,
+        n: u64,
+        f: usize,
+        liars: &[usize],
+        visible: bool,
+    ) -> (Poly, Vec<u64>) {
+        let p = Poly::random_with_secret(fp, fp.sample(rng), f, rng);
+        let mut ys: Vec<u64> = (1..=n).map(|x| p.eval(fp, x)).collect();
+        for &i in liars {
+            ys[i] = if visible {
+                fp.add(ys[i], rng.random_range(1..fp.modulus()))
+            } else {
+                fp.sample(rng)
+            };
+        }
+        (p, ys)
+    }
+
+    #[test]
+    fn fixed_liars_stop_reaching_the_full_stage_once_hinted() {
+        // n = 13, f = 4, three senders lie in every codeword with random
+        // shares (1 in 17 equals the truth, so one solve may miss a liar;
+        // the union rule catches it on a later one). Once the hint is the
+        // liar set, the full-budget stage is dropped: any later view that
+        // reached Berlekamp–Welch would have rebuilt it.
+        let fp = Fp::for_cluster(13);
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut dec = BatchDecoder::new(&fp, &(1..=13).collect::<Vec<_>>(), 4).unwrap();
+        let liars = [2, 5, 11];
+        let mut hinted_at = None;
+        for c in 0..300 {
+            let (p, ys) = lying_view(&fp, &mut rng, 13, 4, &liars, false);
+            assert_eq!(
+                dec.decode_at_zero(&ys),
+                Some(p.eval(&fp, 0)),
+                "codeword {c}"
+            );
+            if hinted_at.is_none() && dec.hint.as_ref().is_some_and(|h| h.liars == liars) {
+                hinted_at = Some(c);
+                dec.full_stage = None;
+            }
+        }
+        assert!(
+            hinted_at.is_some_and(|c| c < 10),
+            "learned at {hinted_at:?}"
+        );
+        assert!(
+            dec.full_stage.is_none(),
+            "a hinted view reached the full stage"
+        );
+    }
+
+    #[test]
+    fn rotating_liars_within_one_f_set_rebuild_at_most_f_times() {
+        // Every nonempty subset of one fixed f-set, in turn, lies visibly.
+        // The hint only grows inside that set, so its tables are built at
+        // most f times. A rebuild allocates the new tables while the old
+        // ones are still alive, so a changed table address is a rebuild.
+        let fp = Fp::for_cluster(13);
+        let f = 4;
+        let f_set = [0, 3, 8, 12];
+        let mut rng = StdRng::seed_from_u64(9);
+        let mut dec = BatchDecoder::new(&fp, &(1..=13).collect::<Vec<_>>(), f).unwrap();
+        let mut tables = None;
+        let mut builds = 0;
+        for c in 0..150usize {
+            let mask = c % 15 + 1;
+            let liars: Vec<usize> = (0..f)
+                .filter(|b| mask >> b & 1 == 1)
+                .map(|b| f_set[b])
+                .collect();
+            let (p, ys) = lying_view(&fp, &mut rng, 13, f, &liars, true);
+            assert_eq!(dec.decode_one(&ys), Some(p), "codeword {c}");
+            let now = dec.hint.as_ref().map(|h| h.tables.ext.as_ptr());
+            builds += usize::from(now != tables);
+            tables = now;
+        }
+        assert!(builds <= f, "{builds} rebuilds");
+        assert_eq!(dec.hint.map(|h| h.liars), Some(f_set.to_vec()));
+    }
+
+    #[test]
+    fn hinted_views_past_the_budget_match_decode() {
+        // With a hint installed, views more than `budget` errors from the
+        // polynomial they came from return exactly what `decode` returns:
+        // usually `None`, and a *different* codeword when every wrong
+        // share outside the hint agrees with one — the erasure rung's
+        // answer is the unique nearby codeword, not the original.
+        let fp = Fp::for_cluster(13);
+        let xs: Vec<u64> = (1..=13).collect();
+        let mut rng = StdRng::seed_from_u64(3);
+        let mut dec = BatchDecoder::new(&fp, &xs, 4).unwrap();
+        let hint = vec![1, 6, 9, 10];
+        for errors in 5..=9 {
+            for trial in 0..20 {
+                dec.set_hint(hint.clone());
+                let damaged = pick(&mut rng, (0..13).collect(), errors);
+                let (_, mut ys) = lying_view(&fp, &mut rng, 13, 4, &damaged, true);
+                let crafted = trial % 2 == 0;
+                let q = Poly::random_with_secret(&fp, fp.sample(&mut rng), 4, &mut rng);
+                if crafted {
+                    // Show a second codeword q everywhere but the hint.
+                    for i in (0..13).filter(|i| !hint.contains(i)) {
+                        ys[i] = q.eval(&fp, xs[i]);
+                    }
+                }
+                let want = one_shot(&fp, &xs, &ys, 4);
+                if crafted {
+                    assert_eq!(want.as_ref(), Some(&q), "{errors} errors, trial {trial}");
+                }
+                assert_batch_matches(&fp, &mut dec, &ys, &want);
+            }
+        }
+    }
+
     proptest! {
         /// Shamir recovery with adversarial corruption: n = 3f + 1 shares,
         /// f of them corrupted arbitrarily, degree-f secret polynomial.
@@ -714,17 +985,21 @@ mod tests {
             }
         }
 
-        /// The linear clean rung and the value-only entry against the
-        /// one-shot decoder, over every test modulus and every way a view
-        /// can sit relative to the code: a codeword, within budget, one
-        /// past it, damaged only in the head the rung interpolates from,
+        /// The linear rungs and the value-only entry against the one-shot
+        /// decoder, over every test modulus and every way a view can sit
+        /// relative to the code: a codeword, within budget, one past it,
+        /// damaged only in the head the clean rung interpolates from,
         /// non-canonical, `m = degree + 1` (no extension rows, budget 0),
-        /// and the wrong length.
+        /// and the wrong length. Each view meets an arbitrary liar hint of
+        /// at most `budget` positions — none, any subset, honest positions
+        /// only, or the damaged set itself (all of it when it fits) — since
+        /// a hint may change what a decode costs, never what it returns.
         #[test]
         fn linear_rung_and_value_entry_match_one_shot_decode(
             p in proptest::sample::select(TEST_PRIMES.to_vec()),
             seed in any::<u64>(),
             shape in 0usize..6,
+            hint_kind in 0usize..4,
         ) {
             let fp = Fp::new(p).unwrap();
             let mut rng = StdRng::seed_from_u64(seed);
@@ -743,32 +1018,33 @@ mod tests {
                 3 => (rng.random_range(1..=degree + 1), degree + 1),
                 _ => (rng.random_range(budget.min(1)..=budget), m),
             };
-            let mut positions: Vec<usize> = (0..span).collect();
-            for i in 0..errors {
-                positions.swap(i, rng.random_range(i..span));
-                let y = &mut ys[positions[i]];
-                *y = fp.add(*y, rng.random_range(1..p));
+            let damaged = pick(&mut rng, (0..span).collect(), errors);
+            for &i in &damaged {
+                ys[i] = fp.add(ys[i], rng.random_range(1..p));
             }
             if shape == 4 {
                 for y in &mut ys {
                     *y += p * rng.random_range(0..3u64);
                 }
             }
-            let points: Vec<(u64, u64)> = xs.iter().copied().zip(ys.iter().copied()).collect();
-            let want = decode(&fp, &points, degree);
+            let want = one_shot(&fp, &xs, &ys, degree);
             if errors <= budget {
                 prop_assert_eq!(want.as_ref(), Some(&g));
             }
             let mut dec = BatchDecoder::new(&fp, &xs, degree).expect("distinct xs");
             prop_assert_eq!(dec.budget(), budget);
-            // Twice: the second call runs against the cached tables.
-            for _ in 0..2 {
-                prop_assert_eq!(dec.decode_one(&ys), want.clone());
-                prop_assert_eq!(
-                    dec.decode_at_zero(&ys),
-                    want.as_ref().map(|g| g.eval(&fp, 0))
-                );
-            }
+            let (pool, size) = match hint_kind {
+                0 => (Vec::new(), 0),
+                1 => ((0..m).collect(), rng.random_range(0..=budget)),
+                2 => {
+                    let honest: Vec<usize> = (0..m).filter(|i| !damaged.contains(i)).collect();
+                    let size = rng.random_range(0..=budget.min(honest.len()));
+                    (honest, size)
+                }
+                _ => (damaged.clone(), errors.min(budget)),
+            };
+            dec.set_hint(pick(&mut rng, pool, size));
+            assert_batch_matches(&fp, &mut dec, &ys, &want);
             prop_assert_eq!(dec.decode_one(&ys[..m - 1]), None);
             prop_assert_eq!(dec.decode_at_zero(&ys[..m - 1]), None);
         }

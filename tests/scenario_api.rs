@@ -293,6 +293,20 @@ fn lockstep_pins_the_pre_refactor_seed_reports() {
     }
 }
 
+/// The decode error path's golden: Byzantine recover shares at n = 13
+/// from a corrupt start plus a scramble, so `BatchDecoder` meets views
+/// with wrong shares from the same senders beat after beat. Captured at
+/// the parent of the liar-hint erasure rung (`d902ff8`), which may change
+/// the cost of these decodes but never their output.
+#[test]
+fn byzantine_recover_shares_pin_the_report() {
+    let line = "coin-stream n=13 f=4 k=8 coin=ticket adv=recover-equivocator:3 \
+                faults=corrupt-start+scramble@20 seed=1 budget=60";
+    let golden = r#"{"spec":"coin-stream n=13 f=4 k=8 coin=ticket adv=recover-equivocator:3 faults=corrupt-start+scramble@20 seed=1 budget=60","beats":60,"converged_at":null,"measured_from":21,"final_streak":0,"final_clocks":[],"traffic":{"correct_msgs":28080,"correct_bytes":17917596,"byz_msgs":3120,"byz_bytes":4439760,"forged_dropped":0,"phantom_msgs":0,"mean_correct_msgs_per_beat":468.000,"mean_correct_bytes_per_beat":298626.600},"extras":{"p0":0.732143,"p1":0.267857,"agreement_rate":1.000000,"measured_beats":56.000000}}"#;
+    let report = Scenario::run(&ScenarioSpec::parse(line).unwrap()).unwrap();
+    assert_eq!(report.to_json(), golden, "decode error path drifted");
+}
+
 /// Bounded-delay scenarios run end-to-end: `delay=2` parses, resolves,
 /// replays deterministically, and reports the delay extras the grid
 /// aggregates.
