@@ -25,8 +25,8 @@
 // Indexed loops in this file mirror the paper's matrix/polynomial
 // subscripts; iterator rewrites would obscure the math.
 #![allow(clippy::needless_range_loop)]
-use crate::messages::{check_matrix, CoinMsg};
-use byzclock_field::{BatchDecoder, Fp, Poly, SymmetricBivariate};
+use crate::messages::{check_matrix, CoinMsg, FlatMatrix};
+use byzclock_field::{BatchDecoder, Fp, SymmetricBivariate};
 use byzclock_sim::{NodeCfg, NodeId, SimRng, Target};
 use rand::Rng;
 use std::sync::{Arc, Mutex};
@@ -129,8 +129,21 @@ impl AllocStats {
 /// ones, and `reset` touches lengths and values, never capacity.
 #[derive(Debug, Default)]
 struct GvssStorage {
-    /// `[dealer] -> my rows` (one polynomial per target).
-    rows: Vec<Option<Vec<Poly>>>,
+    /// `[(dealer * targets + t) * (f + 1) + k]` -> coefficient `k` of my
+    /// row for `dealer`'s target `t`, zero-padded to the degree bound — a
+    /// padded row evaluates exactly like the `Poly::from_coeffs` trim it
+    /// stands for. Meaningful only where `present`.
+    coeffs: Vec<u64>,
+    /// `[dealer] -> I hold rows from dealer`.
+    present: Vec<bool>,
+    /// The echo memo: `[node] -> the Echo payload I send it`, my rows at
+    /// its share point — which by symmetry is also what its echo to me
+    /// must say. Derived from `coeffs`/`present` by
+    /// [`GvssCore::build_echoes`]; empty when stale (`recv_share`,
+    /// `corrupt` and `reset` clear it, `recv_echo` drops it when done).
+    echoes: Vec<Arc<FlatMatrix>>,
+    /// Echo-memo scratch: one row evaluated at every share point.
+    evals: Vec<u64>,
     /// `[dealer * n + sender] -> all targets matched my rows`.
     matches: Vec<bool>,
     /// Per-dealer count of `true` entries in `matches`, maintained
@@ -154,11 +167,16 @@ struct GvssStorage {
 }
 
 impl GvssStorage {
-    /// Clears values and (re)sizes every buffer for an `(n, targets)`
+    /// Clears values and (re)sizes every buffer for an `(n, f, targets)`
     /// instance, preserving capacity from previous lives.
-    fn reset(&mut self, n: usize, targets: usize) {
-        self.rows.clear();
-        self.rows.resize(n, None);
+    fn reset(&mut self, n: usize, f: usize, targets: usize) {
+        self.coeffs.clear();
+        self.coeffs.resize(n * targets * (f + 1), 0);
+        self.present.clear();
+        self.present.resize(n, false);
+        self.echoes.clear();
+        self.evals.clear();
+        self.evals.resize(n, 0);
         self.matches.clear();
         self.matches.resize(n * n, false);
         self.match_counts.clear();
@@ -237,27 +255,32 @@ struct CachedDecoder {
     hits: u64,
 }
 
-/// Powers `x⁰..=x^f` of every node's share point: what turns each
-/// polynomial evaluation of the dealing and echo rounds into one
-/// [`Fp::dot`].
+/// Powers `x⁰..=x^f` of every node's share point, in the two shapes the
+/// dealing and echo rounds evaluate against.
 #[derive(Debug)]
 struct SharePowers {
     n: usize,
     f: usize,
-    /// Row-major `n × (f + 1)`.
+    /// Row-major `n × (f + 1)`: one node's powers per row, so each
+    /// coefficient of a row `send_share` cuts is one [`Fp::dot`].
     table: Vec<u64>,
+    /// Transposed `(f + 1) × n` ([`Fp::power_columns`]): the echo memo
+    /// evaluates each row at every share point in one
+    /// [`Fp::eval_columns`].
+    columns: Vec<u64>,
 }
 
 impl SharePowers {
     fn new(fp: &Fp, cfg: &NodeCfg) -> Self {
-        let table = cfg
-            .all_ids()
-            .flat_map(|id| fp.powers(id.share_point(), cfg.f + 1))
-            .collect();
+        let points: Vec<u64> = cfg.all_ids().map(|id| id.share_point()).collect();
         SharePowers {
             n: cfg.n,
             f: cfg.f,
-            table,
+            table: points
+                .iter()
+                .flat_map(|&x| fp.powers(x, cfg.f + 1))
+                .collect(),
+            columns: fp.power_columns(&points, cfg.f + 1),
         }
     }
 
@@ -337,7 +360,7 @@ impl GvssCore {
                 GvssStorage::default()
             }
         };
-        st.reset(n, targets);
+        st.reset(n, cfg.f, targets);
         GvssCore {
             cfg,
             fp,
@@ -412,55 +435,79 @@ impl GvssCore {
             .collect();
         for to in self.cfg.all_ids() {
             let to_pows = self.pows.of(to);
-            let rows: Vec<Vec<u64>> = self
-                .dealt
-                .iter()
-                .map(|biv| biv.row_powers(&self.fp, to_pows).into_coeffs())
-                .collect();
-            out.push((Target::One(to), CoinMsg::row(rows)));
+            let mut rows = FlatMatrix::with_capacity(self.targets, self.targets * (f + 1));
+            for biv in &self.dealt {
+                rows.push_row_with(|elems| biv.append_row(&self.fp, to_pows, elems));
+            }
+            let rows = Arc::new(rows);
+            out.push((Target::One(to), CoinMsg::Row { rows }));
         }
     }
 
-    /// Round 0 receive: store (validated) rows per dealer.
+    /// Round 0 receive: store (validated, reduced, zero-padded) rows per
+    /// dealer. A message whose row count is not `targets`, or with any row
+    /// absent or above the degree bound, is ignored whole.
     pub fn recv_share(&mut self, inbox: &[(NodeId, CoinMsg)]) {
+        self.st.echoes.clear();
+        let stride = self.cfg.f + 1;
+        let block = self.targets * stride;
         for (from, msg) in inbox {
             let CoinMsg::Row { rows } = msg else { continue };
-            if rows.len() != self.targets {
+            if rows.len() != self.targets
+                || !rows
+                    .rows()
+                    .all(|row| row.is_some_and(|row| row.len() <= stride))
+            {
                 continue;
             }
-            let f = self.cfg.f;
-            let parsed: Option<Vec<Poly>> = rows
-                .iter()
-                .map(|coeffs| {
-                    (coeffs.len() <= f + 1).then(|| {
-                        Poly::from_coeffs(coeffs.iter().map(|&c| self.fp.reduce(c)).collect())
-                    })
-                })
-                .collect();
-            if let Some(polys) = parsed {
-                self.st.rows[from.index()] = Some(polys);
+            let dealer = from.index();
+            let mine = &mut self.st.coeffs[dealer * block..][..block];
+            for (padded, row) in mine.chunks_exact_mut(stride).zip(rows.rows().flatten()) {
+                padded.fill(0);
+                for (c, &v) in padded.iter_mut().zip(row) {
+                    *c = self.fp.reduce(v);
+                }
             }
+            self.st.present[dealer] = true;
         }
     }
 
-    /// Round 1 send: cross-points to every node.
+    /// Builds the echo memo from the rows I hold: every row evaluated once
+    /// at all `n` share points ([`Fp::eval_columns`]), scattered into one
+    /// `Echo` payload per recipient. `send_echo` ships the payloads;
+    /// `recv_echo` checks each sender's echo against the one it was sent,
+    /// rebuilding the memo here first if it is stale — one evaluation path
+    /// for both rounds, from whatever the rows hold, scrambled included.
+    fn build_echoes(&mut self) {
+        let n = self.cfg.n;
+        let targets = self.targets;
+        let stride = self.cfg.f + 1;
+        let st = &mut self.st;
+        let mut echoes: Vec<FlatMatrix> = (0..n)
+            .map(|_| FlatMatrix::zeroed(&st.present, targets))
+            .collect();
+        let held = (0..n).filter(|&dealer| st.present[dealer]);
+        for (slot, dealer) in held.enumerate() {
+            for t in 0..targets {
+                let row = &st.coeffs[(dealer * targets + t) * stride..][..stride];
+                self.fp.eval_columns(row, &self.pows.columns, &mut st.evals);
+                let at = slot * targets + t;
+                for (echo, &v) in echoes.iter_mut().zip(&st.evals) {
+                    echo.elems_mut()[at] = v;
+                }
+            }
+        }
+        st.echoes.clear();
+        st.echoes.extend(echoes.into_iter().map(Arc::new));
+    }
+
+    /// Round 1 send: cross-points to every node — the echo memo's
+    /// payloads, kept for `recv_echo`.
     pub fn send_echo(&mut self, out: &mut Vec<(Target, CoinMsg)>) {
-        for to in self.cfg.all_ids() {
-            let to_pows = self.pows.of(to);
-            let points: Vec<Option<Vec<u64>>> = self
-                .st
-                .rows
-                .iter()
-                .map(|rows| {
-                    rows.as_ref().map(|polys| {
-                        polys
-                            .iter()
-                            .map(|p| p.eval_powers(&self.fp, to_pows))
-                            .collect()
-                    })
-                })
-                .collect();
-            out.push((Target::One(to), CoinMsg::echo(points)));
+        self.build_echoes();
+        for (to, points) in self.cfg.all_ids().zip(&self.st.echoes) {
+            let points = Arc::clone(points);
+            out.push((Target::One(to), CoinMsg::Echo { points }));
         }
     }
 
@@ -468,12 +515,23 @@ impl GvssCore {
     /// One `Echo` per sender (first wins, like [`GvssCore::recv_vote`] and
     /// [`GvssCore::recv_recover`]).
     ///
+    /// By symmetry, `S(m, i) = S(i, m)`: sender `m`'s point for me must
+    /// equal my row at `m`'s share point, which is exactly the entry of
+    /// the echo I sent `m`. So each received point is reduced and compared
+    /// with the memo, and nothing is evaluated here (unless the memo is
+    /// stale, when the private `build_echoes` rebuilds it first — the one
+    /// evaluation path `send_echo` uses too). The memo is dropped at the
+    /// end: it is one round's derived state.
+    ///
     /// The per-dealer match tally is maintained incrementally here, at
     /// write time, so `send_vote` reads a counter per dealer instead of
     /// rescanning an `n`-entry row — O(n) per message stays O(n), and the
     /// vote round drops from O(n²) to O(n).
     pub fn recv_echo(&mut self, inbox: &[(NodeId, CoinMsg)]) {
         let n = self.cfg.n;
+        if self.st.echoes.len() != n {
+            self.build_echoes();
+        }
         self.st.seen.iter_mut().for_each(|s| *s = false);
         for (from, msg) in inbox {
             let CoinMsg::Echo { points } = msg else {
@@ -485,16 +543,15 @@ impl GvssCore {
             let Some(points) = check_matrix(points, n, self.targets) else {
                 continue;
             };
-            let from_pows = self.pows.of(*from);
+            let sent = &self.st.echoes[from.index()];
             for dealer in 0..n {
-                let (Some(my_rows), Some(their_points)) = (&self.st.rows[dealer], &points[dealer])
-                else {
+                let (Some(mine), Some(theirs)) = (sent.get(dealer), points.get(dealer)) else {
                     continue;
                 };
-                let all_match = my_rows
+                let all_match = mine
                     .iter()
-                    .zip(their_points.iter())
-                    .all(|(mine, &p)| mine.eval_powers(&self.fp, from_pows) == self.fp.reduce(p));
+                    .zip(theirs)
+                    .all(|(&m, &p)| m == self.fp.reduce(p));
                 let slot = &mut self.st.matches[dealer * n + from.index()];
                 if *slot != all_match {
                     // Delta form keeps the counter exact even if a slot
@@ -509,6 +566,7 @@ impl GvssCore {
                 }
             }
         }
+        self.st.echoes.clear();
     }
 
     /// Round 2 send: broadcast contentment per dealer — a counter read per
@@ -517,7 +575,7 @@ impl GvssCore {
         let quorum = self.cfg.quorum();
         let content: Vec<bool> = (0..self.cfg.n)
             .map(|dealer| {
-                self.st.rows[dealer].is_some() && self.st.match_counts[dealer] as usize >= quorum
+                self.st.present[dealer] && self.st.match_counts[dealer] as usize >= quorum
             })
             .collect();
         out.push((Target::All, CoinMsg::Vote { content }));
@@ -571,16 +629,18 @@ impl GvssCore {
     /// I hold rows from (regardless of grade — inclusion is the receiver's
     /// local decision, and extra shares only help decoding).
     pub fn send_recover(&mut self, out: &mut Vec<(Target, CoinMsg)>) {
-        let shares: Vec<Option<Vec<u64>>> = self
-            .st
-            .rows
-            .iter()
-            .map(|rows| {
-                rows.as_ref()
-                    .map(|polys| polys.iter().map(|p| p.eval(&self.fp, 0)).collect())
-            })
-            .collect();
-        out.push((Target::All, CoinMsg::recover(shares)));
+        let (targets, stride) = (self.targets, self.cfg.f + 1);
+        let (coeffs, present) = (&self.st.coeffs, &self.st.present);
+        let mut shares = FlatMatrix::zeroed(present, targets);
+        // A row at 0 is its constant coefficient.
+        let held = (0..self.cfg.n).filter(|&dealer| present[dealer]);
+        let constants = held
+            .flat_map(|dealer| (0..targets).map(move |t| coeffs[(dealer * targets + t) * stride]));
+        for (share, c) in shares.elems_mut().iter_mut().zip(constants) {
+            *share = c;
+        }
+        let shares = Arc::new(shares);
+        out.push((Target::All, CoinMsg::Recover { shares }));
     }
 
     /// Round 3 receive: Berlekamp–Welch per (included dealer, target),
@@ -625,7 +685,7 @@ impl GvssCore {
                 continue;
             };
             for dealer in 0..n {
-                if let Some(vals) = &shares[dealer] {
+                if let Some(vals) = shares.get(dealer) {
                     self.st.xs[dealer].push(from.share_point());
                     for (t, &v) in vals.iter().enumerate() {
                         self.st.ys[dealer * targets + t].push(self.fp.reduce(v));
@@ -699,16 +759,16 @@ impl GvssCore {
             .iter()
             .map(|&s| SymmetricBivariate::random_with_secret(&self.fp, s, f, rng))
             .collect();
+        // The echo memo is derived from the rows: rebuilt, not scrambled.
+        self.st.echoes.clear();
+        let block = self.targets * (f + 1);
         for dealer in 0..n {
-            self.st.rows[dealer] = if rng.random() {
-                Some(
-                    (0..self.targets)
-                        .map(|_| Poly::from_coeffs((0..=f).map(|_| self.fp.sample(rng)).collect()))
-                        .collect(),
-                )
-            } else {
-                None
-            };
+            self.st.present[dealer] = rng.random();
+            if self.st.present[dealer] {
+                for c in &mut self.st.coeffs[dealer * block..][..block] {
+                    *c = self.fp.sample(rng);
+                }
+            }
             for s in 0..n {
                 self.st.matches[dealer * n + s] = rng.random();
                 self.st.votes[dealer * n + s] = rng.random();
@@ -742,7 +802,31 @@ impl GvssCore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use byzclock_field::Poly;
     use rand::SeedableRng;
+
+    /// The rows `core` holds, per dealer, as the polynomials they stand
+    /// for (`None` where it holds none).
+    fn held_rows(core: &GvssCore) -> Vec<Option<Vec<Poly>>> {
+        let stride = core.cfg.f + 1;
+        (0..core.cfg.n)
+            .map(|dealer| {
+                core.st.present[dealer].then(|| {
+                    (0..core.targets)
+                        .map(|t| {
+                            let at = (dealer * core.targets + t) * stride;
+                            Poly::from_coeffs(core.st.coeffs[at..at + stride].to_vec())
+                        })
+                        .collect()
+                })
+            })
+            .collect()
+    }
+
+    /// The flat payload holding `rows`.
+    fn flat(rows: &[Option<Vec<u64>>]) -> FlatMatrix {
+        FlatMatrix::from_rows(rows.iter().map(Option::as_deref))
+    }
 
     /// Drives a full 4-round honest execution of one instance across all
     /// `n` nodes in-process (no simulator) and returns the cores.
@@ -939,7 +1023,9 @@ mod tests {
 
     /// The kernels against the textbook: one execution with everything
     /// the fast paths special-case — a node scrambled between `send_echo`
-    /// and `recv_echo` (ragged, partly missing rows), `f` `Recover`
+    /// and `recv_echo` (ragged, partly missing rows, so its echo memo is
+    /// rebuilt from them), optionally a node that runs `recv_echo` without
+    /// ever having run `send_echo` (no memo to start from), `f` `Recover`
     /// senders lying on a third of their shares (some non-canonically),
     /// one sender opening only every other dealer (a second point set) —
     /// must leave the same echo points, match matrix, votes, grades,
@@ -949,13 +1035,22 @@ mod tests {
     fn execution_matches_the_written_out_evaluation() {
         for (n, f) in [(4usize, 1usize), (7, 2), (13, 4)] {
             for seed in 0..3u64 {
-                check_against_written_out_evaluation(n, f, 3, seed);
+                for quiet in [None, Some(1)] {
+                    check_against_written_out_evaluation(n, f, 3, seed, quiet);
+                }
             }
         }
     }
 
-    fn check_against_written_out_evaluation(n: usize, f: usize, targets: usize, seed: u64) {
-        let ctx = format!("n={n} seed={seed}");
+    /// One execution; `quiet` names a node that skips `send_echo`.
+    fn check_against_written_out_evaluation(
+        n: usize,
+        f: usize,
+        targets: usize,
+        seed: u64,
+        quiet: Option<usize>,
+    ) {
+        let ctx = format!("n={n} seed={seed} quiet={quiet:?}");
         let fp = Fp::for_cluster(n);
         let mut rng = SimRng::seed_from_u64(seed);
         let mut cores: Vec<GvssCore> = (0..n as u16)
@@ -986,15 +1081,24 @@ mod tests {
 
         // Round 1: every echo point is the sender's row at the
         // recipient's share point.
-        let sends = collect(&mut cores, &mut |c, out| c.send_echo(out));
+        let sends: Vec<Vec<(Target, CoinMsg)>> = cores
+            .iter_mut()
+            .enumerate()
+            .map(|(i, c)| {
+                let mut out = Vec::new();
+                if quiet != Some(i) {
+                    c.send_echo(&mut out);
+                }
+                out
+            })
+            .collect();
         for (core, outs) in cores.iter().zip(&sends) {
+            let held = held_rows(core);
             for (target, msg) in outs {
                 let (Target::One(to), CoinMsg::Echo { points }) = (target, msg) else {
                     panic!("{ctx}: echoes are unicast");
                 };
-                let want: Vec<Option<Vec<u64>>> = core
-                    .st
-                    .rows
+                let want: Vec<Option<Vec<u64>>> = held
                     .iter()
                     .map(|rows| {
                         rows.as_ref().map(|polys| {
@@ -1005,19 +1109,20 @@ mod tests {
                         })
                     })
                     .collect();
-                assert_eq!(**points, want, "{ctx}: echo to {to}");
+                assert_eq!(**points, flat(&want), "{ctx}: echo to {to}");
             }
         }
         cores[0].corrupt(&mut rng);
         let inboxes = deliver(sends);
         let mut want_matches: Vec<Vec<bool>> = cores.iter().map(|c| c.st.matches.clone()).collect();
         for ((core, inbox), matches) in cores.iter().zip(&inboxes).zip(&mut want_matches) {
+            let held = held_rows(core);
             for (from, msg) in inbox {
                 let CoinMsg::Echo { points } = msg else {
                     unreachable!()
                 };
                 for dealer in 0..n {
-                    if let (Some(mine), Some(theirs)) = (&core.st.rows[dealer], &points[dealer]) {
+                    if let (Some(mine), Some(theirs)) = (&held[dealer], points.get(dealer)) {
                         matches[dealer * n + from.index()] = mine
                             .iter()
                             .zip(theirs)
@@ -1031,6 +1136,10 @@ mod tests {
         }
         for (core, want) in cores.iter().zip(&want_matches) {
             assert_eq!(&core.st.matches, want, "{ctx}: match matrix");
+            assert!(
+                core.st.echoes.is_empty(),
+                "{ctx}: the memo outlived its round"
+            );
         }
 
         // Round 2: votes and grades follow from the match matrix.
@@ -1039,7 +1148,7 @@ mod tests {
             let want: Vec<bool> = (0..n)
                 .map(|dealer| {
                     let count = matches[dealer * n..][..n].iter().filter(|&&m| m).count();
-                    core.st.rows[dealer].is_some() && count >= n - f
+                    core.st.present[dealer] && count >= n - f
                 })
                 .collect();
             assert_eq!(outs[0].1, CoinMsg::Vote { content: want }, "{ctx}");
@@ -1082,16 +1191,14 @@ mod tests {
             let CoinMsg::Recover { shares } = &outs[0].1 else {
                 unreachable!()
             };
-            let want: Vec<Option<Vec<u64>>> = core
-                .st
-                .rows
+            let want: Vec<Option<Vec<u64>>> = held_rows(core)
                 .iter()
                 .map(|rows| {
                     rows.as_ref()
                         .map(|ps| ps.iter().map(|p| p.eval(&fp, 0)).collect())
                 })
                 .collect();
-            assert_eq!(**shares, want, "{ctx}: shares of {sender}");
+            assert_eq!(**shares, flat(&want), "{ctx}: shares of {sender}");
             let mut forged = want;
             for (dealer, vals) in forged.iter_mut().enumerate() {
                 if sender == 1 && dealer % 2 == 1 {
@@ -1113,15 +1220,13 @@ mod tests {
             let mut point_sets: Vec<Vec<u64>> = Vec::new();
             let mut stats = DecodeStats::default();
             for dealer in (0..n).filter(|&d| grades[d] >= Grade::One) {
-                let opened: Vec<(u64, &Vec<u64>)> = inbox
+                let opened: Vec<(u64, &[u64])> = inbox
                     .iter()
                     .filter_map(|(from, msg)| {
                         let CoinMsg::Recover { shares } = msg else {
                             unreachable!()
                         };
-                        shares[dealer]
-                            .as_ref()
-                            .map(|vals| (from.share_point(), vals))
+                        shares.get(dealer).map(|vals| (from.share_point(), vals))
                     })
                     .collect();
                 for t in 0..targets {
@@ -1384,10 +1489,14 @@ mod tests {
         let from = NodeId::new(1);
         // Wrong target count in a Row.
         core.recv_share(&[(from, CoinMsg::row(vec![vec![1]]))]);
-        assert!(core.st.rows[1].is_none());
+        assert!(!core.st.present[1]);
         // Row polynomial of excessive degree.
         core.recv_share(&[(from, CoinMsg::row(vec![vec![1, 2, 3, 4, 5], vec![1]]))]);
-        assert!(core.st.rows[1].is_none());
+        assert!(!core.st.present[1]);
+        // A row payload with an absent row.
+        let rows = Arc::new(FlatMatrix::from_rows([Some(&[1][..]), None]));
+        core.recv_share(&[(from, CoinMsg::Row { rows })]);
+        assert!(!core.st.present[1]);
         // Vote with wrong arity.
         core.recv_vote(&[(
             from,

@@ -48,7 +48,7 @@ pub use committee::{
     COMMITTEE_EPOCH_BEATS,
 };
 pub use gvss::{AllocStats, DecodeStats, Grade, GvssCore, GvssWorkspace};
-pub use messages::CoinMsg;
+pub use messages::{CoinMsg, FlatMatrix};
 pub use ticket::{TicketCoinProto, TicketCoinScheme, TICKET_COIN_ROUNDS};
 pub use xor::{XorCoinProto, XorCoinScheme, XOR_COIN_ROUNDS};
 

@@ -28,38 +28,169 @@
 //! cluster, however implausible, can outgrow them; the encode side is
 //! trusted and panics above `u16::MAX`, mirroring the `u32` length-header
 //! contract of `Vec<T>`.
+//!
+//! # Flat payloads
+//!
+//! The three matrix payloads are [`FlatMatrix`]es: one `Vec` of elements
+//! plus a span per row, so a matrix is two allocations however many rows
+//! it has, and both formats encode and decode it in place. The bytes are
+//! those of the nested `Vec<Vec<u64>>` (`Row`) and `Vec<Option<Vec<u64>>>`
+//! (`Echo`, `Recover`) layouts the payloads used to be, in both formats.
 
-use byzclock_sim::{Wire, WireFormat, WireReader, WireWriter};
+use byzclock_sim::{Wire, WireFormat, WireReader, WireWriter, MAX_WIRE_ELEMS};
 use std::sync::Arc;
+
+/// A matrix of wire values in one flat block: every present row's
+/// elements in one `Vec`, in row order with no gaps, plus each row's span
+/// in it. Two matrices with the same rows are therefore equal field for
+/// field.
+///
+/// Rows may be absent (an `Echo`/`Recover` dealer the sender holds
+/// nothing for) and may have any length — a Byzantine sender can say
+/// anything — so receivers validate shape before use. Every accessor is
+/// total: a row that is absent or out of range reads as `None`.
+///
+/// # Example
+///
+/// ```
+/// use byzclock_coin::FlatMatrix;
+///
+/// let m = FlatMatrix::from_rows([Some(&[1, 2][..]), None, Some(&[3][..])]);
+/// assert_eq!(m.len(), 3);
+/// assert_eq!(m.get(0), Some(&[1, 2][..]));
+/// assert_eq!(m.get(1), None);
+/// assert_eq!(m.elems(), &[1, 2, 3]);
+/// ```
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct FlatMatrix {
+    /// The present rows' elements, back to back.
+    elems: Vec<u64>,
+    /// Per row: its `start..end` span in `elems`, `None` when absent.
+    spans: Vec<Option<(usize, usize)>>,
+}
+
+impl FlatMatrix {
+    /// An empty matrix with room for `rows` rows of `elems` elements in
+    /// all.
+    pub(crate) fn with_capacity(rows: usize, elems: usize) -> Self {
+        FlatMatrix {
+            elems: Vec::with_capacity(elems),
+            spans: Vec::with_capacity(rows),
+        }
+    }
+
+    /// One row per entry of `present`: `width` zeros where it is `true`,
+    /// absent where it is `false`. The `k`-th present row is
+    /// `elems_mut()[k·width..(k+1)·width]`, which is how a sender fills
+    /// the rectangular payloads in place.
+    pub(crate) fn zeroed(present: &[bool], width: usize) -> Self {
+        let rows = present.iter().filter(|&&p| p).count();
+        let mut spans = Vec::with_capacity(present.len());
+        let mut start = 0;
+        for &p in present {
+            spans.push(p.then(|| {
+                start += width;
+                (start - width, start)
+            }));
+        }
+        FlatMatrix {
+            elems: vec![0; rows * width],
+            spans,
+        }
+    }
+
+    /// The matrix holding `rows` (`None` = absent), in order.
+    pub fn from_rows<'a>(rows: impl IntoIterator<Item = Option<&'a [u64]>>) -> Self {
+        let mut m = FlatMatrix::default();
+        for row in rows {
+            match row {
+                Some(row) => m.push_row_with(|elems| elems.extend_from_slice(row)),
+                None => m.push_absent(),
+            }
+        }
+        m
+    }
+
+    /// Appends a present row made of whatever `fill` appends to the
+    /// element buffer, and returns what `fill` returns. `fill` must only
+    /// append: it sees the buffer that holds the earlier rows too.
+    pub(crate) fn push_row_with<T>(&mut self, fill: impl FnOnce(&mut Vec<u64>) -> T) -> T {
+        let start = self.elems.len();
+        let out = fill(&mut self.elems);
+        self.spans.push(Some((start, self.elems.len())));
+        out
+    }
+
+    /// Appends an absent row.
+    pub(crate) fn push_absent(&mut self) {
+        self.spans.push(None);
+    }
+
+    /// Number of rows, absent ones included.
+    pub fn len(&self) -> usize {
+        self.spans.len()
+    }
+
+    /// `true` when the matrix has no rows.
+    pub fn is_empty(&self) -> bool {
+        self.spans.is_empty()
+    }
+
+    /// Row `row`, or `None` when it is absent or out of range.
+    pub fn get(&self, row: usize) -> Option<&[u64]> {
+        let (start, end) = (*self.spans.get(row)?)?;
+        self.elems.get(start..end)
+    }
+
+    /// Every row in order, `None` for the absent ones.
+    pub fn rows(&self) -> impl Iterator<Item = Option<&[u64]>> + Clone + '_ {
+        self.spans
+            .iter()
+            .map(|span| span.and_then(|(start, end)| self.elems.get(start..end)))
+    }
+
+    /// All present rows' elements, back to back.
+    pub fn elems(&self) -> &[u64] {
+        &self.elems
+    }
+
+    /// The elements, writable in place (the row structure is not).
+    pub(crate) fn elems_mut(&mut self) -> &mut [u64] {
+        &mut self.elems
+    }
+}
 
 /// One round's payload of a coin instance.
 ///
-/// Indexing conventions: `[dealer]` vectors always have length `n`
-/// (`Option` for dealers the sender has nothing for); `[target]` vectors
-/// have length `targets` (the per-dealer secret count — `n` for the ticket
-/// coin, 1 for the XOR coin).
+/// Indexing conventions: `[dealer]` rows always number `n` (absent for
+/// dealers the sender has nothing for); `[target]` rows have length
+/// `targets` (the per-dealer secret count — `n` for the ticket coin, 1 for
+/// the XOR coin).
 ///
-/// The three matrix payloads sit behind an [`Arc`]: a message is built
-/// once and then only read, while the runner and every demultiplexing
-/// layer above the coin clone it (per broadcast recipient, into the
-/// phantom-replay history, per delivery), so each of those clones is a
-/// reference-count bump instead of a copy of an O(n·targets) matrix.
-/// Build them with [`CoinMsg::row`], [`CoinMsg::echo`] and
-/// [`CoinMsg::recover`]. The matrices may be ragged — a Byzantine sender
-/// can say anything — and receivers validate shape before use.
+/// The three matrix payloads are [`FlatMatrix`]es behind an [`Arc`]: a
+/// message is built once and then only read, while the runner and every
+/// demultiplexing layer above the coin clone it (per broadcast recipient,
+/// into the phantom-replay history, per delivery), so each of those clones
+/// is a reference-count bump instead of a copy of an O(n·targets) matrix.
+/// The protocol builds them flat; [`CoinMsg::row`], [`CoinMsg::echo`] and
+/// [`CoinMsg::recover`] build them from nested vectors, for adversaries
+/// and tests. The matrices may be ragged — a Byzantine sender can say
+/// anything — and receivers validate shape before use.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CoinMsg {
     /// Round 0, dealer → node `i`: the row polynomials `S_j(x, i)`, one
-    /// per target `j` (coefficient vectors, constant term first).
+    /// per target `j` (coefficient vectors, constant term first). Every
+    /// row is present; one built absent encodes as an empty row, and the
+    /// receiver refuses the message.
     Row {
         /// `[target] -> row-polynomial coefficients`.
-        rows: Arc<Vec<Vec<u64>>>,
+        rows: Arc<FlatMatrix>,
     },
     /// Round 1, node `i` → node `m`: cross-points `S_j(m, i)` for every
-    /// dealer (`None` where `i` holds no row from that dealer).
+    /// dealer (absent where `i` holds no row from that dealer).
     Echo {
         /// `[dealer] -> [target] -> point value`.
-        points: Arc<Vec<Option<Vec<u64>>>>,
+        points: Arc<FlatMatrix>,
     },
     /// Round 2, broadcast: per-dealer contentment (enough matching echoes).
     Vote {
@@ -70,7 +201,7 @@ pub enum CoinMsg {
     /// `S_j(0, sender)` for every dealer it holds rows from.
     Recover {
         /// `[dealer] -> [target] -> share value`.
-        shares: Arc<Vec<Option<Vec<u64>>>>,
+        shares: Arc<FlatMatrix>,
     },
 }
 
@@ -78,21 +209,23 @@ impl CoinMsg {
     /// A [`CoinMsg::Row`] carrying `rows`.
     pub fn row(rows: Vec<Vec<u64>>) -> Self {
         CoinMsg::Row {
-            rows: Arc::new(rows),
+            rows: Arc::new(FlatMatrix::from_rows(
+                rows.iter().map(|r| Some(r.as_slice())),
+            )),
         }
     }
 
     /// A [`CoinMsg::Echo`] carrying `points`.
     pub fn echo(points: Vec<Option<Vec<u64>>>) -> Self {
         CoinMsg::Echo {
-            points: Arc::new(points),
+            points: Arc::new(FlatMatrix::from_rows(points.iter().map(Option::as_deref))),
         }
     }
 
     /// A [`CoinMsg::Recover`] carrying `shares`.
     pub fn recover(shares: Vec<Option<Vec<u64>>>) -> Self {
         CoinMsg::Recover {
-            shares: Arc::new(shares),
+            shares: Arc::new(FlatMatrix::from_rows(shares.iter().map(Option::as_deref))),
         }
     }
 }
@@ -164,12 +297,86 @@ fn get_bitset(r: &mut WireReader<'_>, len: usize) -> Option<Vec<bool>> {
         .collect()
 }
 
-/// Packed encoding of an element matrix with per-row presence: the shared
-/// body of `Echo`/`Recover` (all rows present-flagged) and `Row` (all rows
-/// present). Layout: `width: u8`, `maxlen: u16`, then per present row a
-/// two-byte length delta followed by `len` elements of `width` bytes.
-fn put_matrix<'a>(rows: impl Iterator<Item = &'a [u64]> + Clone, w: &mut WireWriter<'_>) {
-    let width = min_width(rows.clone().flatten().copied());
+/// Fixed-format `u32` length header, as `Vec<T>`'s [`Wire`] impl writes
+/// it.
+///
+/// # Panics
+///
+/// Panics above `u32::MAX`, like `Vec<T>`'s header (the encode side is
+/// trusted).
+fn put_fixed_len(len: usize, w: &mut WireWriter<'_>) {
+    let len = u32::try_from(len).expect("vector too long for the u32 wire length header");
+    w.put_u32(len);
+}
+
+/// Reads a fixed-format length header, refusing one beyond
+/// [`MAX_WIRE_ELEMS`] as `Vec<T>`'s decode does.
+fn get_fixed_len(r: &mut WireReader<'_>) -> Option<usize> {
+    let len = r.u32()? as usize;
+    (len <= MAX_WIRE_ELEMS).then_some(len)
+}
+
+/// Fixed layout of a matrix, written from the flat form: the bytes of the
+/// generic `Vec<Vec<u64>>` encoding, or with `optioned` of
+/// `Vec<Option<Vec<u64>>>` — a `u32` row count, then per row an optional
+/// presence byte, a `u32` length and `u64` elements. Without `optioned`
+/// an absent row is written as an empty one.
+fn put_fixed_matrix(m: &FlatMatrix, optioned: bool, w: &mut WireWriter<'_>) {
+    put_fixed_len(m.len(), w);
+    for row in m.rows() {
+        if optioned {
+            w.put_u8(u8::from(row.is_some()));
+            if row.is_none() {
+                continue;
+            }
+        }
+        let row = row.unwrap_or_default();
+        put_fixed_len(row.len(), w);
+        for &v in row {
+            w.put_u64(v);
+        }
+    }
+}
+
+/// Inverse of [`put_fixed_matrix`], decoding straight into the flat form.
+fn get_fixed_matrix(r: &mut WireReader<'_>, optioned: bool) -> Option<FlatMatrix> {
+    let rows = get_fixed_len(r)?;
+    // Capacity is a hint: forged counts reserve no more than the bytes
+    // actually left (a row costs at least a byte, an element eight).
+    let mut m = FlatMatrix::with_capacity(rows.min(r.remaining()), r.remaining() / 8);
+    for _ in 0..rows {
+        if optioned {
+            match r.u8()? {
+                0 => {
+                    m.push_absent();
+                    continue;
+                }
+                1 => {}
+                _ => return None,
+            }
+        }
+        let len = get_fixed_len(r)?;
+        m.push_row_with(|elems| {
+            for _ in 0..len {
+                elems.push(r.u64()?);
+            }
+            Some(())
+        })?;
+    }
+    Some(m)
+}
+
+/// Packed encoding of an element matrix: the shared body of `Row` (every
+/// row) and `Echo`/`Recover` (the present rows). Layout: `width: u8`,
+/// `maxlen: u16`, then per row a two-byte length delta followed by `len`
+/// elements of `width` bytes. `elems` is the flat block the rows live in,
+/// so the width is one pass over it.
+fn put_matrix<'a>(
+    elems: &[u64],
+    rows: impl Iterator<Item = &'a [u64]> + Clone,
+    w: &mut WireWriter<'_>,
+) {
+    let width = min_width(elems.iter().copied());
     let maxlen = rows.clone().map(<[u64]>::len).max().unwrap_or(0);
     w.put_u8(width as u8);
     put_count(maxlen, w);
@@ -181,130 +388,117 @@ fn put_matrix<'a>(rows: impl Iterator<Item = &'a [u64]> + Clone, w: &mut WireWri
     }
 }
 
-/// Decodes `nrows` rows of the [`put_matrix`] layout.
-fn get_matrix(r: &mut WireReader<'_>, nrows: usize) -> Option<Vec<Vec<u64>>> {
+/// Packed layout of a matrix: `rows: u16`, for `optioned` payloads
+/// (`Echo`, `Recover`) a presence bitset, then the present rows through
+/// [`put_matrix`]. Without `optioned` (`Row`) every row is written, an
+/// absent one as an empty one.
+fn put_packed_matrix(m: &FlatMatrix, optioned: bool, w: &mut WireWriter<'_>) {
+    put_count(m.len(), w);
+    if optioned {
+        put_bitset(m.rows().map(|row| row.is_some()), w);
+        put_matrix(m.elems(), m.rows().flatten(), w);
+    } else {
+        put_matrix(m.elems(), m.rows().map(Option::unwrap_or_default), w);
+    }
+}
+
+/// Inverse of [`put_packed_matrix`], decoding straight into the flat form.
+fn get_packed_matrix(r: &mut WireReader<'_>, optioned: bool) -> Option<FlatMatrix> {
+    let rows = get_count(r)?;
+    let presence = if optioned {
+        Some(r.take(rows.div_ceil(8))?)
+    } else {
+        None
+    };
     let width = r.u8()? as usize;
     if !(1..=8).contains(&width) {
         return None;
     }
     let maxlen = get_count(r)?;
     // Capacity is a hint: forged counts reserve no more than the bytes
-    // actually left (every row costs at least its two-byte delta).
-    let mut rows = Vec::with_capacity(nrows.min(r.remaining()));
-    for _ in 0..nrows {
-        let delta = get_count(r)?;
-        let len = maxlen.checked_sub(delta)?;
-        let mut row = Vec::with_capacity(len.min(r.remaining()));
-        for _ in 0..len {
-            row.push(get_elem(r, width)?);
+    // actually left (a present row costs its two-byte delta, an element
+    // at least a byte).
+    let elems = rows.saturating_mul(maxlen).min(r.remaining());
+    let mut m = FlatMatrix::with_capacity(rows.min(r.remaining()), elems);
+    for i in 0..rows {
+        let present = match presence {
+            Some(bits) => bits.get(i / 8)? >> (i % 8) & 1 == 1,
+            None => true,
+        };
+        if !present {
+            m.push_absent();
+            continue;
         }
-        rows.push(row);
+        let len = maxlen.checked_sub(get_count(r)?)?;
+        m.push_row_with(|elems| {
+            for _ in 0..len {
+                elems.push(get_elem(r, width)?);
+            }
+            Some(())
+        })?;
     }
-    Some(rows)
+    Some(m)
 }
 
 impl Wire for CoinMsg {
     fn encode(&self, format: WireFormat, w: &mut WireWriter<'_>) {
+        let (tag, matrix, optioned) = match self {
+            CoinMsg::Vote { content } => {
+                w.put_u8(2);
+                match format {
+                    WireFormat::Fixed => content.encode(format, w),
+                    WireFormat::Packed => {
+                        put_count(content.len(), w);
+                        put_bitset(content.iter().copied(), w);
+                    }
+                }
+                return;
+            }
+            CoinMsg::Row { rows } => (0, rows, false),
+            CoinMsg::Echo { points } => (1, points, true),
+            CoinMsg::Recover { shares } => (3, shares, true),
+        };
+        w.put_u8(tag);
         match format {
-            WireFormat::Fixed => match self {
-                CoinMsg::Row { rows } => w.put_tagged(0, &**rows, format),
-                CoinMsg::Echo { points } => w.put_tagged(1, &**points, format),
-                CoinMsg::Vote { content } => w.put_tagged(2, content, format),
-                CoinMsg::Recover { shares } => w.put_tagged(3, &**shares, format),
-            },
-            WireFormat::Packed => match self {
-                CoinMsg::Row { rows } => {
-                    w.put_u8(0);
-                    put_count(rows.len(), w);
-                    put_matrix(rows.iter().map(Vec::as_slice), w);
-                }
-                CoinMsg::Echo { points } => {
-                    w.put_u8(1);
-                    put_optioned_matrix(points, w);
-                }
-                CoinMsg::Vote { content } => {
-                    w.put_u8(2);
-                    put_count(content.len(), w);
-                    put_bitset(content.iter().copied(), w);
-                }
-                CoinMsg::Recover { shares } => {
-                    w.put_u8(3);
-                    put_optioned_matrix(shares, w);
-                }
-            },
+            WireFormat::Fixed => put_fixed_matrix(matrix, optioned, w),
+            WireFormat::Packed => put_packed_matrix(matrix, optioned, w),
         }
     }
 
     fn decode(format: WireFormat, r: &mut WireReader<'_>) -> Option<Self> {
         let tag = r.u8()?;
-        Some(match format {
-            WireFormat::Fixed => match tag {
-                0 => CoinMsg::row(Wire::decode(format, r)?),
-                1 => CoinMsg::echo(Wire::decode(format, r)?),
-                2 => CoinMsg::Vote {
-                    content: Wire::decode(format, r)?,
-                },
-                3 => CoinMsg::recover(Wire::decode(format, r)?),
-                _ => return None,
-            },
-            WireFormat::Packed => match tag {
-                0 => {
-                    let nrows = get_count(r)?;
-                    CoinMsg::row(get_matrix(r, nrows)?)
-                }
-                1 => CoinMsg::echo(get_optioned_matrix(r)?),
-                2 => {
-                    let len = get_count(r)?;
-                    CoinMsg::Vote {
-                        content: get_bitset(r, len)?,
+        let optioned = match tag {
+            0 => false,
+            1 | 3 => true,
+            2 => {
+                let content = match format {
+                    WireFormat::Fixed => Wire::decode(format, r)?,
+                    WireFormat::Packed => {
+                        let len = get_count(r)?;
+                        get_bitset(r, len)?
                     }
-                }
-                3 => CoinMsg::recover(get_optioned_matrix(r)?),
-                _ => return None,
-            },
+                };
+                return Some(CoinMsg::Vote { content });
+            }
+            _ => return None,
+        };
+        let matrix = Arc::new(match format {
+            WireFormat::Fixed => get_fixed_matrix(r, optioned)?,
+            WireFormat::Packed => get_packed_matrix(r, optioned)?,
+        });
+        Some(match tag {
+            0 => CoinMsg::Row { rows: matrix },
+            1 => CoinMsg::Echo { points: matrix },
+            _ => CoinMsg::Recover { shares: matrix },
         })
     }
 }
 
-/// Packed `[dealer] -> Option<Vec<elem>>` layout: `dealers: u8`, presence
-/// bitset, then the present rows through [`put_matrix`].
-fn put_optioned_matrix(m: &[Option<Vec<u64>>], w: &mut WireWriter<'_>) {
-    put_count(m.len(), w);
-    put_bitset(m.iter().map(Option::is_some), w);
-    put_matrix(m.iter().flatten().map(Vec::as_slice), w);
-}
-
-/// Inverse of [`put_optioned_matrix`].
-fn get_optioned_matrix(r: &mut WireReader<'_>) -> Option<Vec<Option<Vec<u64>>>> {
-    let dealers = get_count(r)?;
-    let presence = get_bitset(r, dealers)?;
-    let present = presence.iter().filter(|&&p| p).count();
-    let mut rows = get_matrix(r, present)?.into_iter();
-    Some(
-        presence
-            .into_iter()
-            .map(|p| if p { rows.next() } else { None })
-            .collect(),
-    )
-}
-
-/// Validates a per-dealer optioned matrix: outer length must be `dealers`,
-/// every inner vector must have length `targets`. Returns `None` on any
-/// shape violation (the message is then ignored).
-pub(crate) fn check_matrix(
-    m: &[Option<Vec<u64>>],
-    dealers: usize,
-    targets: usize,
-) -> Option<&[Option<Vec<u64>>]> {
-    if m.len() != dealers {
-        return None;
-    }
-    for inner in m.iter().flatten() {
-        if inner.len() != targets {
-            return None;
-        }
-    }
-    Some(m)
+/// Validates a per-dealer matrix: it must have `dealers` rows, and every
+/// present row must have length `targets`. Returns `None` on any shape
+/// violation (the message is then ignored).
+pub(crate) fn check_matrix(m: &FlatMatrix, dealers: usize, targets: usize) -> Option<&FlatMatrix> {
+    (m.len() == dealers && m.rows().flatten().all(|row| row.len() == targets)).then_some(m)
 }
 
 #[cfg(test)]
@@ -440,11 +634,47 @@ mod tests {
 
     #[test]
     fn matrix_shape_validation() {
-        let good = vec![Some(vec![1, 2]), None, Some(vec![3, 4])];
+        let good = FlatMatrix::from_rows([Some(&[1, 2][..]), None, Some(&[3, 4][..])]);
         assert!(check_matrix(&good, 3, 2).is_some());
         assert!(check_matrix(&good, 4, 2).is_none(), "wrong dealer count");
         assert!(check_matrix(&good, 3, 3).is_none(), "wrong target count");
-        let ragged = vec![Some(vec![1]), Some(vec![2, 3])];
+        let ragged = FlatMatrix::from_rows([Some(&[1][..]), Some(&[2, 3][..])]);
         assert!(check_matrix(&ragged, 2, 1).is_none());
+    }
+
+    #[test]
+    fn flat_accessors_are_total() {
+        let m = FlatMatrix::from_rows([None, Some(&[][..]), Some(&[5, 6][..])]);
+        assert_eq!(m.len(), 3);
+        assert_eq!(m.get(0), None, "absent");
+        assert_eq!(m.get(1), Some(&[][..]), "present and empty");
+        assert_eq!(m.get(2), Some(&[5, 6][..]));
+        assert_eq!(m.get(3), None, "out of range");
+        assert_eq!(
+            m.rows().collect::<Vec<_>>(),
+            [None, Some(&[][..]), Some(&[5, 6][..])]
+        );
+        let mut z = FlatMatrix::zeroed(&[true, false, true], 2);
+        z.elems_mut().copy_from_slice(&[1, 2, 3, 4]);
+        assert_eq!(
+            z,
+            FlatMatrix::from_rows([Some(&[1, 2][..]), None, Some(&[3, 4][..])])
+        );
+    }
+
+    /// A `Row` built with an absent row (the protocol never builds one)
+    /// ships it as an empty row in both formats.
+    #[test]
+    fn an_absent_row_in_a_row_payload_encodes_as_empty() {
+        let absent = CoinMsg::Row {
+            rows: Arc::new(FlatMatrix::from_rows([None, Some(&[4][..])])),
+        };
+        for format in [WireFormat::Fixed, WireFormat::Packed] {
+            let mut buf = bytes::BytesMut::new();
+            format.encode_into(&absent, &mut buf);
+            assert_eq!(buf.len(), format.len_of(&absent));
+            let back: CoinMsg = format.decode_from(buf.as_slice()).unwrap();
+            assert_eq!(back, CoinMsg::row(vec![vec![], vec![4]]), "{format:?}");
+        }
     }
 }

@@ -687,7 +687,7 @@ mod tests {
         assert_eq!(report.traffic, base.traffic);
     }
 
-    /// Where decoder-cache misses come from (ROADMAP 1(d)): a scrambled
+    /// Where decoder-cache misses come from (CHANGES.md, PR 22): a scrambled
     /// cohort opens each dealer through whatever senders happen to hold a
     /// row, so its point sets differ per dealer — but it retires within
     /// the pipeline depth, and from then on every beat of every instance

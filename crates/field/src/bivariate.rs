@@ -29,9 +29,12 @@ use crate::{Fp, FpElem, Poly};
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SymmetricBivariate {
-    /// Lower-triangle-inclusive coefficient matrix, `(deg+1) x (deg+1)`,
-    /// kept fully materialized (symmetric) for simplicity.
-    coeffs: Vec<Vec<FpElem>>,
+    /// `deg + 1`, the side of the coefficient matrix.
+    side: usize,
+    /// The `side × side` coefficient matrix in one block, row-major
+    /// (`c[a][b]` at `a · side + b`), kept fully materialized (symmetric)
+    /// for simplicity.
+    coeffs: Vec<FpElem>,
 }
 
 impl SymmetricBivariate {
@@ -43,22 +46,22 @@ impl SymmetricBivariate {
         deg: usize,
         rng: &mut R,
     ) -> Self {
-        let d = deg + 1;
-        let mut coeffs = vec![vec![0; d]; d];
-        for i in 0..d {
-            for j in i..d {
+        let side = deg + 1;
+        let mut coeffs = vec![0; side * side];
+        for i in 0..side {
+            for j in i..side {
                 let c = fp.sample(rng);
-                coeffs[i][j] = c;
-                coeffs[j][i] = c;
+                coeffs[i * side + j] = c;
+                coeffs[j * side + i] = c;
             }
         }
-        coeffs[0][0] = fp.reduce(secret);
-        SymmetricBivariate { coeffs }
+        coeffs[0] = fp.reduce(secret);
+        SymmetricBivariate { side, coeffs }
     }
 
     /// Degree bound in each variable.
     pub fn degree(&self) -> usize {
-        self.coeffs.len() - 1
+        self.side - 1
     }
 
     /// Evaluates `S(x, y)`.
@@ -68,16 +71,28 @@ impl SymmetricBivariate {
 
     /// The row polynomial `f_i(x) = S(x, i)` handed to node `i`.
     pub fn row(&self, fp: &Fp, i: FpElem) -> Poly {
-        self.row_powers(fp, &fp.powers(i, self.coeffs.len()))
+        let mut coeffs = Vec::with_capacity(self.side);
+        self.append_row(fp, &fp.powers(i, self.side), &mut coeffs);
+        Poly::from_coeffs(coeffs)
     }
 
-    /// [`SymmetricBivariate::row`] given the powers `[i⁰, …, i^deg]` of
-    /// the node's point, for a dealer that cuts many rows at the same
-    /// points: the coefficient of `x^a` is the dot product
-    /// `Σ_b c[a][b]·i^b`.
-    pub fn row_powers(&self, fp: &Fp, ipows: &[FpElem]) -> Poly {
-        debug_assert_eq!(ipows.len(), self.coeffs.len());
-        Poly::from_coeffs(self.coeffs.iter().map(|c| fp.dot(c, ipows)).collect())
+    /// Appends the coefficients of [`SymmetricBivariate::row`] to `out`,
+    /// given the powers `[i⁰, …, i^deg]` of the node's point — for a dealer
+    /// that cuts many rows at the same points straight into one buffer.
+    /// The coefficient of `x^a` is the dot product `Σ_b c[a][b]·i^b`, and
+    /// trailing zeros are stripped as [`Poly::from_coeffs`] strips them, so
+    /// `out` gains exactly `row(fp, i).coeffs()`.
+    pub fn append_row(&self, fp: &Fp, ipows: &[FpElem], out: &mut Vec<FpElem>) {
+        debug_assert_eq!(ipows.len(), self.side);
+        let start = out.len();
+        out.extend(
+            self.coeffs
+                .chunks_exact(self.side)
+                .map(|c| fp.dot(c, ipows)),
+        );
+        while out.len() > start && out.last() == Some(&0) {
+            out.pop();
+        }
     }
 
     /// The share polynomial `g(y) = S(0, y)` whose constant term is the
@@ -134,11 +149,32 @@ mod tests {
             let expected: Vec<u64> = (0..=deg)
                 .map(|a| {
                     (0..=deg).fold(0, |acc, b| {
-                        fp.add(acc, fp.mul(s.coeffs[a][b], fp.pow(fp.reduce(i), b as u64)))
+                        fp.add(acc, fp.mul(s.coeffs[a * s.side + b], fp.pow(fp.reduce(i), b as u64)))
                     })
                 })
                 .collect();
             prop_assert_eq!(s.row(&fp, i), Poly::from_coeffs(expected));
+        }
+
+        /// The append-into-buffer cut is `row(..).into_coeffs()` appended
+        /// after whatever the buffer held — zero rows included (`p = 2`
+        /// with a zero secret makes trailing and all-zero rows common).
+        #[test]
+        fn append_row_appends_the_stripped_row(
+            seed in 0u64..1000,
+            deg in 0usize..5,
+            i in 0u64..300,
+            p in proptest::sample::select(vec![2u64, 3, 101]),
+            prefix in proptest::collection::vec(0u64..3, 0..3),
+        ) {
+            let fp = Fp::new(p).unwrap();
+            let mut rng = StdRng::seed_from_u64(seed);
+            let s = SymmetricBivariate::random_with_secret(&fp, 0, deg, &mut rng);
+            let mut out = prefix.clone();
+            s.append_row(&fp, &fp.powers(i, deg + 1), &mut out);
+            let mut want = prefix;
+            want.extend(s.row(&fp, i).into_coeffs());
+            prop_assert_eq!(out, want);
         }
 
         #[test]

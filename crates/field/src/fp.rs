@@ -147,8 +147,8 @@ impl Fp {
     /// Multiplication in `F_p`.
     ///
     /// The reduction is a plain `%` on purpose. A precomputed Barrett
-    /// constant was measured net-neutral on the reference box (ROADMAP
-    /// 1(a)): the dealing loops got faster, the Berlekamp–Welch replay — a
+    /// constant was measured net-neutral on the reference box (CHANGES.md,
+    /// PR 22): the dealing loops got faster, the Berlekamp–Welch replay — a
     /// chain of dependent multiplications on operands of a dozen bits,
     /// where the hardware divider is already quick — got slower by as
     /// much, and `Fp` doubles to 16 bytes. The hot loops avoid reductions
@@ -175,8 +175,7 @@ impl Fp {
     /// assert_eq!(fp.dot(&[1, 2, 3], &[4, 5, 6]), (4 + 10 + 18) % 11);
     /// ```
     pub fn dot(&self, a: &[FpElem], b: &[FpElem]) -> FpElem {
-        let bits = u64::BITS - (self.p - 1).leading_zeros();
-        let chunk = usize::try_from(1u64 << (64 - 2 * bits)).unwrap_or(usize::MAX);
+        let chunk = self.dot_chunk();
         let mut acc: FpElem = 0;
         for (a, b) in a.chunks(chunk).zip(b.chunks(chunk)) {
             let sum: u64 = a
@@ -192,12 +191,76 @@ impl Fp {
         acc
     }
 
+    /// How many products of canonical elements a `u64` sums without
+    /// overflow: `p − 1 < 2^bits` bounds each below `2^(2·bits)`, so
+    /// `2^(64 − 2·bits)` of them fit — with room to spare for one reduced
+    /// residue on top (`2^(64−2·bits) · (2^bits − 1)² + 2^bits − 1 < 2⁶⁴`
+    /// for every `bits ≤ 32`), which [`Fp::eval_columns`] carries across
+    /// chunks.
+    fn dot_chunk(&self) -> usize {
+        let bits = u64::BITS - (self.p - 1).leading_zeros();
+        usize::try_from(1u64 << (64 - 2 * bits)).unwrap_or(usize::MAX)
+    }
+
+    /// Evaluates the polynomial `coeffs` (constant term first) at every
+    /// point of a transposed power table, one value per point:
+    /// `out[m] = Σ_k coeffs[k] · table[k · out.len() + m]`. It is the
+    /// column form of [`Fp::dot`], for a caller that evaluates many
+    /// polynomials at the same points ([`Fp::power_columns`] builds the
+    /// table).
+    ///
+    /// The kernel walks the coefficients once, adding `c_k · x_m^k` into
+    /// every point's unreduced accumulator, and reduces each accumulator
+    /// once per chunk of [`Fp::dot`]'s size — once in all for every
+    /// cluster field, after every term at the 32-bit cap. Only the common
+    /// prefix of `coeffs` and the table's rows is read, so a zero-padded
+    /// coefficient vector evaluates exactly like its trimmed
+    /// [`crate::Poly`].
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// let fp = byzclock_field::Fp::for_cluster(7); // p = 11
+    /// let table = fp.power_columns(&[1, 2, 3], 3);
+    /// let mut out = [0; 3];
+    /// fp.eval_columns(&[5, 0, 1], &table, &mut out); // 5 + x²
+    /// assert_eq!(out, [6, 9, 3]);
+    /// ```
+    pub fn eval_columns(&self, coeffs: &[FpElem], table: &[FpElem], out: &mut [FpElem]) {
+        out.fill(0);
+        if out.is_empty() {
+            return;
+        }
+        let chunk = self.dot_chunk();
+        for (k, (&c, pows)) in coeffs.iter().zip(table.chunks_exact(out.len())).enumerate() {
+            debug_assert!(self.contains(c));
+            if k > 0 && k % chunk == 0 {
+                out.iter_mut().for_each(|acc| *acc %= self.p);
+            }
+            for (acc, &x) in out.iter_mut().zip(pows) {
+                debug_assert!(self.contains(x));
+                *acc += c * x;
+            }
+        }
+        out.iter_mut().for_each(|acc| *acc %= self.p);
+    }
+
     /// `[x⁰, x¹, …, x^(count−1)]`, the table [`Fp::dot`] evaluates a
     /// polynomial against.
     pub fn powers(&self, x: FpElem, count: usize) -> Vec<FpElem> {
         let x = self.reduce(x);
         std::iter::successors(Some(1 % self.p), |&xp| Some(self.mul(xp, x)))
             .take(count)
+            .collect()
+    }
+
+    /// The `count × xs.len()` table [`Fp::eval_columns`] evaluates
+    /// against: row `k` holds `x^k` for every `x` of `xs`, so column `m` is
+    /// [`Fp::powers`]`(xs[m], count)`.
+    pub fn power_columns(&self, xs: &[FpElem], count: usize) -> Vec<FpElem> {
+        let columns: Vec<Vec<FpElem>> = xs.iter().map(|&x| self.powers(x, count)).collect();
+        (0..count)
+            .flat_map(|k| columns.iter().map(move |pows| pows[k]))
             .collect()
     }
 
@@ -255,7 +318,7 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn rejects_composite_modulus() {
@@ -393,6 +456,36 @@ mod tests {
             let fold = a.iter().zip(&b).fold(0, |acc, (&x, &y)| fp.add(acc, fp.mul(x, y)));
             prop_assert_eq!(fp.dot(&a, &b), fold);
             prop_assert_eq!(fp.dot(&b, &a), fold);
+        }
+
+        /// `eval_columns` is `Poly::eval` at every point of the table, for
+        /// every degree up to the table's `f` and for rows shorter than
+        /// `f + 1`, zero-padded to the table's height or not — one term
+        /// per chunk at the largest prime.
+        #[test]
+        fn eval_columns_is_horner_at_every_point(
+            p in proptest::sample::select(TEST_PRIMES.to_vec()),
+            seed in any::<u64>(),
+            f in 0usize..8,
+            len in 0usize..9,
+            points in 0usize..40,
+            pad in any::<bool>(),
+        ) {
+            let fp = Fp::new(p).unwrap();
+            let mut rng = StdRng::seed_from_u64(seed);
+            let len = len.min(f + 1);
+            let mut coeffs: Vec<u64> = (0..len).map(|_| fp.sample(&mut rng)).collect();
+            let poly = crate::Poly::from_coeffs(coeffs.clone());
+            if pad {
+                coeffs.resize(f + 1, 0);
+            }
+            let xs: Vec<u64> = (0..points).map(|_| rng.random()).collect();
+            let table = fp.power_columns(&xs, f + 1);
+            let mut out = vec![u64::MAX; points];
+            fp.eval_columns(&coeffs, &table, &mut out);
+            for (m, &x) in xs.iter().enumerate() {
+                prop_assert_eq!(out[m], poly.eval(&fp, x), "point {}", m);
+            }
         }
 
         #[test]

@@ -92,18 +92,6 @@ impl Poly {
         acc
     }
 
-    /// Evaluates the polynomial at the point whose powers `[x⁰, x¹, …]`
-    /// are `pows` ([`Fp::powers`]) — one [`Fp::dot`], so one reduction
-    /// where [`Poly::eval`] pays one per coefficient. For callers that
-    /// evaluate many polynomials at the same few points.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pows` is shorter than the coefficient vector.
-    pub fn eval_powers(&self, fp: &Fp, pows: &[FpElem]) -> FpElem {
-        fp.dot(&self.coeffs, &pows[..self.coeffs.len()])
-    }
-
     /// Adds two polynomials.
     pub fn add(&self, fp: &Fp, other: &Poly) -> Poly {
         let n = self.coeffs.len().max(other.coeffs.len());
@@ -302,15 +290,6 @@ mod tests {
     }
 
     proptest! {
-        /// `eval_powers` against a power table is `eval` at the table's
-        /// point, for every (normalized, hence shorter) coefficient count.
-        #[test]
-        fn eval_powers_matches_horner(coeffs in coeff_vec(101, 8), x in 0u64..300) {
-            let fp = Fp::new(101).unwrap();
-            let p = Poly::from_coeffs(coeffs);
-            prop_assert_eq!(p.eval_powers(&fp, &fp.powers(x, 8)), p.eval(&fp, x));
-        }
-
         #[test]
         fn interpolation_round_trip(coeffs in coeff_vec(101, 8)) {
             let fp = Fp::new(101).unwrap();

@@ -1,0 +1,86 @@
+//! The GVSS coin's allocation counter: how many allocator calls one steady
+//! beat of a ticket-coin clock makes, started through the scenario API.
+//!
+//! Every coin matrix is one flat block (`FlatMatrix`: an element `Vec`
+//! plus a span table) instead of a `Vec` per row, the instance storage is
+//! one zero-padded coefficient block, and `recv_share` allocates nothing.
+//! What is left per beat is a handful of allocations per message — each
+//! payload's two vectors and its `Arc` — plus the per-instance dealing.
+//!
+//! Beats 70..120 of `clock-sync n=13 f=4 k=8 coin=ticket adv=silent
+//! faults=none seed=1`, serial stepping, counted per calling thread: the
+//! nested layout (one `Vec` per matrix row, rows stored as `Vec<Poly>`,
+//! echoes evaluated twice) made 736 299 calls there, 14 726 a beat; the
+//! flat layout makes 200 799, 4 016 a beat. The window sits between the
+//! doublings of `TrafficStats`' per-beat row vector at beats 64 and 128,
+//! like `crates/sim/tests/zero_alloc_step.rs`'s.
+
+use byzclock::scenario::{Scenario, ScenarioSpec};
+use byzclock::sim::set_step_threads_override;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+thread_local! {
+    /// Allocator calls (`alloc` + `realloc`) made by this thread.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// The system allocator, counting requests per calling thread so the
+/// harness's own threads cannot disturb the figure.
+struct CountingAlloc;
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds the
+// `GlobalAlloc` contract; the only addition is a thread-local statistic
+// (a const-initialised `Cell` without a destructor, so reading it never
+// allocates or re-enters the allocator).
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.with(|c| c.set(c.get() + 1));
+        // SAFETY: the caller's `layout` obligations pass straight through.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCS.with(|c| c.set(c.get() + 1));
+        // SAFETY: `ptr` came from `System` with this `layout` (above), and
+        // the caller vouches for `new_size`.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System.alloc` with this `layout` (above).
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
+
+/// Allocator calls made by beats 70..120 of the spec, stepped serially.
+fn allocations_in_steady_beats(line: &str) -> u64 {
+    set_step_threads_override(Some(1));
+    let spec = ScenarioSpec::parse(line).expect("spec parses");
+    let mut run = Scenario::start(&spec).expect("clock-sync registered");
+    for _ in 0..70 {
+        run.step();
+    }
+    let before = ALLOCS.with(Cell::get);
+    for _ in 0..50 {
+        run.step();
+    }
+    let allocations = ALLOCS.with(Cell::get) - before;
+    assert_eq!(run.beat(), 120);
+    assert!(run.synced().is_some(), "the clock is steady by beat 120");
+    allocations
+}
+
+#[test]
+fn a_steady_ticket_coin_beat_allocates_per_message_not_per_row() {
+    let allocations = allocations_in_steady_beats(
+        "clock-sync n=13 f=4 k=8 coin=ticket adv=silent faults=none seed=1 budget=1000",
+    );
+    assert!(
+        allocations <= 205_000,
+        "{allocations} allocator calls in 50 steady beats (flat layout: 200 799)"
+    );
+}

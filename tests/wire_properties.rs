@@ -10,9 +10,10 @@ use byzclock::alg::{
     ClockSyncMsg, FourClockMsg, LevelMsg, RoundMsg, SharedFourClockMsg, SlotMsg, Trit, TwoClockMsg,
 };
 use byzclock::baselines::{BaMsg, DwMsg};
-use byzclock::coin::{CoinMsg, CommitteeMsg};
+use byzclock::coin::{CoinMsg, CommitteeMsg, FlatMatrix};
 use byzclock::sim::{Wire, WireFormat};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 const FORMATS: [WireFormat; 2] = [WireFormat::Fixed, WireFormat::Packed];
 
@@ -77,6 +78,68 @@ fn coin_msg_strategy() -> impl Strategy<Value = CoinMsg> {
     )
     .prop_map(CoinMsg::recover);
     prop_oneof![rows, echo, vote, recover]
+}
+
+/// Per-dealer rows of any shape: ragged, empty, absent, with elements of
+/// every byte width.
+fn nested_rows() -> impl Strategy<Value = Vec<Option<Vec<u64>>>> {
+    let elem = prop_oneof![0u64..40, any::<u64>()];
+    proptest::collection::vec(
+        proptest::option::of(proptest::collection::vec(elem, 0..6)),
+        0..12,
+    )
+}
+
+/// The matrix a `Row`, `Echo` or `Recover` carries.
+fn matrix_of(msg: &CoinMsg) -> Option<&Arc<FlatMatrix>> {
+    match msg {
+        CoinMsg::Row { rows: m } | CoinMsg::Echo { points: m } | CoinMsg::Recover { shares: m } => {
+            Some(m)
+        }
+        CoinMsg::Vote { .. } => None,
+    }
+}
+
+/// `v` through the generic `Wire` impls, in `Fixed`.
+fn fixed_bytes<T: Wire>(v: &T) -> Vec<u8> {
+    let mut buf = BytesMut::new();
+    WireFormat::Fixed.encode_into(v, &mut buf);
+    buf.as_slice().to_vec()
+}
+
+/// The packed matrix layout written out over the nested form: the tag, a
+/// `u16` row count, for `optioned` payloads an LSB-first presence bitset,
+/// then `width: u8` (the fewest bytes holding every element, at least
+/// one), `maxlen: u16`, and per present row a `u16` delta `maxlen − len`
+/// followed by its elements big-endian at `width` bytes.
+fn packed_reference(tag: u8, rows: &[Option<Vec<u64>>], optioned: bool) -> Vec<u8> {
+    let mut out = vec![tag];
+    out.extend((rows.len() as u16).to_be_bytes());
+    if optioned {
+        let mut bits = vec![0u8; rows.len().div_ceil(8)];
+        for (i, row) in rows.iter().enumerate() {
+            bits[i / 8] |= u8::from(row.is_some()) << (i % 8);
+        }
+        out.extend(bits);
+    }
+    let present: Vec<&Vec<u64>> = rows.iter().flatten().collect();
+    let max = present
+        .iter()
+        .flat_map(|row| row.iter())
+        .max()
+        .copied()
+        .unwrap_or(0);
+    let width = (64 - max.leading_zeros() as usize).div_ceil(8).max(1);
+    let maxlen = present.iter().map(|row| row.len()).max().unwrap_or(0);
+    out.push(width as u8);
+    out.extend((maxlen as u16).to_be_bytes());
+    for row in present {
+        out.extend(((maxlen - row.len()) as u16).to_be_bytes());
+        for v in row {
+            out.extend(&v.to_be_bytes()[8 - width..]);
+        }
+    }
+    out
 }
 
 fn committee_msg_strategy() -> impl Strategy<Value = CommitteeMsg> {
@@ -170,19 +233,16 @@ proptest! {
         assert_round_trips(&msg);
     }
 
-    /// A cloned matrix message — however ragged — is the same allocation,
-    /// through every wrapper the clock stack clones it in, and a decoded
-    /// one is equal but its own.
+    /// A cloned matrix message — however ragged — is the same
+    /// [`FlatMatrix`] allocation, through every wrapper the clock stack
+    /// clones it in, and a decoded one is equal but its own.
     #[test]
     fn coin_msg_clones_share_their_matrix(msg in coin_msg_strategy(), slot in any::<u8>()) {
-        use std::sync::Arc;
         let wrapped = ClockSyncMsg::Coin(SlotMsg { slot, msg: msg.clone() }).clone();
         let ClockSyncMsg::Coin(SlotMsg { msg: copy, .. }) = &wrapped else { unreachable!() };
-        let shared = match (&msg, copy) {
-            (CoinMsg::Row { rows: a }, CoinMsg::Row { rows: b }) => Arc::ptr_eq(a, b),
-            (CoinMsg::Echo { points: a }, CoinMsg::Echo { points: b }) => Arc::ptr_eq(a, b),
-            (CoinMsg::Recover { shares: a }, CoinMsg::Recover { shares: b }) => Arc::ptr_eq(a, b),
-            (CoinMsg::Vote { content: a }, CoinMsg::Vote { content: b }) => a == b,
+        let shared = match (matrix_of(&msg), matrix_of(copy)) {
+            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+            (None, None) => msg == *copy,
             _ => false,
         };
         prop_assert!(shared, "{:?}", msg);
@@ -191,9 +251,47 @@ proptest! {
             format.encode_into(&msg, &mut buf);
             let back: CoinMsg = format.decode_from(buf.as_slice()).expect("round trip");
             prop_assert_eq!(&back, &msg);
-            if let (CoinMsg::Echo { points: a }, CoinMsg::Echo { points: b }) = (&msg, &back) {
+            if let (Some(a), Some(b)) = (matrix_of(&msg), matrix_of(&back)) {
                 prop_assert!(!Arc::ptr_eq(a, b));
             }
+        }
+    }
+
+    /// The flat payloads write the bytes of the nested layouts they
+    /// replaced, for any shape — ragged, empty, absent rows: in `Fixed`
+    /// the generic `Wire` encoding of `Vec<Vec<u64>>` (`Row`) or
+    /// `Vec<Option<Vec<u64>>>` (`Echo`, `Recover`), in `Packed` the layout
+    /// written out in [`packed_reference`]. Those bytes decode back to the
+    /// same rows, and `len_of` counts them.
+    #[test]
+    fn flat_payloads_encode_as_their_nested_layouts(rows in nested_rows(), which in 0u8..3) {
+        let (tag, msg, fixed) = match which {
+            0 => {
+                let nested: Vec<Vec<u64>> = rows.iter().map(|r| r.clone().unwrap_or_default()).collect();
+                (0u8, CoinMsg::row(nested.clone()), fixed_bytes(&(0u8, nested)))
+            }
+            1 => (1, CoinMsg::echo(rows.clone()), fixed_bytes(&(1u8, rows.clone()))),
+            _ => (3, CoinMsg::recover(rows.clone()), fixed_bytes(&(3u8, rows.clone()))),
+        };
+        let want_rows: Vec<Option<Vec<u64>>> = if tag == 0 {
+            rows.iter().map(|r| Some(r.clone().unwrap_or_default())).collect()
+        } else {
+            rows.clone()
+        };
+        let packed = packed_reference(tag, &want_rows, tag != 0);
+        for (format, want) in [(WireFormat::Fixed, fixed), (WireFormat::Packed, packed)] {
+            let mut buf = BytesMut::new();
+            format.encode_into(&msg, &mut buf);
+            prop_assert_eq!(buf.as_slice(), &want[..], "{:?}", format);
+            prop_assert_eq!(format.len_of(&msg), want.len());
+            let back: CoinMsg = format.decode_from(&want).expect("the nested bytes decode");
+            let got: Vec<Option<Vec<u64>>> = matrix_of(&back)
+                .expect("a matrix payload")
+                .rows()
+                .map(|row| row.map(<[u64]>::to_vec))
+                .collect();
+            prop_assert_eq!(&got, &want_rows);
+            prop_assert_eq!(&back, &msg);
         }
     }
 
