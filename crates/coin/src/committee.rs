@@ -142,8 +142,8 @@ impl Wire for CommitteeMsg {
 ///
 /// Members run an inner rank-space [`TicketCoinProto`] over a `c`-node
 /// sub-cluster (`NodeCfg { id: rank, n: c, f: f_c }` — identical rank
-/// point-sets across rotations, so the workspace's cached decoder
-/// factorizations keep hitting whoever the members are); non-members hold
+/// point-sets across rotations, so the workspace's cached decoders keep
+/// hitting whoever the members are); non-members hold
 /// no GVSS state at all and only count relays.
 #[derive(Debug)]
 pub struct CommitteeCoinProto {
@@ -304,7 +304,7 @@ impl RoundProtocol for CommitteeCoinProto {
 /// Factory for [`CommitteeCoinProto`] instances (`Δ_A = 5`).
 ///
 /// Holds the node's [`GvssWorkspace`] — every member-instance recycles the
-/// storage and decoder factorizations of retired predecessors, so the
+/// storage and decoders of retired predecessors, so the
 /// full-mesh coin's zero-alloc steady state survives subsampling once a
 /// node has served on one committee (≤ `⌈n/c⌉` beats after start).
 #[derive(Debug, Clone)]

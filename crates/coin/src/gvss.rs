@@ -55,14 +55,14 @@ pub enum Grade {
 
 /// Recover-round decode accounting for one GVSS instance.
 ///
-/// All codewords routed through one shared [`BatchDecoder`] factorization
-/// count as one *batch*; in the honest case every included dealer's
+/// All codewords routed through one shared [`BatchDecoder`] (one set of
+/// tables over one point set) count as one *batch*; in the honest case every included dealer's
 /// openers coincide, so a whole beat's `dealers × targets` decodes ride a
 /// single batch. Instrumentation only — it never influences the protocol
 /// and (like `CoinApp`'s history) survives `corrupt`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DecodeStats {
-    /// Distinct point-set factorizations built by recover rounds.
+    /// Distinct point-set decoders built by recover rounds.
     pub batches: u64,
     /// Codewords decoded through those batches.
     pub codewords: u64,
@@ -86,11 +86,11 @@ impl DecodeStats {
 ///
 /// `storage_builds`/`decoder_builds` count the expensive work this
 /// instance had to do from scratch — allocating a fresh O(n²)
-/// share-matrix block, building a Berlekamp–Welch factorization —
+/// share-matrix block, building a point set's decoder —
 /// while `storage_reuses`/`decoder_hits` count the times the shared
 /// [`GvssWorkspace`] satisfied the need from its pool or cache instead.
 /// In the steady state of a pipelined coin every instance reuses retired
-/// storage and cached factorizations, so "steady-state beats allocate
+/// storage and cached decoders, so "steady-state beats allocate
 /// nothing in the GVSS path" is the assertion
 /// `storage_builds == 0 && decoder_builds == 0` per instance after
 /// warm-up. Instrumentation only; survives `corrupt`.
@@ -100,9 +100,9 @@ pub struct AllocStats {
     pub storage_builds: u64,
     /// Storage blocks recycled from the workspace pool.
     pub storage_reuses: u64,
-    /// Decoder cache misses: a new factorization entry was built.
+    /// Decoder cache misses: a new decoder entry was built.
     pub decoder_builds: u64,
-    /// Recover-round point sets served by a cached factorization.
+    /// Recover-round point sets served by a cached decoder.
     pub decoder_hits: u64,
 }
 
@@ -222,8 +222,8 @@ const DECODER_CACHE_CAP: usize = 32;
 /// - a pool of retired `GvssStorage` blocks, returned on instance drop,
 ///   so steady-state instances reuse O(n²) matrix capacity instead of
 ///   reallocating it every beat,
-/// - a cache of [`BatchDecoder`]s (interpolation tables and
-///   Berlekamp–Welch factorizations) keyed by the recover round's
+/// - a cache of [`BatchDecoder`]s (the clean, erasure and Berlekamp–Welch
+///   rungs' interpolation tables) keyed by the recover round's
 ///   evaluation-point set — in the honest steady state every beat reuses
 ///   the same point set, so they are built once per run instead of once
 ///   per beat, and
@@ -336,8 +336,8 @@ impl GvssCore {
         GvssCore::with_workspace(cfg, targets, GvssWorkspace::new())
     }
 
-    /// Fresh instance state drawing storage and cached decoder
-    /// factorizations from `workspace` (the pipelined steady-state path).
+    /// Fresh instance state drawing storage and cached decoders from
+    /// `workspace` (the pipelined steady-state path).
     pub fn with_workspace(cfg: NodeCfg, targets: usize, workspace: GvssWorkspace) -> Self {
         let n = cfg.n;
         let fp = Fp::for_cluster(n);
@@ -649,10 +649,10 @@ impl GvssCore {
     /// A sender opens either all of a dealer's targets or none
     /// (`check_matrix`), so all `targets` codewords of one dealer share
     /// one evaluation-point set — and in the honest case every dealer's
-    /// openers coincide, so the whole beat shares a single factored
-    /// elimination. Results are identical to per-codeword `rs::decode`
-    /// (pinned by proptests in `byzclock-field`); only the elimination
-    /// cost is amortized.
+    /// openers coincide, so the whole beat shares one decoder and its
+    /// tables. Results are identical to per-codeword `rs::decode` (pinned
+    /// by proptests in `byzclock-field`); only the cost of building the
+    /// tables is amortized.
     pub fn recv_recover(&mut self, inbox: &[(NodeId, CoinMsg)]) {
         let n = self.cfg.n;
         let f = self.cfg.f;
@@ -695,7 +695,7 @@ impl GvssCore {
         }
         // One decoder per distinct point set, looked up in the workspace
         // cache — which persists across beats, so in the honest steady
-        // state (every beat's openers coincide) the elimination is built
+        // state (every beat's openers coincide) the tables are built
         // once per run instead of once per beat. `None` decoders (too few
         // or duplicate openers) fail every codeword, exactly as the
         // one-shot decode would, and are cached too so a bad point set is
@@ -721,7 +721,7 @@ impl GvssCore {
                         ws.decoders.truncate(1);
                     }
                     let decoder = BatchDecoder::new(&self.fp, xs, f);
-                    // Count only factorizations that were actually built;
+                    // Count only decoders that were actually built;
                     // unusable point sets never become a batch.
                     self.decode_stats.batches += u64::from(decoder.is_some());
                     self.alloc_stats.decoder_builds += 1;
@@ -929,7 +929,7 @@ mod tests {
     #[test]
     fn honest_recover_rides_one_batch_per_beat() {
         // All 7 dealers' openers coincide, so the 7 × 3 decodes of the
-        // recover round share a single factored elimination.
+        // recover round share a single decoder.
         let cores = run_honest(7, 2, 3, 9);
         for core in &cores {
             let stats = core.decode_stats();
@@ -939,7 +939,7 @@ mod tests {
     }
 
     /// The workspace contract: the first instance builds its storage and
-    /// decoder factorization; every later instance over the same workspace
+    /// decoder; every later instance over the same workspace
     /// reuses both — steady-state beats allocate nothing in the GVSS path.
     #[test]
     fn workspace_reuses_storage_and_decoders_across_instances() {
@@ -961,7 +961,7 @@ mod tests {
             assert_eq!(stats.storage_reuses, 1, "{stats:?}");
             assert_eq!(stats.decoder_builds, 0, "steady state: {stats:?}");
             assert_eq!(stats.decoder_hits, n as u64, "{stats:?}");
-            // The cached factorization must decode exactly like a fresh
+            // The cached decoder must decode exactly like a fresh
             // one: same per-instance codeword count, batches now zero.
             assert_eq!(core.decode_stats().batches, 0);
             assert_eq!(core.decode_stats().codewords, 21);
@@ -1345,7 +1345,7 @@ mod tests {
     /// Regression: a single duplicated `Recover` message must not poison
     /// the decode. Before the per-sender dedup, the duplicate pushed its
     /// sender's share point into every dealer's `xs` twice; the duplicated
-    /// x-point made the shared `BatchDecoder` factorization `None`, and
+    /// x-point made the shared `BatchDecoder` `None`, and
     /// every secret of every dealer opened by that point set failed — one
     /// phantom replay (or Byzantine double-send) stalling recovery
     /// cluster-wide.
@@ -1416,7 +1416,7 @@ mod tests {
     /// Cache overflow keeps the point set every beat hits. Hostile
     /// senders (or a scrambled cohort) can mint fresh opener sets faster
     /// than the cap; cutting the cache back must not cost the honest set
-    /// its tables and factorization.
+    /// its tables.
     #[test]
     fn decoder_cache_overflow_keeps_the_most_hit_point_set() {
         let (n, f) = (7usize, 2usize);

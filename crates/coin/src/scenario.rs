@@ -55,7 +55,7 @@ fn reject_committee(spec: &ScenarioSpec) -> Result<(), ScenarioError> {
 
 /// The `metrics=decode` report extras: the GVSS recover round's
 /// decode-batch totals summed over the correct nodes' coin pipelines,
-/// plus the derived mean batch size (codewords per factored elimination).
+/// plus the derived mean batch size (codewords per point-set decoder).
 fn decode_extras<'a>(per_node: impl Iterator<Item = Vec<(&'a str, f64)>>) -> Vec<(String, f64)> {
     let (mut batches, mut codewords) = (0.0, 0.0);
     for metrics in per_node {

@@ -109,7 +109,7 @@ impl RoundProtocol for TicketCoinProto {
 /// Factory for [`TicketCoinProto`] instances (`Δ_A = 4`).
 ///
 /// Holds the node's [`GvssWorkspace`], so every instance this scheme
-/// spawns recycles the storage and decoder factorizations of its retired
+/// spawns recycles the storage and decoders of its retired
 /// predecessors — the pipelined steady state allocates nothing in the
 /// GVSS path.
 #[derive(Debug, Clone)]

@@ -88,7 +88,7 @@ impl RoundProtocol for XorCoinProto {
 
 /// Factory for [`XorCoinProto`] instances. Like the ticket scheme, it
 /// holds the node's [`GvssWorkspace`] so spawned instances recycle retired
-/// storage and decoder factorizations.
+/// storage and decoders.
 #[derive(Debug, Clone)]
 pub struct XorCoinScheme {
     cfg: NodeCfg,

@@ -13,8 +13,6 @@ pub enum FieldError {
     ZeroInverse,
     /// Interpolation was attempted over duplicated x-coordinates.
     DuplicatePoint(u64),
-    /// A linear system was inconsistent.
-    Inconsistent,
 }
 
 impl fmt::Display for FieldError {
@@ -31,7 +29,6 @@ impl fmt::Display for FieldError {
             FieldError::DuplicatePoint(x) => {
                 write!(fmt, "duplicate x-coordinate {x} in interpolation input")
             }
-            FieldError::Inconsistent => write!(fmt, "linear system is inconsistent"),
         }
     }
 }

@@ -12,8 +12,6 @@
 //!   arithmetic, division),
 //! - [`SymmetricBivariate`]: symmetric bivariate polynomials used by the
 //!   graded VSS dealing phase,
-//! - [`linalg`]: Gaussian elimination over `F_p`, including the
-//!   column-incremental [`linalg::Eliminator`] behind the decode hot path,
 //! - [`rs`]: Reed–Solomon decoding via the Berlekamp–Welch algorithm, which
 //!   lets the coin's recover round tolerate up to `f` corrupted shares —
 //!   one-shot ([`rs::decode`]) or amortized over every codeword sharing an
@@ -47,7 +45,6 @@ mod fp;
 mod poly;
 mod primes;
 
-pub mod linalg;
 pub mod rs;
 
 pub use bivariate::SymmetricBivariate;

@@ -8,75 +8,82 @@
 //! correct node reconstructs the same polynomial no matter which `≤ f`
 //! shares the adversary falsifies — even with recover-round rushing.
 //!
-//! # The batched/incremental elimination
+//! # Three linear rungs
 //!
-//! This is the hottest kernel in the repo (the `benchmark/` package's
+//! Decoding sits under every coin flip (the `benchmark/` package's
 //! `field.decode.*` micro-timings and `coin.recover.recv_ms` span measure
-//! it), so the decode path is built around doing no elimination for a clean
-//! codeword and amortizing the elimination for the rest:
+//! it), and every rung of it is linear algebra against one kind of table.
+//! The *tables* at degree `d` over `m` points, with `k = d + 1`, hold
+//! the inverse Vandermonde matrix of the first `k` points and the
+//! *extension* matrix that maps a view's first `k` values (its *head*) to
+//! the values the degree-`≤ d` polynomial through them takes at the other
+//! `m − k` points. A view is a codeword of degree `≤ d` iff its
+//! *residual* — its tail minus the extension of its head — is zero, and
+//! then the inverse Vandermonde rows dotted with the head are its
+//! coefficients. All codewords that share one evaluation-point set (the
+//! per-beat GVSS recover case — every dealer's share vector uses the same
+//! node indices) share these tables, so [`BatchDecoder`] builds them once
+//! and tries three rungs in order:
 //!
-//! - The key equation is solved in *homogeneous* form — find a nonzero
-//!   `(Q, E)` with `Q(x_i) = y_i · E(x_i)`, `deg Q ≤ degree + e`,
-//!   `deg E ≤ e` — as a growing column set in a
-//!   [`linalg::Eliminator`](crate::linalg::Eliminator). Any nonzero
-//!   solution over distinct `x`s has `E ≢ 0` (else `Q` would vanish at
-//!   more points than its degree allows), and whenever the view is within
-//!   `e` errors of a codeword, *every* nonzero solution satisfies
-//!   `Q = P·E` exactly — so a candidate read off any kernel vector, then
-//!   checked against the view, is as good as the textbook monic-`E`
-//!   solve.
-//! - **Incremental error-budget ladder** ([`decode_with_errors`]): going
-//!   from `e` presumed errors to `e + 1` adds exactly two columns — one
-//!   more `Q` coefficient (`x^{degree+e+1}`) and one more `E` coefficient
-//!   (`−y·x^{e+1}`) — so the ladder extends one elimination instead of
-//!   re-solving an ever-larger system from scratch at each error count.
-//! - **Batched decoding** ([`BatchDecoder`]): all codewords that share one
-//!   evaluation-point set (the per-beat GVSS recover case — every dealer's
-//!   share vector uses the same node indices) share everything that
-//!   depends only on the `x`s. Three rungs exist, tried in order:
-//!   1. The *clean* rung (`e = 0`) is linear, not an elimination: a view
-//!      is a codeword iff its last `m − degree − 1` values are the
-//!      Lagrange extension of its first `degree + 1`, so a precomputed
-//!      extension matrix checks it and the inverse-Vandermonde rows read
-//!      the coefficients off — dot products, no allocation.
-//!   2. The *erasure* rung is the clean rung over the points outside a
-//!      learned *liar hint* `S` (`1 ≤ |S| ≤ budget` positions the last
-//!      full-budget solves found wrong), with its own tables. The paper's
-//!      Byzantine set is fixed, so the wrong shares of one beat's — and
-//!      the next beat's — codewords come from the same `≤ f` senders, and
-//!      once `S` covers them a dirty view costs dot products too.
-//!   3. The *full-budget* stage, for a view neither linear rung explains,
-//!      factors its Vandermonde `Q`-block once (LU-style: the
-//!      elimination's operation log *is* the factorization) and replays
-//!      it per codeword against just the `y`-dependent columns; in the
-//!      homogeneous form that one stage resolves every error count
-//!      `1..=budget` (see [`BatchDecoder::decode_one`]). A success folds
-//!      the positions it found wrong into `S`.
+//! 1. The *clean* rung (`e = 0`): the tables at `degree`. A codeword costs
+//!    dot products, no allocation.
+//! 2. The *erasure* rung: the clean rung over the points outside a learned
+//!    *liar hint* `S` (`1 ≤ |S| ≤ budget` positions the last
+//!    Berlekamp–Welch solves found wrong), with its own tables. The
+//!    paper's Byzantine set is fixed, so the wrong shares of one beat's —
+//!    and the next beat's — codewords come from the same `≤ f` senders,
+//!    and once `S` covers them a dirty view costs dot products too.
+//! 3. *Berlekamp–Welch* at the full budget `e`, for a view neither rung
+//!    above explains, against the *key tables*: the tables at
+//!    `degree + e`. A success folds the positions it found wrong into `S`.
+//!    [`decode`] is this rung alone.
 //!
-//! Every path returns exactly what the one-shot decoder returns: the
-//! unique codeword within `budget` mismatches of the view, or `None`. Two
+//! The key equation asks for a nonzero error locator `E` with `deg E ≤ e`
+//! and a `Q` with `deg Q ≤ degree + e` such that `Q(x_i) = y_i · E(x_i)`:
+//! the vector `y ⊙ E(x)` must be a codeword of degree `≤ degree + e`. Its
+//! residual against the key tables is linear in `E`'s coefficients `ε`:
+//! column `j` of the `(m − k) × (e + 1)` matrix `R` (now
+//! `k = degree + e + 1`) is the residual of `y ⊙ xʲ`. So `E` is any
+//! nonzero kernel vector of `R` — a Gauss–Jordan over at most `e + 1`
+//! columns; `R` has `m − k ≥ e` rows, and none at all when `m = k`, where
+//! `ε = (1, 0, …)` — and `Q` is the key tables' interpolation of the head
+//! of `y ⊙ E(x)`. Nothing is lost against the textbook solve of the whole
+//! `m × (degree + 2e + 2)` system: its Vandermonde block has full column
+//! rank over distinct `x`s, so `(Q, E)` solves it exactly when `Rε = 0`
+//! and `Q` is that interpolation, and a nonzero `ε` is a nonzero `E`. The
+//! candidate `P = Q / E` is accepted when the division is exact,
+//! `deg P ≤ degree` and `P` is within `e` mismatches of the view.
+//!
+//! Whenever the view is within `e` errors of a codeword `P`, *every*
+//! solution has `Q = P·E` — `Q − P·E` has degree `≤ degree + e` and
+//! vanishes at the `≥ m − e ≥ degree + e + 1` points where the view is
+//! right — so which kernel vector the elimination reads off cannot change
+//! the answer, and one solve at the full budget resolves every error count
+//! `0..=e`.
+//!
+//! Every path returns exactly what Berlekamp–Welch returns: the unique
+//! codeword within `budget` mismatches of the view, or `None`. Two
 //! degree-`≤ d` polynomials within `budget = (n − d − 1) / 2` mismatches
 //! of the same `n`-point view agree on `≥ n − 2·budget ≥ d + 1` points and
-//! hence are equal, so *which* rung or candidate generation succeeds first
-//! cannot change the answer. For the erasure rung: if the `n − |S|` kept
-//! points fit a polynomial `P` of degree `≤ d`, then `P` differs from the
-//! view in at most `|S| ≤ budget` positions, so it is that unique
-//! codeword — whatever `S` is. A wrong or stale hint can only send a view
-//! on to the full-budget stage; it changes what a decode costs, never what
-//! it returns (the proptests below install arbitrary hints to pin this).
+//! hence are equal, so *which* rung succeeds first cannot change the
+//! answer. For the erasure rung: if the `n − |S|` kept points fit a
+//! polynomial `P` of degree `≤ d`, then `P` differs from the view in at
+//! most `|S| ≤ budget` positions, so it is that unique codeword — whatever
+//! `S` is. A wrong or stale hint can only send a view on to
+//! Berlekamp–Welch; it changes what a decode costs, never what it returns
+//! (the proptests below install arbitrary hints to pin this, and check
+//! both entries against a brute-force nearest-codeword search).
 
 // Indexed loops in this file mirror the paper's matrix/polynomial
 // subscripts; iterator rewrites would obscure the math.
 #![allow(clippy::needless_range_loop)]
-use crate::linalg::Eliminator;
 use crate::{Fp, FpElem, Poly};
 
 /// Decodes a polynomial of degree at most `degree` from `points`, tolerating
-/// up to `max_errors` corrupted y-values.
+/// up to `(points.len() − degree − 1) / 2` corrupted y-values.
 ///
-/// Returns `None` when decoding fails (more errors than the budget, or not
-/// enough points: `points.len()` must be at least
-/// `degree + 2 * max_errors + 1`).
+/// Returns `None` when decoding fails (more errors than that budget, or
+/// fewer than `degree + 1` points).
 ///
 /// x-coordinates must be distinct; duplicate x-coordinates make the decode
 /// fail (returns `None`) rather than panic, because in the protocol the
@@ -84,8 +91,8 @@ use crate::{Fp, FpElem, Poly};
 /// in tests.
 ///
 /// Decoding many codewords over one x-set? Use [`BatchDecoder`], which
-/// amortizes the elimination across the batch and returns identical
-/// results.
+/// builds its tables once and answers most views with dot products, and
+/// returns identical results.
 ///
 /// # Example
 ///
@@ -103,141 +110,116 @@ use crate::{Fp, FpElem, Poly};
 /// ```
 pub fn decode(fp: &Fp, points: &[(FpElem, FpElem)], degree: usize) -> Option<Poly> {
     let n = points.len();
-    if n == 0 {
-        return None;
-    }
-    let max_errors = (n.saturating_sub(degree + 1)) / 2;
-    // Distinct-x sanity check (protocol callers key points by node id).
-    for (i, &(xi, _)) in points.iter().enumerate() {
-        for &(xj, _) in &points[i + 1..] {
-            if fp.reduce(xi) == fp.reduce(xj) {
-                return None;
-            }
-        }
-    }
-    decode_with_errors(fp, points, degree, max_errors)
-}
-
-/// Which unknown a pushed column of the key equation stands for.
-#[derive(Debug, Clone, Copy)]
-enum Unknown {
-    /// Coefficient `j` of `Q`.
-    Q(usize),
-    /// Coefficient `j` of the error locator `E`.
-    E(usize),
-}
-
-/// Splits a kernel vector of the key equation into `(Q, E)` coefficient
-/// vectors according to the column labels.
-fn split_kernel(labels: &[Unknown], kernel: &[FpElem]) -> (Vec<FpElem>, Vec<FpElem>) {
-    let q_len = labels.iter().filter(|l| matches!(l, Unknown::Q(_))).count();
-    let mut q = vec![0; q_len];
-    let mut e = vec![0; labels.len() - q_len];
-    for (label, &v) in labels.iter().zip(kernel) {
-        match label {
-            Unknown::Q(j) => q[*j] = v,
-            Unknown::E(j) => e[*j] = v,
-        }
-    }
-    (q, e)
-}
-
-/// Turns one kernel vector of the key equation into an accepted codeword,
-/// or `None` when the candidate does not survive the checks: `E ≢ 0`, the
-/// division `Q / E` exact, the quotient of degree `≤ degree` and within
-/// `budget` mismatches of the view. Shared by the ladder and the batch
-/// decoder so acceptance can never drift between them. Once a quotient
-/// exists, `mismatches` holds the positions where it disagrees with the
-/// view (the batch decoder's liar hint learns from them).
-#[allow(clippy::too_many_arguments)]
-fn accept_candidate(
-    fp: &Fp,
-    xs: &[FpElem],
-    ys: &[FpElem],
-    degree: usize,
-    budget: usize,
-    labels: &[Unknown],
-    kernel: &[FpElem],
-    mismatches: &mut Vec<usize>,
-) -> Option<Poly> {
-    let (q_coeffs, e_coeffs) = split_kernel(labels, kernel);
-    let q = Poly::from_coeffs(q_coeffs);
-    let e = Poly::from_coeffs(e_coeffs);
-    if e.is_zero() {
-        // Impossible over distinct xs (a nonzero kernel vector with E = 0
-        // would force Q to vanish at more points than its degree), but
-        // reachable through duplicate xs fed to `decode_with_errors`.
-        return None;
-    }
-    let (p, rem) = q.divmod(fp, &e).ok()?;
-    if !rem.is_zero() || p.degree().is_some_and(|d| d > degree) {
-        return None;
-    }
-    // Accept only if the candidate explains all but <= budget points; this
-    // rejects spurious solutions of the key equation.
-    mismatches.clear();
-    mismatches.extend((0..xs.len()).filter(|&i| p.eval(fp, xs[i]) != ys[i]));
-    (mismatches.len() <= budget).then_some(p)
-}
-
-/// Berlekamp–Welch with an explicit error budget `e`.
-///
-/// Tries `e = 0, 1, …` until a candidate polynomial explains all but at
-/// most `budget` of the points, extending **one** elimination by the two
-/// new columns of each rung (see the module docs) instead of re-solving
-/// from scratch at each error count. Exposed for tests and for callers
-/// that know a tighter bound than `(n - degree - 1) / 2`.
-pub fn decode_with_errors(
-    fp: &Fp,
-    points: &[(FpElem, FpElem)],
-    degree: usize,
-    max_errors: usize,
-) -> Option<Poly> {
-    let n = points.len();
     if n < degree + 1 {
         return None;
     }
-    let budget = max_errors.min((n - degree - 1) / 2);
     let xs: Vec<FpElem> = points.iter().map(|&(x, _)| fp.reduce(x)).collect();
-    let ys: Vec<FpElem> = points.iter().map(|&(_, y)| fp.reduce(y)).collect();
-    // x^j for every point, up to the largest power any rung needs.
-    let xpow = power_table(fp, &xs, degree + budget);
-
-    let mut el = Eliminator::new(n);
-    let mut labels: Vec<Unknown> = Vec::with_capacity(degree + 2 * budget + 2);
-    let push = |el: &mut Eliminator, label: Unknown, labels: &mut Vec<Unknown>| {
-        let col: Vec<FpElem> = match label {
-            Unknown::Q(j) => (0..n).map(|i| xpow[i][j]).collect(),
-            Unknown::E(j) => (0..n).map(|i| fp.neg(fp.mul(ys[i], xpow[i][j]))).collect(),
-        };
-        el.push_col(fp, col);
-        labels.push(label);
-    };
-    // Rung e = 0: Q(x_i) = y_i * E with constant E.
-    for j in 0..=degree {
-        push(&mut el, Unknown::Q(j), &mut labels);
+    // Distinct-x sanity check (protocol callers key points by node id).
+    for (i, &xi) in xs.iter().enumerate() {
+        if xs[i + 1..].contains(&xi) {
+            return None;
+        }
     }
-    push(&mut el, Unknown::E(0), &mut labels);
-    // Ascending e: the clean/low-error case (the common one) stops at the
-    // smallest system. Correctness does not depend on the order — any
-    // candidate within `budget` mismatches of the view is the unique
-    // codeword at that distance.
-    for e in 0..=budget {
-        if e > 0 {
-            // The incremental rung: two columns extend the elimination.
-            push(&mut el, Unknown::Q(degree + e), &mut labels);
-            push(&mut el, Unknown::E(e), &mut labels);
+    let ys: Vec<FpElem> = points.iter().map(|&(_, y)| fp.reduce(y)).collect();
+    let e = (n - degree - 1) / 2;
+    let xpow = power_table(fp, &xs, degree + e);
+    let key = LinearTables::new(fp, &xs, &xpow, degree + e);
+    berlekamp_welch(
+        fp,
+        &key,
+        &xs,
+        &xpow,
+        &ys,
+        degree,
+        e,
+        &mut Vec::new(),
+        &mut Vec::new(),
+    )
+}
+
+/// Berlekamp–Welch at error budget `e` over a reduced view `ys`: the
+/// polynomial of degree `≤ degree` within `e` mismatches of it, or `None`
+/// (see the module docs). `key` is [`LinearTables`] at degree
+/// `degree + e` over `xs`, `xpow` reaches `x^(degree + e)`, and `scratch`
+/// is working space. On success `mismatches` holds the positions where
+/// the answer disagrees with the view (the batch decoder's liar hint
+/// learns from them).
+#[allow(clippy::too_many_arguments)]
+fn berlekamp_welch(
+    fp: &Fp,
+    key: &LinearTables,
+    xs: &[FpElem],
+    xpow: &[Vec<FpElem>],
+    ys: &[FpElem],
+    degree: usize,
+    e: usize,
+    scratch: &mut Vec<FpElem>,
+    mismatches: &mut Vec<usize>,
+) -> Option<Poly> {
+    let (m, k, cols) = (xs.len(), key.k, e + 1);
+    // R, row-major, followed by room for one length-m vector.
+    scratch.clear();
+    scratch.resize((m - k) * cols + m, 0);
+    let (r, v) = scratch.split_at_mut((m - k) * cols);
+    for j in 0..cols {
+        for i in 0..m {
+            v[i] = fp.mul(ys[i], xpow[i][j]);
         }
-        if let Some(kernel) = el.kernel_vector(fp) {
-            // The first kernel candidate settles the decode either way:
-            // `kernel_vector` always reads off the *first* free column,
-            // and columns pushed on later rungs contribute zero
-            // coefficients to that padded vector (a free column is zero
-            // at and below the elimination front of its time), so every
-            // later rung would re-derive this exact candidate.
-            let mismatches = &mut Vec::new();
-            return accept_candidate(fp, &xs, &ys, degree, budget, &labels, &kernel, mismatches);
+        let (head, tail) = v.split_at(k);
+        for (row, (ext, &y)) in key.ext.chunks(k).zip(tail).enumerate() {
+            r[row * cols + j] = fp.sub(y, fp.dot(ext, head));
         }
+    }
+    let locator = kernel_vector(fp, r, cols)?;
+    for i in 0..k {
+        v[i] = fp.mul(ys[i], fp.dot(&locator, &xpow[i]));
+    }
+    let q = key.poly(fp, &v[..k]);
+    let (p, rem) = q.divmod(fp, &Poly::from_coeffs(locator)).ok()?;
+    if !rem.is_zero() || p.degree().is_some_and(|d| d > degree) {
+        return None;
+    }
+    // Accept only if the candidate explains all but <= e points; this
+    // rejects spurious solutions of the key equation.
+    mismatches.clear();
+    mismatches.extend((0..m).filter(|&i| p.eval(fp, xs[i]) != ys[i]));
+    (mismatches.len() <= e).then_some(p)
+}
+
+/// A nonzero kernel vector of the row-major matrix `a` with `cols`
+/// columns, by Gauss–Jordan elimination in place: the first free column's
+/// unknown is 1 and every later one 0. `None` when the columns are
+/// independent.
+fn kernel_vector(fp: &Fp, a: &mut [FpElem], cols: usize) -> Option<Vec<FpElem>> {
+    let rows = a.len() / cols;
+    // The column of each reduced row's pivot.
+    let mut pivots: Vec<usize> = Vec::with_capacity(cols);
+    for c in 0..cols {
+        let top = pivots.len();
+        let Some(pr) = (top..rows).find(|&r| a[r * cols + c] != 0) else {
+            let mut kernel = vec![0; cols];
+            kernel[c] = 1;
+            for (r, &pc) in pivots.iter().enumerate() {
+                kernel[pc] = fp.neg(a[r * cols + c]);
+            }
+            return Some(kernel);
+        };
+        // Every column before `c` is a pivot column, so rows at or below
+        // `top` are zero left of `c`.
+        for j in c..cols {
+            a.swap(top * cols + j, pr * cols + j);
+        }
+        let inv = fp.inv(a[top * cols + c]).expect("pivot is nonzero");
+        for j in c..cols {
+            a[top * cols + j] = fp.mul(a[top * cols + j], inv);
+        }
+        for r in (0..rows).filter(|&r| r != top) {
+            let factor = a[r * cols + c];
+            for j in c..cols {
+                a[r * cols + j] = fp.sub(a[r * cols + j], fp.mul(factor, a[top * cols + j]));
+            }
+        }
+        pivots.push(c);
     }
     None
 }
@@ -250,8 +232,8 @@ fn power_table(fp: &Fp, xs: &[FpElem], max_pow: usize) -> Vec<Vec<FpElem>> {
 /// Decodes many codewords that share one evaluation-point set: a clean
 /// codeword costs dot products against tables that depend only on the
 /// points, so does one whose wrong shares sit where earlier ones' did, and
-/// the rest share one factored Vandermonde block of the Berlekamp–Welch
-/// key equation (all built lazily, once).
+/// the rest run Berlekamp–Welch against key tables over the same points
+/// (all built lazily, once).
 ///
 /// This is the shape of the GVSS recover round: at each beat a node
 /// decodes one degree-`f` polynomial per `(dealer, target)` pair, and all
@@ -289,19 +271,22 @@ pub struct BatchDecoder {
     xpow: Vec<Vec<FpElem>>,
     /// The clean rung's tables, built on the first decode.
     linear: Option<LinearTables>,
-    /// The erasure rung, learned from full-budget solves. Not a function
-    /// of the points: it changes what a decode costs, never what it
-    /// returns (see the module docs).
+    /// The erasure rung, learned from Berlekamp–Welch solves. Not a
+    /// function of the points: it changes what a decode costs, never what
+    /// it returns (see the module docs).
     hint: Option<LiarHint>,
-    /// The full-budget rung, built on the first view neither linear rung
-    /// explains — a clean batch never factors anything.
-    full_stage: Option<FullStage>,
+    /// Berlekamp–Welch's key tables (at degree `degree + budget`), built
+    /// on the first view neither linear rung explains — a clean batch
+    /// never builds them.
+    key: Option<LinearTables>,
     /// The reduced view under decode, reused across calls so a decode by
     /// a linear rung allocates nothing beyond its result.
     ys_buf: Vec<FpElem>,
     /// The loaded view's values at the hint's kept positions.
     kept_buf: Vec<FpElem>,
-    /// Where the last accepted full-budget candidate disagreed with its
+    /// Berlekamp–Welch's working space.
+    scratch: Vec<FpElem>,
+    /// Where the last accepted Berlekamp–Welch answer disagreed with its
     /// view.
     mismatches: Vec<usize>,
 }
@@ -318,38 +303,10 @@ struct LiarHint {
     tables: LinearTables,
 }
 
-/// The full-budget rung: the eliminated Vandermonde `Q`-block and what
-/// each column of the key equation solves for — `Q(0..q_len)`, then the
-/// per-codeword columns `E(0..=budget)`.
-#[derive(Debug, Clone)]
-struct FullStage {
-    el: Eliminator,
-    labels: Vec<Unknown>,
-}
-
-impl FullStage {
-    /// Eliminates the shared `Q`-block. Distinct xs make it full column
-    /// rank, so every column pivots and the stage is rewindable to this
-    /// state per codeword.
-    fn new(fp: &Fp, xpow: &[Vec<FpElem>], degree: usize, budget: usize) -> Self {
-        let n = xpow.len();
-        let q_len = degree + budget + 1;
-        let mut el = Eliminator::new(n);
-        for j in 0..q_len {
-            let pivoted = el.push_col(fp, (0..n).map(|i| xpow[i][j]).collect());
-            debug_assert!(pivoted, "Vandermonde columns over distinct xs pivot");
-        }
-        let labels = (0..q_len)
-            .map(Unknown::Q)
-            .chain((0..=budget).map(Unknown::E))
-            .collect();
-        FullStage { el, labels }
-    }
-}
-
-/// What a linear rung knows about a point set. With `k = degree + 1` and
-/// the *head* of a view its first `k` values, both matrices are row-major
-/// with rows of length `k`, ready for [`Fp::dot`] against the head.
+/// What a linear rung knows about a point set at one degree `d`. With
+/// `k = d + 1` and the *head* of a view its first `k` values, both
+/// matrices are row-major with rows of length `k`, ready for [`Fp::dot`]
+/// against the head.
 #[derive(Debug, Clone)]
 struct LinearTables {
     k: usize,
@@ -364,8 +321,10 @@ struct LinearTables {
 }
 
 impl LinearTables {
-    fn new(fp: &Fp, xs: &[FpElem], xpow: &[Vec<FpElem>], degree: usize) -> Self {
-        let k = degree + 1;
+    /// The tables at degree `d` over distinct `xs` (at least `d + 1` of
+    /// them), whose powers `xpow` reach `x^d`.
+    fn new(fp: &Fp, xs: &[FpElem], xpow: &[Vec<FpElem>], d: usize) -> Self {
+        let k = d + 1;
         // M(x) = Π_{i<k} (x − x_i), low coefficient first.
         let mut master = vec![0; k + 1];
         master[0] = 1;
@@ -449,9 +408,10 @@ impl BatchDecoder {
             xpow,
             linear: None,
             hint: None,
-            full_stage: None,
+            key: None,
             ys_buf: Vec::new(),
             kept_buf: Vec::new(),
+            scratch: Vec::new(),
             mismatches: Vec::new(),
         })
     }
@@ -472,24 +432,18 @@ impl BatchDecoder {
     /// `None` — including when `ys.len()` does not match
     /// [`BatchDecoder::codeword_len`].
     ///
-    /// Three rungs of the error ladder run, the first that explains `ys`
-    /// answering. The *clean* rung (`e = 0`: `ys` is a codeword iff it
-    /// equals the extension of its own head, and then the polynomial
-    /// through the head is the answer). The *erasure* rung: the same
-    /// check over the positions outside the liar hint — if those
-    /// `m − |S|` points fit a polynomial `P` of degree `≤ degree`, then
-    /// `P` is within `|S| ≤ budget` mismatches of `ys`, and any two
-    /// polynomials within `budget` of one view agree on
-    /// `m − 2·budget ≥ degree + 1` points, so `P` is the unique codeword
-    /// Berlekamp–Welch returns, whatever the hint is. And the
-    /// *full-budget* stage. The intermediate rungs the one-shot ladder
-    /// climbs are redundant here: at the full budget, *any* nonzero
-    /// kernel vector already satisfies `Q = P·E` exactly whenever the view
-    /// is within budget of a codeword `P` (the `m ≥ degree + 2·budget + 1`
-    /// point count makes `Q − P·E` vanish at more points than its
-    /// degree), so every error count `1..=budget` is resolved by one stage
-    /// — and the answer is still identical to the one-shot decode by
-    /// uniqueness.
+    /// Three rungs run, the first that explains `ys` answering. The
+    /// *clean* rung (`e = 0`: `ys` is a codeword iff it equals the
+    /// extension of its own head, and then the polynomial through the
+    /// head is the answer). The *erasure* rung: the same check over the
+    /// positions outside the liar hint — if those `m − |S|` points fit a
+    /// polynomial `P` of degree `≤ degree`, then `P` is within
+    /// `|S| ≤ budget` mismatches of `ys`, and any two polynomials within
+    /// `budget` of one view agree on `m − 2·budget ≥ degree + 1` points,
+    /// so `P` is the unique codeword Berlekamp–Welch returns, whatever the
+    /// hint is. And Berlekamp–Welch itself at the full budget, which
+    /// resolves every error count `1..=budget` in one solve (see the
+    /// module docs) — so the answer is identical to [`decode`]'s.
     pub fn decode_one(&mut self, ys: &[FpElem]) -> Option<Poly> {
         let fp = self.fp;
         match self.linear_rungs(ys)? {
@@ -512,8 +466,8 @@ impl BatchDecoder {
 
     /// The clean and erasure rungs: loads the reduced view into `ys_buf`
     /// and returns the tables and head whose interpolation is the answer,
-    /// or `Some(None)` when only the full-budget stage can tell (`None` on
-    /// a length mismatch).
+    /// or `Some(None)` when only Berlekamp–Welch can tell (`None` on a
+    /// length mismatch).
     fn linear_rungs(&mut self, ys: &[FpElem]) -> Option<Option<(&LinearTables, &[FpElem])>> {
         if ys.len() != self.xs.len() {
             return None;
@@ -542,39 +496,26 @@ impl BatchDecoder {
         Some(erased.then(|| (&hint.tables, &self.kept_buf[..=degree])))
     }
 
-    /// The full-budget rung over the loaded view, which neither linear
-    /// rung explains. A decoded view teaches the liar hint where it was
-    /// wrong.
+    /// Berlekamp–Welch at the full budget over the loaded view, which
+    /// neither linear rung explains. A decoded view teaches the liar hint
+    /// where it was wrong.
     fn decode_full(&mut self) -> Option<Poly> {
         let e = self.budget;
         if e == 0 {
             return None; // the clean rung was the only one
         }
-        let n = self.xs.len();
         let fp = self.fp;
-        let (xpow, degree) = (&self.xpow, self.degree);
-        let ys = &self.ys_buf;
-        let stage = self
-            .full_stage
-            .get_or_insert_with(|| FullStage::new(&fp, xpow, degree, e));
-        // Push the y-dependent columns (built in recycled column buffers),
-        // read a kernel vector, rewind to the shared Q-block factorization.
-        let el = &mut stage.el;
-        let mark = el.mark();
-        for j in 0..=e {
-            let mut col = el.spare_col();
-            col.extend((0..n).map(|i| fp.neg(fp.mul(ys[i], xpow[i][j]))));
-            el.push_col(&fp, col);
-        }
-        let kernel = el.kernel_vector(&fp);
-        el.reset(mark);
-        let (xs, mismatches) = (&self.xs, &mut self.mismatches);
-        let p = accept_candidate(&fp, xs, ys, degree, e, &stage.labels, &kernel?, mismatches)?;
+        let (xs, xpow, degree) = (&self.xs, &self.xpow, self.degree);
+        let key = self
+            .key
+            .get_or_insert_with(|| LinearTables::new(&fp, xs, xpow, degree + e));
+        let (ys, scratch, mismatches) = (&self.ys_buf, &mut self.scratch, &mut self.mismatches);
+        let p = berlekamp_welch(&fp, key, xs, xpow, ys, degree, e, scratch, mismatches)?;
         self.learn_liars();
         Some(p)
     }
 
-    /// Folds the mismatch set `M` of an accepted full-budget solve into
+    /// Folds the mismatch set `M` of an accepted Berlekamp–Welch solve into
     /// the hint: `S ∪ M` while that fits the budget, else `M` alone. The
     /// union is what lets `S` reach the true liar set even when a lie
     /// happens to equal the correct share. Tables are rebuilt only when
@@ -618,7 +559,7 @@ impl BatchDecoder {
     }
 
     /// Decodes a batch of codewords; `out[i]` is [`decode_one`] of
-    /// `codewords[i]`. The clean tables and the full-budget factorization
+    /// `codewords[i]`. The clean tables and Berlekamp–Welch's key tables
     /// are built at most once across the whole batch, and the liar hint
     /// one codeword teaches serves the next — the amortization the GVSS
     /// recover round leans on.
@@ -767,7 +708,7 @@ mod tests {
     #[test]
     fn batch_reuses_stages_across_mixed_error_counts() {
         // One decoder, many codewords with 0..=budget errors each, decoded
-        // in an order that exercises stage reuse after rewinds.
+        // in an order that sends views back and forth between the rungs.
         let fp = Fp::for_cluster(13);
         let mut rng = StdRng::seed_from_u64(42);
         let f = 4;
@@ -816,8 +757,8 @@ mod tests {
         // n = 13, f = 4, three senders lie in every codeword with random
         // shares (1 in 17 equals the truth, so one solve may miss a liar;
         // the union rule catches it on a later one). Once the hint is the
-        // liar set, the full-budget stage is dropped: any later view that
-        // reached Berlekamp–Welch would have rebuilt it.
+        // liar set, Berlekamp–Welch's key tables are dropped: any later
+        // view that reached Berlekamp–Welch would have rebuilt them.
         let fp = Fp::for_cluster(13);
         let mut rng = StdRng::seed_from_u64(5);
         let mut dec = BatchDecoder::new(&fp, &(1..=13).collect::<Vec<_>>(), 4).unwrap();
@@ -832,17 +773,14 @@ mod tests {
             );
             if hinted_at.is_none() && dec.hint.as_ref().is_some_and(|h| h.liars == liars) {
                 hinted_at = Some(c);
-                dec.full_stage = None;
+                dec.key = None;
             }
         }
         assert!(
             hinted_at.is_some_and(|c| c < 10),
             "learned at {hinted_at:?}"
         );
-        assert!(
-            dec.full_stage.is_none(),
-            "a hinted view reached the full stage"
-        );
+        assert!(dec.key.is_none(), "a hinted view reached the full stage");
     }
 
     #[test]
@@ -948,12 +886,10 @@ mod tests {
             prop_assert_eq!(decode(&fp, &pts, degree), Some(p));
         }
 
-        /// The tentpole contract: `BatchDecoder` output is identical to
-        /// per-codeword [`decode`] across random error patterns up to f —
-        /// and slightly beyond, where both must agree on the failure (or
-        /// on whichever codeword the over-corrupted view landed near).
-        /// Error counts >= 1 drive the incremental ladder past its first
-        /// rung on both paths.
+        /// `BatchDecoder` output is identical to per-codeword [`decode`]
+        /// across random error patterns up to f — and slightly beyond,
+        /// where both must agree on the failure (or on whichever codeword
+        /// the over-corrupted view landed near).
         #[test]
         fn batch_decoder_matches_sequential_decode(
             seed in 0u64..200,
@@ -1048,38 +984,57 @@ mod tests {
             prop_assert_eq!(dec.decode_one(&ys[..m - 1]), None);
             prop_assert_eq!(dec.decode_at_zero(&ys[..m - 1]), None);
         }
+    }
 
-        /// The incremental ladder (`decode_with_errors` with a caller
-        /// budget) agrees with a fresh decoder at every max_errors cut.
+    /// The nearest codeword by enumeration: every polynomial of degree
+    /// `≤ degree` over `F_p`, kept when it is within
+    /// `(m − degree − 1) / 2` mismatches of the view. Two such polynomials
+    /// would break the uniqueness argument the decoder rests on, so the
+    /// search asserts there is at most one.
+    fn nearest_codeword(fp: &Fp, xs: &[u64], ys: &[u64], degree: usize) -> Option<Poly> {
+        let p = fp.modulus();
+        let budget = (xs.len() - degree - 1) / 2;
+        let mut found = None;
+        for index in 0..p.pow(degree as u32 + 1) {
+            let coeffs = (0..=degree as u32).map(|c| index / p.pow(c) % p).collect();
+            let g = Poly::from_coeffs(coeffs);
+            let wrong = xs.iter().zip(ys).filter(|&(&x, &y)| g.eval(fp, x) != y);
+            if wrong.count() <= budget {
+                assert!(found.is_none(), "two codewords within {budget} of {ys:?}");
+                found = Some(g);
+            }
+        }
+        found
+    }
+
+    proptest! {
+        /// Both decode entries against brute force, the one reference
+        /// that shares no decoding code with them: small fields, up to nine
+        /// distinct points, degree below three, and a random codeword
+        /// with `0..=m` random overwrites — within the budget, at it, and
+        /// far past it.
         #[test]
-        fn incremental_ladder_matches_at_every_budget(
-            seed in 0u64..200,
-            degree in 0usize..3,
+        fn decode_matches_brute_force_nearest_codeword(
+            p in proptest::sample::select(vec![5u64, 7, 11, 13]),
+            seed in any::<u64>(),
         ) {
-            let fp = Fp::new(101).unwrap();
+            let fp = Fp::new(p).unwrap();
             let mut rng = StdRng::seed_from_u64(seed);
-            let n = degree + 7; // budget (n - degree - 1) / 2 = 3
-            let p = Poly::random_with_secret(&fp, fp.sample(&mut rng), degree, &mut rng);
-            let mut pts: Vec<(u64, u64)> =
-                (1..=n as u64).map(|x| (x, p.eval(&fp, x))).collect();
-            let errors = rng.random_range(0..=3usize);
-            for i in 0..errors {
-                pts[i].1 = fp.sample(&mut rng);
+            let m = rng.random_range(1..=p.min(9)) as usize;
+            let degree = rng.random_range(0..m.min(3));
+            let xs: Vec<u64> = pick(&mut rng, (0..p as usize).collect(), m)
+                .into_iter()
+                .map(|x| x as u64)
+                .collect();
+            let g = Poly::random_with_secret(&fp, fp.sample(&mut rng), degree, &mut rng);
+            let mut ys: Vec<u64> = xs.iter().map(|&x| g.eval(&fp, x)).collect();
+            for _ in 0..rng.random_range(0..=m) {
+                ys[rng.random_range(0..m)] = fp.sample(&mut rng);
             }
-            for max_errors in 0..=3usize {
-                let got = decode_with_errors(&fp, &pts, degree, max_errors);
-                // The ladder must find p whenever the corruption fits the
-                // caller's budget; the uniqueness argument covers the rest.
-                if errors <= max_errors {
-                    prop_assert_eq!(got, Some(p.clone()), "max_errors {}", max_errors);
-                } else if let Some(q) = got {
-                    let mismatches = pts
-                        .iter()
-                        .filter(|&&(x, y)| q.eval(&fp, x) != fp.reduce(y))
-                        .count();
-                    prop_assert!(mismatches <= max_errors.min((n - degree - 1) / 2));
-                }
-            }
+            let want = nearest_codeword(&fp, &xs, &ys, degree);
+            prop_assert_eq!(one_shot(&fp, &xs, &ys, degree), want.clone());
+            let mut dec = BatchDecoder::new(&fp, &xs, degree).expect("distinct xs");
+            prop_assert_eq!(dec.decode_one(&ys), want);
         }
     }
 }
