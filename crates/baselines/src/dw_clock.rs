@@ -100,11 +100,6 @@ impl Application for DwClock {
     fn corrupt(&mut self, rng: &mut SimRng) {
         self.clock = rng.random();
     }
-
-    fn parallel_safe(&self) -> bool {
-        // Plain per-node state, no shared randomness source.
-        true
-    }
 }
 
 #[cfg(test)]

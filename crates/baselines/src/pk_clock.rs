@@ -289,11 +289,6 @@ impl<S: ConsensusScheme> Application for ConsensusClock<S> {
             *slot = rng.random();
         }
     }
-
-    fn parallel_safe(&self) -> bool {
-        // Deterministic consensus pipeline; everything is per-node state.
-        true
-    }
 }
 
 #[cfg(test)]

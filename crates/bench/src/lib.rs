@@ -75,16 +75,14 @@
 //! each spec's full beat budget instead of stopping at stable sync.
 //!
 //! **Environment knobs.** `BYZCLOCK_TRIALS` scales every grid's trial
-//! count ([`trials`]); `BYZCLOCK_THREADS` caps the machine-wide thread
-//! budget ([`default_threads`]) — sweep coordinators split it across
-//! their worker slots and hand each worker the remainder as its in-beat
-//! `step_threads` default ([`step_threads_per_worker`]), so the two
-//! layers of parallelism never multiply; `BYZCLOCK_STEP_THREADS` pins the
-//! in-beat fan-out explicitly and wins over that split;
-//! `BYZCLOCK_M2_MAX_N` caps the largest n the `m2` grid runs
+//! count ([`trials`]); `BYZCLOCK_THREADS` sizes the sweep's worker pool
+//! ([`default_threads`]) — a run itself always steps its beats serially
+//! on one thread; `BYZCLOCK_M2_MAX_N` caps the largest n the `m2` grid runs
 //! ([`m2_max_n`]: a standalone `m2` defaults to the full 512-point
 //! curve, `all` caps at 64 to stay interactive, the CI smoke sets 128);
-//! `PROPTEST_CASES` keeps the property tests fast in CI.
+//! `PROPTEST_CASES` keeps the property tests fast in CI. The three
+//! `BYZCLOCK_*` knobs take a positive integer; `0` or anything
+//! unparsable falls back to the default, exactly as if it were unset.
 //!
 //! **Wall-clock.** Nothing here reads a clock: the grids report
 //! deterministic counters only (stabilisation beats, msgs and bytes per
@@ -135,10 +133,11 @@
 #![warn(missing_docs)]
 
 use std::fmt::Write as _;
+use std::num::NonZeroUsize;
 
 pub mod shard;
 
-pub use shard::{step_threads_per_worker, sweep_specs, SweepBackend, SweepOptions, SweepResult};
+pub use shard::{sweep_specs, SweepBackend, SweepOptions, SweepResult};
 
 /// Summary statistics over convergence-time samples; `None` samples are
 /// timeouts at the experiment's horizon.
@@ -226,10 +225,7 @@ pub fn md_table(headers: &[&str], rows: &[Vec<String>]) -> String {
 /// dominate any run that includes them. CI smokes the 128 slice by
 /// exporting `BYZCLOCK_M2_MAX_N=128`.
 pub fn m2_max_n(default_cap: usize) -> usize {
-    std::env::var("BYZCLOCK_M2_MAX_N")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(default_cap)
+    positive_env("BYZCLOCK_M2_MAX_N").unwrap_or(default_cap)
 }
 
 /// Least-squares slope of `ln(y)` against `ln(x)` — the fitted exponent
@@ -258,24 +254,28 @@ pub fn power_law_exponent(points: &[(f64, f64)]) -> f64 {
     }
 }
 
-/// Number of worker threads to use (respects `BYZCLOCK_THREADS`).
+/// Number of sweep worker threads to use (respects `BYZCLOCK_THREADS`).
 pub fn default_threads() -> usize {
-    std::env::var("BYZCLOCK_THREADS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(4)
-        })
+    positive_env("BYZCLOCK_THREADS").unwrap_or_else(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(4)
+    })
 }
 
 /// Trials knob (respects `BYZCLOCK_TRIALS`), default `base`.
 pub fn trials(base: u64) -> u64 {
-    std::env::var("BYZCLOCK_TRIALS")
+    positive_env("BYZCLOCK_TRIALS").map_or(base, |t| t as u64)
+}
+
+/// The positive integer in environment variable `name`, or `None` when it
+/// is unset, unparsable or `0` — a zero knob would run nothing (or size a
+/// pool of no workers) while the output claimed otherwise.
+fn positive_env(name: &str) -> Option<usize> {
+    std::env::var(name)
         .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(base)
+        .and_then(|s| s.parse::<NonZeroUsize>().ok())
+        .map(NonZeroUsize::get)
 }
 
 #[cfg(test)]
@@ -359,7 +359,35 @@ mod tests {
         assert_eq!(m2_max_n(512), 128, "the CI knob wins over the cap");
         std::env::set_var("BYZCLOCK_M2_MAX_N", "not-a-number");
         assert_eq!(m2_max_n(256), 256, "garbage env falls back to the cap");
+        std::env::set_var("BYZCLOCK_M2_MAX_N", "0");
+        assert_eq!(m2_max_n(256), 256, "zero falls back to the cap");
         std::env::remove_var("BYZCLOCK_M2_MAX_N");
+    }
+
+    #[test]
+    fn zero_env_knobs_fall_back_to_their_defaults() {
+        // Obeying a zero would run no trials (yet print every cell as "all
+        // 0 timed out") or size a zero-worker pool. Any concurrent reader
+        // sees the default either way, so setting them here is race-free.
+        // (`BYZCLOCK_M2_MAX_N`'s zero is probed in the m2 test's body,
+        // which owns that variable.)
+        let knobs = ["BYZCLOCK_TRIALS", "BYZCLOCK_THREADS"];
+        let saved: Vec<_> = knobs.map(|k| (k, std::env::var_os(k))).into();
+        let read = || (trials(7), default_threads());
+        knobs.iter().for_each(|k| std::env::remove_var(k));
+        let unset = read();
+        knobs.iter().for_each(|k| std::env::set_var(k, "0"));
+        assert_eq!(read(), unset, "a zero knob reads as unset");
+        assert_eq!(
+            SweepBackend::parse("threads").unwrap().to_string(),
+            format!("threads:{}", unset.1)
+        );
+        for (k, v) in saved {
+            match v {
+                Some(v) => std::env::set_var(k, v),
+                None => std::env::remove_var(k),
+            }
+        }
     }
 
     #[test]

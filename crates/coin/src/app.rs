@@ -76,11 +76,6 @@ impl<S: CoinScheme> Application for CoinApp<S> {
         use byzclock_core::RandSource as _;
         self.coin.begin_beat(beat);
     }
-
-    fn parallel_safe(&self) -> bool {
-        use byzclock_core::RandSource as _;
-        self.coin.independent()
-    }
 }
 
 /// Per-beat agreement statistics of a coin run — the empirical
@@ -155,9 +150,7 @@ pub fn measure_coin<S, Adv, F>(
     adversary: Adv,
 ) -> CoinStats
 where
-    S: CoinScheme + Send,
-    S::Proto: Send,
-    <S::Proto as byzclock_core::RoundProtocol>::Msg: Send,
+    S: CoinScheme,
     Adv: Adversary<CoinAppMsg<S>>,
     F: Fn(NodeCfg) -> S,
 {

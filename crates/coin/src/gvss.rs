@@ -215,9 +215,10 @@ const DECODER_CACHE_CAP: usize = 32;
 /// Shared, cross-instance recycling arena for the GVSS hot path.
 ///
 /// One workspace is held per node per coin pipeline (the scheme clones its
-/// handle into every spawned instance), so the mutex is uncontended even
-/// under parallel in-beat stepping — no workspace is ever shared across
-/// nodes. It holds
+/// handle into every spawned instance); no workspace is ever shared across
+/// nodes. The handle is an `Arc<Mutex<…>>` rather than an `Rc<RefCell<…>>`
+/// only so application types stay `Send`: a run steps its beats serially,
+/// so the lock is never contended. It holds
 ///
 /// - a pool of retired `GvssStorage` blocks, returned on instance drop,
 ///   so steady-state instances reuse O(n²) matrix capacity instead of

@@ -515,9 +515,7 @@ struct CoinStreamRun<S: CoinScheme, Adv: Adversary<CoinAppMsg<S>>> {
 
 impl<S, Adv> ScenarioRun for CoinStreamRun<S, Adv>
 where
-    S: CoinScheme + Send,
-    S::Proto: Send,
-    <S::Proto as byzclock_core::RoundProtocol>::Msg: Send,
+    S: CoinScheme,
     Adv: Adversary<CoinAppMsg<S>>,
 {
     fn step(&mut self) {

@@ -288,8 +288,7 @@ mod tests {
         mut sim: byzclock_sim::Simulation<A, impl Adversary<A::Msg>>,
     ) -> Option<u64>
     where
-        A: byzclock_sim::Application + DigitalClock + Send,
-        A::Msg: Send,
+        A: byzclock_sim::Application + DigitalClock,
     {
         sim.run_until(4000, |s| {
             all_synced(s.correct_apps().map(|(_, a)| a.read())).is_some()

@@ -428,10 +428,6 @@ impl<R: RandSource<Msg = ()>> Application for BdClock<R> {
             slot.clear();
         }
     }
-
-    fn parallel_safe(&self) -> bool {
-        self.rand_source.independent()
-    }
 }
 
 /// Byzantine strategies native to the round-tag message space. The

@@ -552,12 +552,6 @@ impl<S: CoinScheme> Application for BufferedApp<S> {
     fn corrupt(&mut self, rng: &mut SimRng) {
         self.engine.corrupt(rng);
     }
-
-    fn parallel_safe(&self) -> bool {
-        // All state (engine, outputs) is per-node; schemes hold no shared
-        // interior mutability.
-        true
-    }
 }
 
 #[cfg(test)]

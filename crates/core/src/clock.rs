@@ -128,8 +128,7 @@ pub fn run_until_stable_sync<A, Adv>(
     window: u64,
 ) -> Option<u64>
 where
-    A: Application + DigitalClock + Send,
-    A::Msg: Send,
+    A: Application + DigitalClock,
     Adv: Adversary<A::Msg>,
 {
     let k = sim.correct_apps().next().map(|(_, a)| a.modulus())?;

@@ -396,10 +396,6 @@ impl<R: RandSource> Application for ClockSync<R> {
         self.four.begin_beat(beat);
         self.rand_source.begin_beat(beat);
     }
-
-    fn parallel_safe(&self) -> bool {
-        self.four.parallel_safe() && self.rand_source.independent()
-    }
 }
 
 fn push<M>(out: &mut Outbox<'_, M>, target: Target, msg: M) {

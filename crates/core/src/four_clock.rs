@@ -236,10 +236,6 @@ impl<R: RandSource> Application for FourClock<R> {
     fn begin_beat(&mut self, beat: u64) {
         FourClock::begin_beat(self, beat);
     }
-
-    fn parallel_safe(&self) -> bool {
-        self.a1.parallel_safe() && self.a2.parallel_safe()
-    }
 }
 
 /// Messages of the shared-pipeline 4-clock.
@@ -384,10 +380,6 @@ impl<R: RandSource> Application for SharedFourClock<R> {
 
     fn begin_beat(&mut self, beat: u64) {
         self.rand_source.begin_beat(beat);
-    }
-
-    fn parallel_safe(&self) -> bool {
-        self.rand_source.independent()
     }
 }
 

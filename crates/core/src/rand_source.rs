@@ -54,13 +54,10 @@ pub trait RandSource {
     /// rotation) spawn consistently across nodes.
     fn begin_beat(&mut self, _beat: u64) {}
 
-    /// Whether this source's state is confined to its own node — no
-    /// shared interior mutability whose cross-node observation order
-    /// could change results. [`OracleRand`] reads a beacon shared by the
-    /// whole cluster (its high-water cursor advances in whatever order
-    /// nodes deliver), so it stays `false`; message-passing sources
-    /// ([`PipelinedCoin`], [`LocalRand`]) are `true`. Applications
-    /// forward this as [`byzclock_sim::Application::parallel_safe`].
+    /// Unused: the runner steps every node serially and never calls this.
+    /// The declaration remains only because the stand-alone `benchmark/`
+    /// package still forwards it; ROADMAP item 2 deletes it together with
+    /// that forward.
     fn independent(&self) -> bool {
         false
     }
@@ -121,10 +118,6 @@ impl<S: CoinScheme> RandSource for PipelinedCoin<S> {
     fn begin_beat(&mut self, beat: u64) {
         self.scheme.begin_beat(beat);
     }
-
-    fn independent(&self) -> bool {
-        true
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -148,10 +141,6 @@ impl RandSource for LocalRand {
     }
 
     fn corrupt(&mut self, _rng: &mut SimRng) {}
-
-    fn independent(&self) -> bool {
-        true
-    }
 }
 
 // ---------------------------------------------------------------------------

@@ -161,10 +161,6 @@ impl<R: RandSource> Application for RecursiveClock<R> {
             level.begin_beat(beat);
         }
     }
-
-    fn parallel_safe(&self) -> bool {
-        self.levels.iter().all(Application::parallel_safe)
-    }
 }
 
 #[cfg(test)]

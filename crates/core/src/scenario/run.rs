@@ -126,8 +126,7 @@ where
 
 impl<A, Adv> ScenarioRun for ClockRun<A, Adv>
 where
-    A: Application + DigitalClock + Send,
-    A::Msg: Send,
+    A: Application + DigitalClock,
     Adv: Adversary<A::Msg>,
 {
     fn step(&mut self) {

@@ -248,10 +248,6 @@ impl<R: RandSource> Application for TwoClock<R> {
     fn begin_beat(&mut self, beat: u64) {
         TwoClock::begin_beat(self, beat);
     }
-
-    fn parallel_safe(&self) -> bool {
-        self.rand_source.independent()
-    }
 }
 
 /// The Remark 3.1 **anti-pattern**: senders substitute the *previous*
@@ -334,10 +330,6 @@ impl<R: RandSource> Application for BrokenTwoClock<R> {
 
     fn begin_beat(&mut self, beat: u64) {
         self.rand_source.begin_beat(beat);
-    }
-
-    fn parallel_safe(&self) -> bool {
-        self.rand_source.independent()
     }
 }
 

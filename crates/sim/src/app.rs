@@ -45,14 +45,10 @@ pub trait Application {
     /// Transient fault: scramble all protocol state arbitrarily.
     fn corrupt(&mut self, rng: &mut SimRng);
 
-    /// Whether this node's state is fully independent of every other
-    /// node's — no shared interior mutability (`Arc<Mutex<…>>` beacons and
-    /// the like) whose observation order between nodes could change
-    /// results. Only stacks that return `true` on *all* correct nodes are
-    /// stepped concurrently inside a beat; anything else stays on the
-    /// serial path regardless of [`crate::SimBuilder::step_threads`].
-    /// Defaults to `false`: an application must opt in after auditing its
-    /// state.
+    /// Unused: the runner steps every node serially and never calls this.
+    /// The declaration remains only because the stand-alone `benchmark/`
+    /// package still forwards it; ROADMAP item 2 deletes it together with
+    /// that forward.
     fn parallel_safe(&self) -> bool {
         false
     }

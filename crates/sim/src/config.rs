@@ -4,41 +4,6 @@ use crate::adversary::{Adversary, Visibility};
 use crate::rng::stream_rng;
 use crate::runner::Simulation;
 use crate::{Application, FaultPlan, NodeCfg, NodeId, SimRng, TimingModel, WireConfig};
-use std::cell::Cell;
-
-thread_local! {
-    /// Per-thread override for the default in-beat thread count, so sweep
-    /// harnesses that already run one worker thread per spec can cap the
-    /// nested per-beat pool without touching process-global environment
-    /// (which would race with concurrently running tests).
-    static STEP_THREADS_OVERRIDE: Cell<Option<usize>> = const { Cell::new(None) };
-}
-
-/// Sets (or with `None`, clears) this thread's default for
-/// [`SimBuilder::step_threads`]. The override binds at
-/// [`SimBuilder::new`] time and takes precedence over the
-/// `BYZCLOCK_STEP_THREADS` environment variable; an explicit
-/// [`SimBuilder::step_threads`] call still wins over both. Sweep
-/// backends use this to divide one process-wide thread budget across
-/// concurrent workers instead of letting nested pools multiply.
-pub fn set_step_threads_override(threads: Option<usize>) {
-    STEP_THREADS_OVERRIDE.with(|c| c.set(threads));
-}
-
-/// The default in-beat thread count: the thread-local override if one is
-/// set, else `BYZCLOCK_STEP_THREADS`, else 1 (serial — bit-identical to
-/// the historical loop and always safe).
-fn default_step_threads() -> usize {
-    STEP_THREADS_OVERRIDE
-        .with(Cell::get)
-        .or_else(|| {
-            std::env::var("BYZCLOCK_STEP_THREADS")
-                .ok()
-                .and_then(|s| s.parse().ok())
-        })
-        .unwrap_or(1)
-        .max(1)
-}
 
 /// Builder for a [`Simulation`].
 ///
@@ -69,7 +34,6 @@ pub struct SimBuilder {
     corrupted_start: bool,
     timing: TimingModel,
     wire: WireConfig,
-    step_threads: usize,
 }
 
 impl SimBuilder {
@@ -103,7 +67,6 @@ impl SimBuilder {
             corrupted_start: false,
             timing: TimingModel::Lockstep,
             wire: WireConfig::default(),
-            step_threads: default_step_threads(),
         }
     }
 
@@ -191,22 +154,6 @@ impl SimBuilder {
         self
     }
 
-    /// Number of threads used to step nodes *inside* a beat (default: the
-    /// thread-local [`set_step_threads_override`] if set, else the
-    /// `BYZCLOCK_STEP_THREADS` environment variable, else 1).
-    ///
-    /// Nodes are independent between delivery phases, so with `threads >
-    /// 1` the send and deliver halves of each phase fan the correct nodes
-    /// across a scoped pool; outboxes are collected in node-ID order, so
-    /// every report stays byte-identical to the serial path. The parallel
-    /// path only engages when every correct application reports
-    /// [`Application::parallel_safe`] — stacks sharing interior state
-    /// (e.g. the oracle beacon) always step serially.
-    pub fn step_threads(mut self, threads: usize) -> Self {
-        self.step_threads = threads.max(1);
-        self
-    }
-
     /// Starts every correct node from scrambled memory: after the factory
     /// runs, [`Application::corrupt`] fires once with the node's own RNG —
     /// the self-stabilization experiments' "arbitrary initial state"
@@ -253,7 +200,6 @@ impl SimBuilder {
             corrupted_start,
             timing,
             wire,
-            step_threads,
         } = self;
         let mut apps = Vec::with_capacity(n);
         let mut node_rngs = Vec::with_capacity(n);
@@ -298,7 +244,6 @@ impl SimBuilder {
             timing,
             delay_rng,
             wire,
-            step_threads,
         )
     }
 }

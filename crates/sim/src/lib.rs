@@ -85,7 +85,7 @@ pub mod faults;
 
 pub use adversary::{Adversary, AdversaryView, ByzOutbox, SilentAdversary, Visibility};
 pub use app::{collect_sends, Application, Outbox};
-pub use config::{set_step_threads_override, SimBuilder};
+pub use config::SimBuilder;
 pub use envelope::{Envelope, Target};
 pub use faults::{FaultEvent, FaultKind, FaultPlan};
 pub use id::{NodeCfg, NodeId};

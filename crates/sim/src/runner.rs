@@ -21,9 +21,18 @@
 //!
 //! Within a phase the routing order is fixed — correct envelopes in
 //! (sender, emission, recipient) order, then Byzantine sends, then phantom
-//! replays — and every inbox is stable-sorted by sender before delivery,
-//! so a run is a pure function of its configuration whatever the thread
-//! count.
+//! replays — so a run is a pure function of its configuration.
+//!
+//! # The serial beat
+//!
+//! Every correct node sends and delivers once per phase, in node-id
+//! order, on the calling thread — the paper's global beat system (§2)
+//! written out as one loop. Each node owns its RNG stream (`node_rngs`)
+//! and its send list (`send_bufs`), so what a node does depends only on
+//! its own state and its inbox. Routing appends Byzantine and phantom
+//! envelopes after the correct ones, so every inbox is stable-sorted by
+//! sender before delivery: that sort is what makes
+//! [`Application::deliver`]'s "sorted by sender id" promise true.
 //!
 //! # The timing model
 //!
@@ -59,47 +68,17 @@ use rand::Rng;
 use std::cell::OnceCell;
 use std::collections::VecDeque;
 
-/// Applies `f` to every correct node's `(app, rng, buf)` triple, fanned
-/// across `threads` scoped worker threads (serial when `threads <= 1`).
-/// Each node touches only its own state, so the per-node results are
-/// independent of thread scheduling; callers that need a deterministic
-/// *combined* order read the buffers back in node-ID order afterwards.
-fn for_each_correct<A, T, F>(
-    apps: &mut [Option<A>],
-    rngs: &mut [SimRng],
-    bufs: &mut [T],
-    threads: usize,
-    f: F,
-) where
-    A: Send,
-    T: Send,
-    F: Fn(&mut A, &mut SimRng, &mut T) + Sync,
+/// Applies `f` to every correct node's `(app, rng, buf)` triple, in
+/// node-id order.
+fn for_each_correct<A, T, F>(apps: &mut [Option<A>], rngs: &mut [SimRng], bufs: &mut [T], mut f: F)
+where
+    F: FnMut(&mut A, &mut SimRng, &mut T),
 {
-    if threads <= 1 {
-        for ((app, rng), buf) in apps.iter_mut().zip(rngs).zip(bufs) {
-            if let Some(app) = app {
-                f(app, rng, buf);
-            }
+    for ((app, rng), buf) in apps.iter_mut().zip(rngs).zip(bufs) {
+        if let Some(app) = app {
+            f(app, rng, buf);
         }
-        return;
     }
-    let chunk = apps.len().div_ceil(threads);
-    std::thread::scope(|scope| {
-        for ((apps, rngs), bufs) in apps
-            .chunks_mut(chunk)
-            .zip(rngs.chunks_mut(chunk))
-            .zip(bufs.chunks_mut(chunk))
-        {
-            let f = &f;
-            scope.spawn(move || {
-                for ((app, rng), buf) in apps.iter_mut().zip(rngs).zip(bufs) {
-                    if let Some(app) = app {
-                        f(app, rng, buf);
-                    }
-                }
-            });
-        }
-    });
 }
 
 /// A running cluster: `n` nodes, one adversary, a fault plan, and a beat
@@ -141,11 +120,6 @@ pub struct Simulation<A: Application, Adv> {
     pending_phantoms: Vec<Envelope<A::Msg>>,
     blackout_until: u64,
     wire: WireConfig,
-    /// Requested in-beat thread count (see [`crate::SimBuilder::step_threads`]).
-    step_threads: usize,
-    /// Whether every correct application opted into concurrent stepping
-    /// ([`Application::parallel_safe`]); computed once at construction.
-    parallel_ok: bool,
     /// Recycled per-node outbox buffers: cleared and refilled each send
     /// phase, so steady-state sends allocate nothing. A Byzantine node
     /// runs no application, so its buffer stays empty.
@@ -189,9 +163,7 @@ where
         timing: TimingModel,
         delay_rng: SimRng,
         wire: WireConfig,
-        step_threads: usize,
     ) -> Self {
-        let parallel_ok = apps.iter().flatten().all(Application::parallel_safe);
         let send_bufs = (0..n).map(|_| Vec::new()).collect();
         let mut byz_mask = vec![false; n];
         for id in &byz {
@@ -223,8 +195,6 @@ where
             pending_phantoms: Vec::new(),
             blackout_until: 0,
             wire,
-            step_threads: step_threads.max(1),
-            parallel_ok,
             send_bufs,
             byz_buf: Vec::new(),
             wire_scratch: BytesMut::new(),
@@ -287,24 +257,8 @@ where
             .filter_map(|(i, app)| app.as_ref().map(|a| (NodeId::new(i as u16), a)))
     }
 
-    /// The number of threads a [`Simulation::step`] will actually use:
-    /// the configured [`crate::SimBuilder::step_threads`], clamped to the
-    /// cluster size, and forced to 1 when any correct application did not
-    /// opt into [`Application::parallel_safe`].
-    pub fn effective_step_threads(&self) -> usize {
-        if self.parallel_ok {
-            self.step_threads.min(self.n).max(1)
-        } else {
-            1
-        }
-    }
-
     /// Runs one beat.
-    pub fn step(&mut self)
-    where
-        A: Send,
-        A::Msg: Send,
-    {
+    pub fn step(&mut self) {
         let phases = self
             .apps
             .iter()
@@ -316,15 +270,13 @@ where
         }
         self.stats.begin_beat();
         self.scheduler.begin_beat(self.beat);
-        let threads = self.effective_step_threads();
 
         for phase in 0..phases {
-            // --- send phase: correct nodes, fanned across the pool ---
+            // --- send phase: correct nodes, in node-id order ---
             for_each_correct(
                 &mut self.apps,
                 &mut self.node_rngs,
                 &mut self.send_bufs,
-                threads,
                 |app, rng, buf| {
                     let mut out = Outbox::new(buf, rng);
                     app.send(phase, &mut out);
@@ -392,10 +344,10 @@ where
                     &mut self.apps,
                     &mut self.node_rngs,
                     due,
-                    threads,
                     |app, rng, inbox| {
-                        // Stable sort: a deterministic inbox order whatever
-                        // thread delivered it.
+                        // Stable sort: routing appends Byzantine and phantom
+                        // envelopes after the correct ones, and `deliver`
+                        // promises an inbox sorted by sender id.
                         inbox.sort_by_key(|e| e.from);
                         app.deliver(phase, inbox, rng);
                     },
@@ -511,11 +463,7 @@ where
     }
 
     /// Runs exactly `beats` beats.
-    pub fn run_beats(&mut self, beats: u64)
-    where
-        A: Send,
-        A::Msg: Send,
-    {
+    pub fn run_beats(&mut self, beats: u64) {
         for _ in 0..beats {
             self.step();
         }
@@ -527,8 +475,6 @@ where
     pub fn run_until<P>(&mut self, max_beat: u64, pred: P) -> Option<u64>
     where
         P: Fn(&Self) -> bool,
-        A: Send,
-        A::Msg: Send,
     {
         loop {
             if pred(self) {
@@ -597,9 +543,6 @@ mod tests {
         fn corrupt(&mut self, _rng: &mut SimRng) {
             self.corrupted = true;
             self.counter = 999;
-        }
-        fn parallel_safe(&self) -> bool {
-            true
         }
     }
 
@@ -1239,64 +1182,6 @@ mod tests {
             run(crate::WireConfig::fixed()),
             run(crate::WireConfig::packed())
         );
-    }
-
-    /// Parallel in-beat stepping is observationally identical to the
-    /// serial loop: states and traffic match bit-for-bit at every thread
-    /// count, including with faults and phantoms in the mix.
-    #[test]
-    fn parallel_step_matches_serial_step() {
-        let plan = || {
-            FaultPlan::new(vec![
-                FaultEvent {
-                    beat: 2,
-                    kind: FaultKind::CorruptNodes(vec![NodeId::new(1)]),
-                },
-                FaultEvent {
-                    beat: 3,
-                    kind: FaultKind::PhantomBurst { count: 5 },
-                },
-            ])
-        };
-        let run = |threads: usize| {
-            let mut sim = SimBuilder::new(9, 2)
-                .seed(7)
-                .step_threads(threads)
-                .faults(plan())
-                .build(
-                    move |cfg, _rng| Recorder {
-                        me: cfg.id,
-                        nphases: 2,
-                        round_trips: Vec::new(),
-                        counter: 0,
-                        corrupted: false,
-                    },
-                    SilentAdversary,
-                );
-            assert_eq!(sim.effective_step_threads(), threads.clamp(1, 9));
-            sim.run_beats(6);
-            let states: Vec<String> = sim.correct_apps().map(|(_, a)| format!("{a:?}")).collect();
-            (states, sim.stats().clone())
-        };
-        let serial = run(1);
-        for threads in [2, 3, 4, 16] {
-            assert_eq!(serial, run(threads), "step_threads={threads}");
-        }
-    }
-
-    /// An application that does not opt into `parallel_safe` pins the
-    /// whole run to the serial path no matter what the builder asks for.
-    #[test]
-    fn unsafe_apps_force_the_serial_path() {
-        let sim = SimBuilder::new(5, 1).seed(11).step_threads(8).build(
-            |cfg, _rng| WindowProbe {
-                me: cfg.id,
-                beat: 0,
-                arrivals: Vec::new(),
-            },
-            SilentAdversary,
-        );
-        assert_eq!(sim.effective_step_threads(), 1);
     }
 
     #[test]

@@ -84,18 +84,14 @@ impl Application for Summer {
 
 /// Allocator calls made by beats 70..120 of an n = 16 lockstep run.
 fn allocations_in_steady_state(plan: FaultPlan) -> u64 {
-    let mut sim = SimBuilder::new(16, 5)
-        .seed(3)
-        .step_threads(1)
-        .faults(plan)
-        .build(
-            |cfg, _rng| Summer {
-                me: cfg.id,
-                n: cfg.n as u16,
-                sum: u64::from(cfg.id.raw()),
-            },
-            SilentAdversary,
-        );
+    let mut sim = SimBuilder::new(16, 5).seed(3).faults(plan).build(
+        |cfg, _rng| Summer {
+            me: cfg.id,
+            n: cfg.n as u16,
+            sum: u64::from(cfg.id.raw()),
+        },
+        SilentAdversary,
+    );
     sim.run_beats(70);
     let before = ALLOCS.with(Cell::get);
     sim.run_beats(50);

@@ -8,7 +8,7 @@
 //! payload's two vectors and its `Arc` — plus the per-instance dealing.
 //!
 //! Beats 70..120 of `clock-sync n=13 f=4 k=8 coin=ticket adv=silent
-//! faults=none seed=1`, serial stepping, counted per calling thread: the
+//! faults=none seed=1`, counted per calling thread: the
 //! nested layout (one `Vec` per matrix row, rows stored as `Vec<Poly>`,
 //! echoes evaluated twice) made 736 299 calls there, 14 726 a beat; the
 //! flat layout makes 200 799, 4 016 a beat. The window sits between the
@@ -16,7 +16,6 @@
 //! like `crates/sim/tests/zero_alloc_step.rs`'s.
 
 use byzclock::scenario::{Scenario, ScenarioSpec};
-use byzclock::sim::set_step_threads_override;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -56,9 +55,8 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-/// Allocator calls made by beats 70..120 of the spec, stepped serially.
+/// Allocator calls made by beats 70..120 of the spec.
 fn allocations_in_steady_beats(line: &str) -> u64 {
-    set_step_threads_override(Some(1));
     let spec = ScenarioSpec::parse(line).expect("spec parses");
     let mut run = Scenario::start(&spec).expect("clock-sync registered");
     for _ in 0..70 {

@@ -27,8 +27,7 @@ fn storm(at: u64) -> FaultPlan {
 
 fn recovers<A, Adv>(mut sim: byzclock::sim::Simulation<A, Adv>, fault_at: u64, horizon: u64) -> bool
 where
-    A: Application + DigitalClock + Send,
-    A::Msg: Send,
+    A: Application + DigitalClock,
     Adv: Adversary<A::Msg>,
 {
     sim.run_beats(fault_at + 4); // past the fault and the blackout
