@@ -5,8 +5,8 @@ use crate::consensus::{phase_king_rounds, queen_rounds, BaMsg};
 use crate::dw_clock::DwClock;
 use crate::pk_clock::{PhaseKingScheme, PkClock, QueenClock, QueenScheme};
 use byzclock_core::scenario::{
-    builder_for, AdversarySpec, ClockRun, CoinSpec, ProtocolFamily, ProtocolRegistry,
-    ScenarioError, ScenarioRun, ScenarioSpec,
+    builder_for, reject_unwired, AdversarySpec, ClockRun, CoinSpec, ProtocolFamily,
+    ProtocolRegistry, ScenarioError, ScenarioRun, ScenarioSpec,
 };
 use byzclock_core::SlotMsg;
 use byzclock_sim::{Adversary, SilentAdversary};
@@ -17,20 +17,6 @@ pub fn register_protocols(registry: &mut ProtocolRegistry) {
         .register(Box::new(DwClockFamily))
         .register(Box::new(QueenClockFamily))
         .register(Box::new(PkClockFamily));
-}
-
-fn unsupported_coin(spec: &ScenarioSpec) -> ScenarioError {
-    ScenarioError::UnsupportedCoin {
-        protocol: spec.protocol.clone(),
-        coin: spec.coin.to_string(),
-    }
-}
-
-fn unsupported_adversary(spec: &ScenarioSpec) -> ScenarioError {
-    ScenarioError::UnsupportedAdversary {
-        protocol: spec.protocol.clone(),
-        adversary: spec.adversary.to_string(),
-    }
 }
 
 /// Resolves the spec's adversary against the pipelined consensus message
@@ -45,7 +31,7 @@ fn ba_adversary(
             depth: depth as u8,
             mixed_bits,
         }),
-        _ => return Err(unsupported_adversary(spec)),
+        _ => return Err(ScenarioError::unsupported_adversary(spec)),
     })
 }
 
@@ -58,18 +44,15 @@ impl ProtocolFamily for DwClockFamily {
         "dw-clock"
     }
 
-    fn describe(&self) -> &'static str {
-        "[10]-style probabilistic clock over local coins (expected exponential)"
-    }
-
     fn spawn(&self, spec: &ScenarioSpec) -> Result<Box<dyn ScenarioRun>, ScenarioError> {
         // DW *is* the local-coin regime; any other coin spec is a category
         // error the registry should surface rather than paper over.
         if spec.coin != CoinSpec::Local {
-            return Err(unsupported_coin(spec));
+            return Err(ScenarioError::unsupported_coin(spec));
         }
+        reject_unwired(spec)?;
         if spec.adversary != AdversarySpec::Silent {
-            return Err(unsupported_adversary(spec));
+            return Err(ScenarioError::unsupported_adversary(spec));
         }
         let k = spec.clock_modulus;
         let sim = builder_for(spec).build(move |cfg, _rng| DwClock::new(cfg, k), SilentAdversary);
@@ -85,14 +68,11 @@ impl ProtocolFamily for QueenClockFamily {
         "queen-clock"
     }
 
-    fn describe(&self) -> &'static str {
-        "[15]-shaped deterministic queen clock (O(f), needs f < n/4)"
-    }
-
     fn spawn(&self, spec: &ScenarioSpec) -> Result<Box<dyn ScenarioRun>, ScenarioError> {
         if spec.coin != CoinSpec::None {
-            return Err(unsupported_coin(spec));
+            return Err(ScenarioError::unsupported_coin(spec));
         }
+        reject_unwired(spec)?;
         let adversary = ba_adversary(spec, queen_rounds(spec.f))?;
         let k = spec.clock_modulus;
         let sim = builder_for(spec).build(
@@ -111,14 +91,11 @@ impl ProtocolFamily for PkClockFamily {
         "pk-clock"
     }
 
-    fn describe(&self) -> &'static str {
-        "[7]-shaped deterministic phase-king clock (O(f), f < n/3)"
-    }
-
     fn spawn(&self, spec: &ScenarioSpec) -> Result<Box<dyn ScenarioRun>, ScenarioError> {
         if spec.coin != CoinSpec::None {
-            return Err(unsupported_coin(spec));
+            return Err(ScenarioError::unsupported_coin(spec));
         }
+        reject_unwired(spec)?;
         let adversary = ba_adversary(spec, phase_king_rounds(spec.f))?;
         let k = spec.clock_modulus;
         let sim = builder_for(spec).build(

@@ -52,7 +52,7 @@ pub use messages::{CoinMsg, FlatMatrix};
 pub use ticket::{TicketCoinProto, TicketCoinScheme, TICKET_COIN_ROUNDS};
 pub use xor::{XorCoinProto, XorCoinScheme, XOR_COIN_ROUNDS};
 
-use byzclock_core::{ClockSync, FourClock, PipelinedCoin, TwoClock};
+use byzclock_core::{ClockSync, PipelinedCoin, TwoClock};
 use byzclock_sim::{NodeCfg, SimRng};
 
 /// The pipelined ticket coin (`ss-Byz-Coin-Flip` over [`TicketCoinScheme`]).
@@ -63,9 +63,6 @@ pub type XorCoin = PipelinedCoin<XorCoinScheme>;
 
 /// `ss-Byz-2-Clock` over the ticket coin.
 pub type TicketTwoClock = TwoClock<TicketCoin>;
-
-/// `ss-Byz-4-Clock` over the ticket coin.
-pub type TicketFourClock = FourClock<TicketCoin>;
 
 /// `ss-Byz-Clock-Sync` over the ticket coin — the paper's full stack.
 pub type TicketClockSync = ClockSync<TicketCoin>;
@@ -83,12 +80,6 @@ pub fn xor_coin(cfg: NodeCfg, rng: &mut SimRng) -> XorCoin {
 /// Builds `ss-Byz-2-Clock` over the ticket coin.
 pub fn ticket_two_clock(cfg: NodeCfg, rng: &mut SimRng) -> TicketTwoClock {
     TwoClock::new(cfg, ticket_coin(cfg, rng))
-}
-
-/// Builds `ss-Byz-4-Clock` over the ticket coin (one pipeline per
-/// sub-clock, as in the paper).
-pub fn ticket_four_clock(cfg: NodeCfg, rng: &mut SimRng) -> TicketFourClock {
-    FourClock::new(cfg, ticket_coin(cfg, rng), ticket_coin(cfg, rng))
 }
 
 /// Builds the paper's full stack: `ss-Byz-Clock-Sync` for modulus `k` over

@@ -10,16 +10,42 @@
 //! [`ProtocolRegistry::run`] drives that to a deterministic [`RunReport`]
 //! with convergence beat, sync quality, and traffic totals.
 //!
-//! This crate registers the oracle-/local-coin families
-//! ([`register_protocols`]); `byzclock-coin` and `byzclock-baselines`
-//! register theirs, and the umbrella `byzclock` crate assembles the full
-//! default registry:
+//! This crate holds the framework only: the spec grammar, the registry,
+//! the run adapters and the pieces every family builds from
+//! ([`builder_for`], [`clock_adversary`], [`reject_unwired`]). The
+//! families live with their randomness: `byzclock-coin` registers the
+//! paper's clocks over every coin, `byzclock-baselines` the Table 1
+//! clocks, and the umbrella `byzclock` crate assembles the default
+//! registry. A family is any [`ProtocolFamily`]; this one runs the 2-clock
+//! over the spec's oracle beacon:
 //!
 //! ```
-//! use byzclock_core::scenario::{ProtocolRegistry, ScenarioSpec, CoinSpec};
+//! use byzclock_core::scenario::{
+//!     builder_for, clock_adversary, ClockRun, ProtocolFamily, ProtocolRegistry, ScenarioError,
+//!     ScenarioRun, ScenarioSpec,
+//! };
+//! use byzclock_core::{OracleBeacon, TwoClock};
+//!
+//! struct OracleTwoClock;
+//!
+//! impl ProtocolFamily for OracleTwoClock {
+//!     fn name(&self) -> &'static str {
+//!         "two-clock"
+//!     }
+//!
+//!     fn spawn(&self, spec: &ScenarioSpec) -> Result<Box<dyn ScenarioRun>, ScenarioError> {
+//!         let beacon = OracleBeacon::new(spec.coin.p0(), spec.coin.p1(), spec.seed);
+//!         let adversary = clock_adversary(spec, Some(&beacon))?;
+//!         let sim = builder_for(spec).build(
+//!             move |cfg, _rng| TwoClock::new(cfg, beacon.source(cfg.id)),
+//!             adversary,
+//!         );
+//!         Ok(Box::new(ClockRun::new(sim)))
+//!     }
+//! }
 //!
 //! let mut registry = ProtocolRegistry::new();
-//! byzclock_core::scenario::register_protocols(&mut registry);
+//! registry.register(Box::new(OracleTwoClock));
 //!
 //! let spec = ScenarioSpec::parse("two-clock n=7 f=2 coin=oracle seed=7 budget=2000").unwrap();
 //! let report = registry.run(&spec).unwrap();
@@ -27,16 +53,13 @@
 //! assert_eq!(report, registry.run(&spec).unwrap()); // same spec => same report
 //! ```
 
-mod families;
 mod registry;
 mod run;
 mod spec;
 
-pub use families::{
-    bd_clock_extras, builder_for, clock_adversary, four_clock_extras, recursive_levels,
-    register_protocols,
+pub use registry::{
+    builder_for, clock_adversary, reject_unwired, ProtocolFamily, ProtocolRegistry, ScenarioError,
 };
-pub use registry::{ProtocolFamily, ProtocolRegistry, ScenarioError};
 pub use run::{
     delay_extras, drive, drive_exact, ClockRun, RunReport, ScenarioRun, TrafficSummary,
     DEFAULT_SYNC_WINDOW,

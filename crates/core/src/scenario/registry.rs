@@ -1,7 +1,13 @@
-//! Protocol families and the name → family registry.
+//! Protocol families, the name → family registry, and the pieces every
+//! family builds a run from.
 
 use super::run::{drive, RunReport, ScenarioRun};
-use super::spec::ScenarioSpec;
+use super::spec::{AdversarySpec, MetricsSpec, ScenarioSpec};
+use crate::adversary::{
+    EquivocatingAdversary, RandAwareSplitter, RandomVoteAdversary, SplitVoteAdversary, VoteMessage,
+};
+use crate::rand_source::OracleBeacon;
+use byzclock_sim::{Adversary, SilentAdversary, SimBuilder};
 use std::fmt;
 
 /// Everything that can go wrong between a [`ScenarioSpec`] and a running
@@ -74,13 +80,31 @@ impl fmt::Display for ScenarioError {
 
 impl std::error::Error for ScenarioError {}
 
-/// One named protocol implementation: turns a matching [`ScenarioSpec`]
+impl ScenarioError {
+    /// The spec's protocol has no implementation over the spec's coin.
+    pub fn unsupported_coin(spec: &ScenarioSpec) -> Self {
+        ScenarioError::UnsupportedCoin {
+            protocol: spec.protocol.clone(),
+            coin: spec.coin.to_string(),
+        }
+    }
+
+    /// The spec's protocol cannot host the spec's adversary.
+    pub fn unsupported_adversary(spec: &ScenarioSpec) -> Self {
+        ScenarioError::UnsupportedAdversary {
+            protocol: spec.protocol.clone(),
+            adversary: spec.adversary.to_string(),
+        }
+    }
+}
+
+/// One named protocol implementation: turns a [`ScenarioSpec`] naming it
 /// into a type-erased running simulation.
 ///
-/// Several families may share a name (e.g. `two-clock` is registered once
-/// by the oracle/local layer in this crate and once by the ticket-coin
-/// layer in `byzclock-coin`); the registry tries them in registration
-/// order and the first whose coin/adversary combination matches wins.
+/// Each name is registered exactly once, and the family serves every coin
+/// the protocol runs over. Its `spawn` checks the spec in one order: the
+/// coin, then the `committee=`/`metrics=` wiring, then its own parameters,
+/// then the adversary — so a refusal names the first thing that is wrong.
 ///
 /// Families must be `Send + Sync` so one registry can serve Monte-Carlo
 /// trials from many threads; they are resolvers, not running state.
@@ -88,16 +112,13 @@ pub trait ProtocolFamily: Send + Sync {
     /// The registry name (`two-clock`, `clock-sync`, `dw-clock`, ...).
     fn name(&self) -> &'static str;
 
-    /// One-line human description for catalogs and error messages.
-    fn describe(&self) -> &'static str;
-
     /// Builds the erased simulation for `spec`, or explains why this
     /// family cannot serve it.
     fn spawn(&self, spec: &ScenarioSpec) -> Result<Box<dyn ScenarioRun>, ScenarioError>;
 }
 
 /// The name → [`ProtocolFamily`] table every scenario run resolves
-/// through.
+/// through: one family per name, in registration order.
 #[derive(Default)]
 pub struct ProtocolRegistry {
     families: Vec<Box<dyn ProtocolFamily>>,
@@ -111,30 +132,31 @@ impl ProtocolRegistry {
         ProtocolRegistry::default()
     }
 
-    /// Registers a family (later registrations are tried after earlier
-    /// ones sharing the same name).
+    /// Registers a family.
+    ///
+    /// # Panics
+    ///
+    /// If a family with the same name is already registered.
     pub fn register(&mut self, family: Box<dyn ProtocolFamily>) -> &mut Self {
+        assert!(
+            self.family(family.name()).is_none(),
+            "protocol `{}` is registered twice",
+            family.name()
+        );
         self.families.push(family);
         self
     }
 
-    /// All registered protocol names, deduplicated, in registration order.
+    /// All registered protocol names, in registration order.
     pub fn names(&self) -> Vec<String> {
-        let mut names: Vec<String> = Vec::new();
-        for f in &self.families {
-            if !names.iter().any(|n| n == f.name()) {
-                names.push(f.name().to_string());
-            }
-        }
-        names
+        self.families.iter().map(|f| f.name().to_string()).collect()
     }
 
-    /// `(name, description)` for every registered family.
-    pub fn catalog(&self) -> Vec<(String, String)> {
+    fn family(&self, name: &str) -> Option<&dyn ProtocolFamily> {
         self.families
             .iter()
-            .map(|f| (f.name().to_string(), f.describe().to_string()))
-            .collect()
+            .find(|f| f.name() == name)
+            .map(|f| f.as_ref())
     }
 
     /// Resolves `spec` and builds the erased simulation without driving
@@ -142,31 +164,13 @@ impl ProtocolRegistry {
     /// examples' live traces, post-convergence probes).
     pub fn start(&self, spec: &ScenarioSpec) -> Result<Box<dyn ScenarioRun>, ScenarioError> {
         spec.validate()?;
-        let mut fallback: Option<ScenarioError> = None;
-        let mut saw_name = false;
-        for family in &self.families {
-            if family.name() != spec.protocol {
-                continue;
-            }
-            saw_name = true;
-            match family.spawn(spec) {
-                Ok(run) => return Ok(run),
-                // Another family registered under the same name may still
-                // serve this coin/adversary combination.
-                Err(e @ ScenarioError::UnsupportedCoin { .. })
-                | Err(e @ ScenarioError::UnsupportedAdversary { .. }) => {
-                    fallback = Some(e);
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        if !saw_name {
-            return Err(ScenarioError::UnknownProtocol {
+        let family = self
+            .family(&spec.protocol)
+            .ok_or_else(|| ScenarioError::UnknownProtocol {
                 name: spec.protocol.clone(),
                 known: self.names(),
-            });
-        }
-        Err(fallback.expect("a matching family either spawned or errored"))
+            })?;
+        family.spawn(spec)
     }
 
     /// Resolves `spec`, runs it to stable sync (window 8, Definition 3.2)
@@ -206,4 +210,70 @@ impl fmt::Debug for ProtocolRegistry {
             .field("names", &self.names())
             .finish()
     }
+}
+
+/// The [`SimBuilder`] every family starts from: cluster shape, seed,
+/// fault schedule, boot corruption, timing model, wire codec, and
+/// Byzantine placement straight from the spec — so every protocol family
+/// in the workspace accepts the `delay=` and `wire=` knobs without
+/// per-family plumbing.
+pub fn builder_for(spec: &ScenarioSpec) -> SimBuilder {
+    SimBuilder::new(spec.n, spec.f)
+        .seed(spec.seed)
+        .faults(spec.fault_plan.to_plan())
+        .corrupted_start(spec.fault_plan.corrupt_start)
+        .timing(spec.timing())
+        .wire(spec.wire_config())
+        .apply(|b| match &spec.byzantine {
+            Some(ids) => b.byzantine(ids.iter().copied()),
+            None => b,
+        })
+}
+
+/// Refuses `committee=` and `metrics=` in a family (or a coin of it) that
+/// does not wire them, instead of running the spec without them. They are
+/// wired into `clock-sync` over the ticket coin and into `coin-stream`.
+pub fn reject_unwired(spec: &ScenarioSpec) -> Result<(), ScenarioError> {
+    if let Some(c) = spec.committee {
+        return Err(ScenarioError::InvalidSpec(format!(
+            "committee={c} is only wired into the clock-sync and coin-stream families; \
+             `{}` always runs the full coin",
+            spec.protocol
+        )));
+    }
+    if spec.metrics != MetricsSpec::None {
+        return Err(ScenarioError::InvalidSpec(format!(
+            "metrics={} is only wired into clock-sync over coin=ticket and coin-stream over \
+             coin=ticket or coin=xor; `{}` over coin `{}` has no coin counters to report",
+            spec.metrics, spec.protocol, spec.coin
+        )));
+    }
+    Ok(())
+}
+
+/// Resolves the spec's adversary for any clock-layer message type.
+///
+/// `beacon` is the nodes' own beacon when the scenario runs over an
+/// oracle coin — handing it to [`RandAwareSplitter`] is what models
+/// rushing knowledge of the coin. Coin-layer and consensus-layer
+/// adversaries are rejected here; the families owning those message types
+/// build them directly.
+pub fn clock_adversary<M>(
+    spec: &ScenarioSpec,
+    beacon: Option<&OracleBeacon>,
+) -> Result<Box<dyn Adversary<M>>, ScenarioError>
+where
+    M: VoteMessage + 'static,
+{
+    Ok(match spec.adversary {
+        AdversarySpec::Silent => Box::new(SilentAdversary),
+        AdversarySpec::RandomVote => Box::new(RandomVoteAdversary),
+        AdversarySpec::Equivocate => Box::new(EquivocatingAdversary),
+        AdversarySpec::SplitVote => Box::new(SplitVoteAdversary),
+        AdversarySpec::RandAwareSplitter => match beacon {
+            Some(beacon) => Box::new(RandAwareSplitter::new(beacon.clone())),
+            None => return Err(ScenarioError::unsupported_adversary(spec)),
+        },
+        _ => return Err(ScenarioError::unsupported_adversary(spec)),
+    })
 }

@@ -49,7 +49,7 @@ pub trait ScenarioRun {
 }
 
 /// A protocol-specific metrics sampler attached to a [`ClockRun`].
-pub type ExtrasFn<A, Adv> = fn(&Simulation<A, Adv>) -> Vec<(String, f64)>;
+type ExtrasFn<A, Adv> = Box<dyn Fn(&Simulation<A, Adv>) -> Vec<(String, f64)>>;
 
 /// Timing-model extras every scenario adapter appends to its report:
 /// nothing under lockstep (reports stay byte-identical to the
@@ -111,10 +111,13 @@ where
     }
 
     /// Wraps a simulation with a protocol-specific metrics sampler.
-    pub fn with_extras(sim: Simulation<A, Adv>, extras_fn: ExtrasFn<A, Adv>) -> Self {
+    pub fn with_extras(
+        sim: Simulation<A, Adv>,
+        extras_fn: impl Fn(&Simulation<A, Adv>) -> Vec<(String, f64)> + 'static,
+    ) -> Self {
         ClockRun {
             sim,
-            extras_fn: Some(extras_fn),
+            extras_fn: Some(Box::new(extras_fn)),
         }
     }
 
@@ -150,7 +153,10 @@ where
     }
 
     fn extras(&self) -> Vec<(String, f64)> {
-        let mut extras = self.extras_fn.map_or_else(Vec::new, |f| f(&self.sim));
+        let mut extras = self
+            .extras_fn
+            .as_ref()
+            .map_or_else(Vec::new, |f| f(&self.sim));
         extras.extend(delay_extras(self.sim.timing(), self.sim.delay_histogram()));
         extras
     }

@@ -155,7 +155,7 @@ impl std::str::FromStr for CoinSpec {
 /// `alloc_decoder_hits`), which pin the zero-alloc steady state — after
 /// warm-up every retired coin instance reuses pooled storage and cached
 /// decoders instead of allocating. Families without the relevant machinery
-/// ignore the knob, exactly like the fixed-modulus clocks ignore `k`.
+/// refuse the knob (see `reject_unwired`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum MetricsSpec {
     /// No extra instrumentation (the default; omitted from spec lines).

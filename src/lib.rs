@@ -46,8 +46,8 @@
 //! use byzclock::scenario::{self, CoinSpec, ScenarioSpec};
 //!
 //! for name in scenario::default_registry().names() {
-//!     // e.g. "two-clock", "four-clock", "clock-sync", "recursive",
-//!     // "shared-four-clock", "broken-two-clock", "coin-stream",
+//!     // "two-clock", "broken-two-clock", "four-clock", "clock-sync",
+//!     // "recursive", "bd-clock", "shared-four-clock", "coin-stream",
 //!     // "dw-clock", "queen-clock", "pk-clock"
 //!     assert!(!name.is_empty());
 //! }
@@ -88,9 +88,9 @@ pub mod scenario {
     //! behind one declarative entry point.
     //!
     //! This module re-exports the scenario layer from `byzclock-core` and
-    //! assembles the [`default_registry`] with the protocol families of
-    //! all three protocol crates (`core`'s oracle/local clocks, `coin`'s
-    //! ticket/XOR stacks, `baselines`' Table 1 clocks).
+    //! assembles the [`default_registry`], one family per protocol name:
+    //! `coin`'s families (the paper's clocks over every coin, and the coin
+    //! stream), then `baselines`' Table 1 clocks.
 
     pub use byzclock_core::scenario::{
         builder_for, clock_adversary, delay_extras, drive, drive_exact, AdversarySpec, ClockRun,
@@ -102,7 +102,6 @@ pub mod scenario {
     /// A registry with every protocol family in the workspace registered.
     pub fn default_registry() -> ProtocolRegistry {
         let mut registry = ProtocolRegistry::new();
-        byzclock_core::scenario::register_protocols(&mut registry);
         byzclock_coin::scenario::register_protocols(&mut registry);
         byzclock_baselines::scenario::register_protocols(&mut registry);
         registry

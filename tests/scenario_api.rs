@@ -168,6 +168,34 @@ fn error_paths_are_precise() {
         other => panic!("expected UnsupportedAdversary, got {other:?}"),
     }
 
+    // A family checks the coin before the adversary: both of these coins
+    // are served, so the adversary is what is refused.
+    for line in [
+        "two-clock n=4 f=1 coin=oracle adv=coin-noise",
+        "two-clock n=4 f=1 coin=local adv=rand-aware-splitter",
+    ] {
+        match registry.run(&ScenarioSpec::parse(line).unwrap()) {
+            Err(ScenarioError::UnsupportedAdversary { protocol, .. }) => {
+                assert_eq!(protocol, "two-clock")
+            }
+            other => panic!("`{line}`: expected UnsupportedAdversary, got {other:?}"),
+        }
+    }
+
+    // `metrics=` is refused wherever no family wires it, instead of
+    // running the spec and reporting no counters.
+    for line in [
+        "two-clock n=4 f=1 coin=ticket metrics=decode",
+        "clock-sync n=4 f=1 coin=oracle metrics=alloc",
+    ] {
+        match registry.run(&ScenarioSpec::parse(line).unwrap()) {
+            Err(ScenarioError::InvalidSpec(msg)) => {
+                assert!(msg.contains("metrics="), "`{line}`: {msg}")
+            }
+            other => panic!("`{line}`: expected InvalidSpec, got {other:?}"),
+        }
+    }
+
     // Structural validation fires before family resolution.
     match registry.run(&ScenarioSpec::new("clock-sync", 4, 4)) {
         Err(ScenarioError::InvalidSpec(msg)) => assert!(msg.contains("fault budget")),
@@ -349,4 +377,128 @@ fn recovery_reports_measure_from_the_fault() {
         "tracking must not start before the fault clears"
     );
     assert_eq!(report.beats_to_sync(), Some(converged - 41));
+}
+
+const PROTOCOLS: [&str; 11] = [
+    "two-clock",
+    "broken-two-clock",
+    "four-clock",
+    "clock-sync",
+    "recursive",
+    "bd-clock",
+    "shared-four-clock",
+    "coin-stream",
+    "dw-clock",
+    "queen-clock",
+    "pk-clock",
+];
+const COINS: [&str; 5] = ["ticket", "xor", "local", "oracle", "none"];
+const ADVERSARIES: [&str; 9] = [
+    "silent",
+    "random-vote",
+    "equivocate",
+    "split-vote",
+    "rand-aware-splitter",
+    "coin-noise",
+    "inconsistent-dealer",
+    "recover-equivocator",
+    "ba-equivocator",
+];
+
+/// The coins each protocol runs over.
+fn accepted_coins(protocol: &str) -> &'static [&'static str] {
+    match protocol {
+        "two-clock" => &["ticket", "xor", "local", "oracle"],
+        "broken-two-clock" => &["oracle"],
+        "four-clock" => &["ticket", "xor", "oracle"],
+        "shared-four-clock" => &["ticket"],
+        "clock-sync" | "recursive" => &["ticket", "oracle"],
+        "bd-clock" => &["local", "oracle"],
+        "coin-stream" => &["ticket", "xor"],
+        "dw-clock" => &["local"],
+        "queen-clock" | "pk-clock" => &["none"],
+        other => panic!("no admission row for {other}"),
+    }
+}
+
+/// The adversaries a protocol hosts over a coin it runs on.
+fn accepted_adversaries(protocol: &str, coin: &str) -> Vec<&'static str> {
+    match protocol {
+        "bd-clock" => vec!["silent", "random-vote", "equivocate"],
+        "coin-stream" => vec![
+            "silent",
+            "coin-noise",
+            "inconsistent-dealer",
+            "recover-equivocator",
+        ],
+        "dw-clock" => vec!["silent"],
+        "queen-clock" | "pk-clock" => vec!["silent", "ba-equivocator"],
+        _ => {
+            let mut clock = vec!["silent", "random-vote", "equivocate", "split-vote"];
+            if coin == "oracle" {
+                clock.push("rand-aware-splitter");
+            }
+            clock
+        }
+    }
+}
+
+/// The whole admission table: 11 protocols × 5 coins × 9 adversaries. A
+/// cell runs iff the protocol serves the coin and hosts the adversary
+/// over it; otherwise the coin is refused first, then the adversary.
+#[test]
+fn admission_table_refuses_the_coin_first_then_the_adversary() {
+    let registry = default_registry();
+    assert_eq!(registry.names(), PROTOCOLS, "registry order");
+    let mut served = 0;
+    for protocol in PROTOCOLS {
+        for coin in COINS {
+            for adversary in ADVERSARIES {
+                let line =
+                    format!("{protocol} n=4 f=1 k=8 coin={coin} adv={adversary} faults=none");
+                let spec = ScenarioSpec::parse(&line).unwrap();
+                let expected = if !accepted_coins(protocol).contains(&coin) {
+                    "UnsupportedCoin"
+                } else if !accepted_adversaries(protocol, coin).contains(&adversary) {
+                    "UnsupportedAdversary"
+                } else {
+                    served += 1;
+                    "Ok"
+                };
+                let got = match registry.start(&spec) {
+                    Ok(_) => "Ok",
+                    Err(ScenarioError::UnsupportedCoin { .. }) => "UnsupportedCoin",
+                    Err(ScenarioError::UnsupportedAdversary { .. }) => "UnsupportedAdversary",
+                    Err(other) => panic!("`{line}`: unexpected {other:?}"),
+                };
+                assert_eq!(got, expected, "`{line}`");
+            }
+        }
+    }
+    assert_eq!(served, 76);
+}
+
+/// Every (protocol, coin) cell the registry serves, and the committee= and
+/// metrics= wiring, replay the reports pinned in `family_reports.txt`.
+#[test]
+fn every_served_cell_replays_its_pinned_report() {
+    let pinned: Vec<&str> = include_str!("family_reports.txt")
+        .lines()
+        .filter(|l| !l.is_empty() && !l.starts_with('#'))
+        .collect();
+    assert_eq!(pinned.len(), 25);
+    for golden in pinned {
+        let line = RunReport::from_json(golden).expect("a report line").spec;
+        let report = Scenario::run(&ScenarioSpec::parse(&line).unwrap()).unwrap();
+        assert_eq!(report.to_json(), golden, "`{line}` drifted");
+    }
+}
+
+/// A protocol name is served by one family: registering it again is a
+/// bug in the registry's assembly, not a second implementation.
+#[test]
+#[should_panic(expected = "registered twice")]
+fn a_protocol_name_registers_once() {
+    let mut registry = default_registry();
+    byzclock::coin::scenario::register_protocols(&mut registry);
 }
