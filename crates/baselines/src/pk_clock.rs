@@ -27,7 +27,7 @@ use crate::consensus::{
     phase_king_rounds, queen_rounds, BaMsg, PhaseKingConsensus, QueenConsensus,
 };
 use byzclock_core::{DigitalClock, Pipeline, RoundProtocol, SlotMsg};
-use byzclock_sim::{Application, Envelope, NodeCfg, Outbox, SimRng, Target};
+use byzclock_sim::{Application, Envelope, NodeCfg, Outbox, SimRng};
 use rand::Rng;
 use std::collections::VecDeque;
 
@@ -254,10 +254,7 @@ impl<S: ConsensusScheme> Application for ConsensusClock<S> {
         let mut sends = Vec::new();
         self.pipeline.send(out.rng(), &mut sends);
         for (target, msg) in sends {
-            match target {
-                Target::All => out.broadcast(msg),
-                Target::One(to) => out.unicast(to, msg),
-            }
+            out.push(target, msg);
         }
     }
 

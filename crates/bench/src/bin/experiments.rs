@@ -1353,7 +1353,7 @@ fn d1_bounded_delay_grid(grid: Grid<'_>) {
 // ---------------------------------------------------------------------------
 
 /// The answer to D1's measured gap: the same lockstep-vs-delay sweep, with
-/// the `bd-clock` (buffered round engine) rows added. The lockstep
+/// the `bd-clock` (round-tag wheel) rows added. The lockstep
 /// protocols stop converging at `delay>=2`; `bd-clock` keeps a finite
 /// convergence beat across the whole `delay=0..3` range, with extras
 /// showing how its progress splits between quorum ticks and

@@ -6,7 +6,7 @@
 //! simulated, attacked, and measured in isolation — experiment F1.
 
 use byzclock_core::{CoinScheme, PipelinedCoin, RandSource, RoundProtocol, SlotMsg};
-use byzclock_sim::{Adversary, Application, Envelope, NodeCfg, Outbox, SimRng, Simulation, Target};
+use byzclock_sim::{Adversary, Application, Envelope, NodeCfg, Outbox, SimRng, Simulation};
 
 /// Message type of a [`CoinApp`] over scheme `S`.
 pub type CoinAppMsg<S> = SlotMsg<<<S as CoinScheme>::Proto as RoundProtocol>::Msg>;
@@ -55,10 +55,7 @@ impl<S: CoinScheme> Application for CoinApp<S> {
         let mut sends = Vec::new();
         self.coin.send(out.rng(), &mut sends);
         for (target, msg) in sends {
-            match target {
-                Target::All => out.broadcast(msg),
-                Target::One(to) => out.unicast(to, msg),
-            }
+            out.push(target, msg);
         }
     }
 

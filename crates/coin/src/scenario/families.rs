@@ -328,7 +328,7 @@ impl ClockShape for RecursiveShape {
 }
 
 /// `bd-clock` — the bounded-delay-tolerant threshold clock on the
-/// buffered round engine. The only family in the registry *specified* for
+/// round-tag wheel. The only family in the registry *specified* for
 /// the semi-synchronous model: it converges for `delay=0..=3` where the
 /// lockstep protocols stop at `delay>=2` (the `experiments d2` grid).
 pub(super) struct BdClockShape;

@@ -1,5 +1,5 @@
-//! `bd-clock` — a bounded-delay-tolerant digital clock on the buffered
-//! round engine.
+//! `bd-clock` — a bounded-delay-tolerant digital clock on a round-tag
+//! wheel.
 //!
 //! The paper's clocks assume the global beat system: every vote arrives
 //! the beat it is cast, so "count the votes of this beat" is well-defined.
@@ -14,8 +14,8 @@
 //!
 //! # The protocol
 //!
-//! The clock value *is* the current round of a [`BufferedRounds`] wheel of
-//! depth `k`. Each node:
+//! The clock value *is* the current round of a `k`-slot round-tag wheel
+//! (the crate-private `buffered` module). Each node:
 //!
 //! 1. **Promise broadcast.** On entering round `x` it broadcasts the tags
 //!    `x, x+1, …, x+window−1 (mod k)`. Broadcasting `window` tags ahead
@@ -63,38 +63,15 @@
 //! shared coin breaks the symmetric deadlocks a rushing adversary could
 //! otherwise maintain forever.
 
-use crate::buffered::{drain_sends, Advance, BufferedRounds, RoundMsg};
+use crate::buffered::{RoundMsg, Wheel};
 use crate::clock::DigitalClock;
 use crate::rand_source::RandSource;
-use crate::round::RoundProtocol;
-use byzclock_sim::{Application, Envelope, NodeCfg, NodeId, Outbox, SimRng, Target};
+use byzclock_sim::{Application, Envelope, NodeCfg, NodeId, Outbox, SimRng};
 use rand::Rng;
 
 /// The wire message of `bd-clock`: a bare round tag (the tag *is* the
 /// vote — a node's current clock value, plus its `L − 1` promises).
 pub type BdClockMsg = RoundMsg<()>;
-
-/// The inner "instance" of the bd-clock wheel: one full clock cycle of
-/// `k` rounds. The protocol state lives in the engine's round index, so
-/// the instance itself is stateless — it exists to give the engine
-/// something to execute.
-#[derive(Debug, Default, Clone, Copy)]
-struct TickProto;
-
-impl RoundProtocol for TickProto {
-    type Msg = ();
-    type Output = ();
-
-    fn send_round(&mut self, _round: usize, _rng: &mut SimRng, out: &mut Vec<(Target, ())>) {
-        out.push((Target::All, ()));
-    }
-
-    fn recv_round(&mut self, _round: usize, _inbox: &[(NodeId, ())], _rng: &mut SimRng) {}
-
-    fn output(&self) {}
-
-    fn corrupt(&mut self, _rng: &mut SimRng) {}
-}
 
 /// A full snapshot of the mutable protocol state of a [`BdClock`] node —
 /// everything the merge rules read, and nothing they don't (the
@@ -104,18 +81,19 @@ impl RoundProtocol for TickProto {
 /// re-enter states of the *real* core instead of a reimplementation.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct BdSnapshot {
-    /// Engine round index (the clock value).
+    /// Wheel round index (the clock value).
     pub round: usize,
-    /// Beats the engine has waited in the current round.
+    /// Beats the wheel has waited in the current round.
     pub beats_waiting: u64,
-    /// Engine "fresh send due" latch.
+    /// Wheel "fresh send due" latch.
     pub pending_send: bool,
-    /// Engine resend latch.
+    /// Wheel resend latch.
     pub resend: bool,
-    /// Whether the engine holds a cached send to re-emit (the payload is
-    /// `()`, so *whether* suffices to rebuild it).
+    /// Wheel latch: the node has announced since its last transient
+    /// fault. It changes no traffic (a re-announcement emits the tags of
+    /// a fresh one) but is part of the checked state.
     pub last_send_cached: bool,
-    /// Engine wheel support: `(tag, sender)` pairs.
+    /// Wheel support: `(tag, sender)` pairs, in no particular order.
     pub wheel: Vec<(usize, NodeId)>,
     /// Freshness evidence: `(tag, sender, claimed send beat)` rows.
     pub evidence: Vec<(usize, NodeId, u64)>,
@@ -133,12 +111,12 @@ pub struct BdClock<R: RandSource<Msg = ()>> {
     cfg: NodeCfg,
     k: usize,
     window: u64,
-    engine: BufferedRounds<TickProto>,
+    wheel: Wheel,
     rand_source: R,
     /// `evidence[tag]` = per-sender latest *claimed send beat* (the
     /// envelope round tag) for announcements of `tag` — the
     /// freshness-filtered support the jump and catch-up rules read. The
-    /// engine's wheel keeps support for *quorums*, which must not expire;
+    /// wheel keeps support for *quorums*, which must not expire;
     /// inferences about who is ahead must, and they must expire by *send*
     /// time: an old promise delivered late is stale news even though it
     /// just arrived. Correct senders stamp the tag truthfully; a lying
@@ -180,8 +158,7 @@ impl<R: RandSource<Msg = ()>> BdClock<R> {
             cfg,
             k: k as usize,
             window,
-            engine: BufferedRounds::new(k as usize, quorum, window, || TickProto)
-                .with_late_horizon(window.saturating_sub(1) as usize),
+            wheel: Wheel::new(k as usize, quorum, window),
             rand_source,
             evidence: (0..k).map(|_| Vec::new()).collect(),
             beat: 0,
@@ -198,12 +175,12 @@ impl<R: RandSource<Msg = ()>> BdClock<R> {
         &self.cfg
     }
 
-    /// The engine's advancement/buffering counters plus this clock's own
+    /// The wheel's tick/buffering counters plus this clock's own
     /// merge-rule counters, in report-extras shape.
     pub fn metrics(&self) -> Vec<(String, f64)> {
-        let s = self.engine.stats();
+        let s = &self.wheel;
         vec![
-            ("bd_quorum_ticks".to_string(), s.quorum_advances as f64),
+            ("bd_quorum_ticks".to_string(), s.quorum_ticks as f64),
             ("bd_timeout_events".to_string(), self.timeout_events as f64),
             ("bd_jumps".to_string(), self.jumps as f64),
             ("bd_catchup_ticks".to_string(), self.catchups as f64),
@@ -230,7 +207,7 @@ impl<R: RandSource<Msg = ()>> BdClock<R> {
     /// node too far from any chain relies on the coin rendezvous (and on
     /// the chain's tags wrapping back into range within one `k`-cycle).
     fn jump_target(&self) -> Option<usize> {
-        let current = self.engine.round();
+        let current = self.wheel.round;
         (self.window..=self.window + 1)
             .rev()
             .map(|d| (current + d as usize) % self.k)
@@ -254,14 +231,23 @@ impl<R: RandSource<Msg = ()>> BdClock<R> {
     /// Model-checking hook: snapshot of every mutable variable the merge
     /// rules read (see [`BdSnapshot`]). Not part of the protocol surface.
     pub fn mc_snapshot(&self) -> BdSnapshot {
-        let (pending_send, resend) = self.engine.mc_flags();
+        let w = &self.wheel;
         BdSnapshot {
-            round: self.engine.round(),
-            beats_waiting: self.engine.beats_waiting(),
-            pending_send,
-            resend,
-            last_send_cached: self.engine.mc_last_sends_cached(),
-            wheel: self.engine.mc_wheel(),
+            round: w.round,
+            beats_waiting: w.beats_waiting,
+            pending_send: w.pending_send,
+            resend: w.resend,
+            last_send_cached: w.cached,
+            wheel: w
+                .seen
+                .iter()
+                .enumerate()
+                .flat_map(|(tag, slot)| {
+                    (0..slot.len() as u16)
+                        .filter(|&i| slot[usize::from(i)])
+                        .map(move |i| (tag, NodeId::new(i)))
+                })
+                .collect(),
             evidence: self
                 .evidence
                 .iter()
@@ -282,14 +268,17 @@ impl<R: RandSource<Msg = ()>> BdClock<R> {
     ///
     /// Panics if a round or tag is out of range.
     pub fn mc_restore(&mut self, s: &BdSnapshot) {
-        self.engine
-            .mc_force(s.round, s.beats_waiting, s.pending_send, s.resend);
-        self.engine.mc_set_wheel(&s.wheel);
-        self.engine.mc_set_last_sends(if s.last_send_cached {
-            vec![(Target::All, ())]
-        } else {
-            Vec::new()
-        });
+        assert!(s.round < self.k, "snapshot round out of range");
+        let w = &mut self.wheel;
+        w.round = s.round;
+        w.beats_waiting = s.beats_waiting;
+        w.pending_send = s.pending_send;
+        w.resend = s.resend;
+        w.cached = s.last_send_cached;
+        w.clear();
+        for &(tag, from) in &s.wheel {
+            w.park(from, tag);
+        }
         for slot in &mut self.evidence {
             slot.clear();
         }
@@ -322,7 +311,7 @@ impl<R: RandSource<Msg = ()>> DigitalClock for BdClock<R> {
     }
 
     fn read(&self) -> Option<u64> {
-        Some(self.engine.round() as u64)
+        Some(self.wheel.round as u64)
     }
 }
 
@@ -330,42 +319,34 @@ impl<R: RandSource<Msg = ()>> Application for BdClock<R> {
     type Msg = BdClockMsg;
 
     fn send(&mut self, _phase: usize, out: &mut Outbox<'_, Self::Msg>) {
-        let mut sends = Vec::new();
-        self.engine.send(out.rng(), &mut sends);
-        if !sends.is_empty() {
-            // Entering (or re-announcing) a round: append the promise
-            // tags x+1 .. x+window-1 (window tags in total, own round
-            // included).
-            let x = self.engine.round();
-            for j in 1..self.window {
-                let tag = ((x + j as usize) % self.k) as u8;
-                sends.push((
-                    Target::All,
-                    RoundMsg {
-                        round: tag,
-                        msg: (),
-                    },
-                ));
+        if self.wheel.announce() {
+            // Entering (or re-announcing) round x: its own tag, then the
+            // promise tags x+1 .. x+window-1.
+            let x = self.wheel.round;
+            for j in 0..self.window as usize {
+                out.broadcast(RoundMsg {
+                    round: ((x + j) % self.k) as u8,
+                    msg: (),
+                });
             }
         }
-        drain_sends(sends, out);
     }
 
     fn deliver(&mut self, _phase: usize, inbox: &[Envelope<Self::Msg>], rng: &mut SimRng) {
-        self.late_arrivals += inbox.iter().filter(|e| e.round < self.beat).count() as u64;
-        self.beat += 1;
-        let batch: Vec<(NodeId, BdClockMsg)> =
-            inbox.iter().map(|e| (e.from, e.msg.clone())).collect();
         for e in inbox {
+            if e.round < self.beat {
+                self.late_arrivals += 1;
+            }
             self.note_evidence(e.from, usize::from(e.msg.round), e.round);
+            self.wheel.ingest(e.from, e.msg.round);
         }
-        self.engine.ingest(&batch);
+        self.beat += 1;
         // The coin is consulted every beat — not only when needed — so all
         // correct nodes stay on the same draw index of the shared schedule.
         let rand = self.rand_source.deliver(&[], rng);
 
-        if self.engine.quorum_ready() {
-            self.engine.advance(Advance::Quorum, rng, |_, _| TickProto);
+        if self.wheel.quorum_ready() {
+            self.wheel.tick();
             // Catch-up rule: a plain tick is one round per beat, so a
             // straggler fed by a pack one round ahead could orbit at
             // skew 1 forever — both sides quorum-ticking at full speed,
@@ -380,9 +361,9 @@ impl<R: RandSource<Msg = ()>> Application for BdClock<R> {
             // means catch-up never outruns the support it rides on.
             let mut extra = 0;
             while self.window >= 2 && extra < self.window {
-                let probe = (self.engine.round() + self.window as usize - 1) % self.k;
-                if self.fresh_support(probe) > self.cfg.f && self.engine.quorum_ready() {
-                    self.engine.advance(Advance::Quorum, rng, |_, _| TickProto);
+                let probe = (self.wheel.round + self.window as usize - 1) % self.k;
+                if self.fresh_support(probe) > self.cfg.f && self.wheel.quorum_ready() {
+                    self.wheel.tick();
                     self.catchups += 1;
                     extra += 1;
                 } else {
@@ -391,8 +372,8 @@ impl<R: RandSource<Msg = ()>> Application for BdClock<R> {
             }
             return;
         }
-        self.engine.age();
-        if !self.engine.expired() {
+        self.wheel.age();
+        if !self.wheel.expired() {
             return;
         }
         self.timeout_events += 1;
@@ -400,17 +381,15 @@ impl<R: RandSource<Msg = ()>> Application for BdClock<R> {
             // Join the chain genuinely ahead (>= f+1 supporters beyond
             // this node's own promise reach, so at least one correct node
             // really is going there).
-            self.engine.jump_to(target);
-            self.engine.clear_buffers();
+            self.wheel.jump(target);
             self.jumps += 1;
-        } else if rand && self.engine.round() != 0 {
+        } else if rand && self.wheel.round != 0 {
             // No evidence anywhere: rendezvous at round 0 on a common
             // coin beat — every stranded correct node resets *together*.
             // A node already parked at 0 stays put *without* clearing, so
             // support from stragglers keeps accumulating toward the
             // quorum that restarts the chain.
-            self.engine.jump_to(0);
-            self.engine.clear_buffers();
+            self.wheel.jump(0);
             self.resets += 1;
         }
         // else: keep waiting; the next coin-1 beat (or fresh evidence)
@@ -418,11 +397,11 @@ impl<R: RandSource<Msg = ()>> Application for BdClock<R> {
     }
 
     fn corrupt(&mut self, rng: &mut SimRng) {
-        // The engine (round index, timer, send latch, wheel) and the coin
+        // The wheel (round index, timer, send latches, slots) and the coin
         // cursor are the protocol state; `beat` and the rule counters are
         // measurement state and survive (the harness, not the node, owns
         // those numbers).
-        self.engine.corrupt(rng);
+        self.wheel.corrupt(rng);
         self.rand_source.corrupt(rng);
         for slot in &mut self.evidence {
             slot.clear();

@@ -22,7 +22,7 @@ use crate::rand_source::RandSource;
 use crate::trit::dedup_by_sender;
 use crate::trit::Trit;
 use byzclock_sim::{
-    Application, Envelope, NodeCfg, NodeId, Outbox, SimRng, Target, Wire, WireFormat, WireReader,
+    Application, Envelope, NodeCfg, NodeId, Outbox, SimRng, Wire, WireFormat, WireReader,
     WireWriter,
 };
 use rand::Rng;
@@ -264,14 +264,14 @@ impl<R: RandSource> Application for ClockSync<R> {
                 let mut sends = Vec::new();
                 self.four.phase_send(0, out.rng(), &mut sends);
                 for (t, m) in sends {
-                    push(out, t, ClockSyncMsg::Four(m));
+                    out.push(t, ClockSyncMsg::Four(m));
                 }
             }
             1 => {
                 let mut sends = Vec::new();
                 self.four.phase_send(1, out.rng(), &mut sends);
                 for (t, m) in sends {
-                    push(out, t, ClockSyncMsg::Four(m));
+                    out.push(t, ClockSyncMsg::Four(m));
                 }
             }
             2 => {
@@ -296,7 +296,7 @@ impl<R: RandSource> Application for ClockSync<R> {
                 let mut coin_out = Vec::new();
                 self.rand_source.send(out.rng(), &mut coin_out);
                 for (t, m) in coin_out {
-                    push(out, t, ClockSyncMsg::Coin(m));
+                    out.push(t, ClockSyncMsg::Coin(m));
                 }
             }
             _ => {}
@@ -395,13 +395,6 @@ impl<R: RandSource> Application for ClockSync<R> {
     fn begin_beat(&mut self, beat: u64) {
         self.four.begin_beat(beat);
         self.rand_source.begin_beat(beat);
-    }
-}
-
-fn push<M>(out: &mut Outbox<'_, M>, target: Target, msg: M) {
-    match target {
-        Target::All => out.broadcast(msg),
-        Target::One(to) => out.unicast(to, msg),
     }
 }
 

@@ -218,10 +218,7 @@ impl<R: RandSource> Application for FourClock<R> {
         let mut sends = Vec::new();
         self.phase_send(phase, out.rng(), &mut sends);
         for (target, msg) in sends {
-            match target {
-                Target::All => out.broadcast(msg),
-                Target::One(to) => out.unicast(to, msg),
-            }
+            out.push(target, msg);
         }
     }
 
@@ -327,10 +324,7 @@ impl<R: RandSource> Application for SharedFourClock<R> {
                 let mut coin_out = Vec::new();
                 self.rand_source.send(out.rng(), &mut coin_out);
                 for (target, m) in coin_out {
-                    match target {
-                        Target::All => out.broadcast(SharedFourClockMsg::Coin(m)),
-                        Target::One(to) => out.unicast(to, SharedFourClockMsg::Coin(m)),
-                    }
+                    out.push(target, SharedFourClockMsg::Coin(m));
                 }
             }
             1 if self.gate_a2 => {

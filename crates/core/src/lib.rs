@@ -12,11 +12,17 @@
 //! | Fig. 4 `ss-Byz-Clock-Sync` | [`ClockSync`] |
 //! | §5 recursive doubling | [`RecursiveClock`] |
 //! | Remark 3.1 anti-pattern | [`BrokenTwoClock`] + [`adversary::RandAwareSplitter`] |
+//! | §6.3 bounded delay | [`BdClock`] on a round-tag wheel ([`RoundMsg`]) |
 //!
 //! Everything is generic over the coin via [`RandSource`] /
 //! [`CoinScheme`]: plug in the GVSS ticket coin from `byzclock-coin` for
 //! the full construction, [`OracleRand`] to isolate the clock layer, or
 //! [`LocalRand`] to reproduce the exponential-time baseline.
+//!
+//! [`Pipeline`] is the one driver of round-based instances and runs in
+//! lockstep, one round per beat. [`BdClock`] needs no instances: its clock
+//! value is the round index of its own wheel, which advances on `n - f`
+//! quorums of round tags and so tolerates bounded delivery delay.
 //!
 //! # Example: the 2-clock over an ideal beacon
 //!
@@ -55,7 +61,7 @@ mod two_clock;
 
 pub use bd_clock::adversary::{RandomTagAdversary, TagEquivocator};
 pub use bd_clock::{BdClock, BdClockMsg, BdSnapshot};
-pub use buffered::{Advance, BufferedApp, BufferedRounds, BufferedStats, RoundMsg};
+pub use buffered::RoundMsg;
 pub use clock::{all_synced, run_until_stable_sync, DigitalClock, SyncTracker};
 pub use clock_sync::{ClockSync, ClockSyncMsg};
 pub use four_clock::{FourClock, FourClockMsg, SharedFourClock, SharedFourClockMsg};

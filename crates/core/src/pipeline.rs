@@ -20,14 +20,12 @@
 //! predicted clock values is the §6.2 transformation with a deterministic
 //! inner protocol.
 //!
-//! **Execution modes.** This module is the *lockstep* execution mode of
-//! [`RoundProtocol`]: it equates the driver's beat index with the round
-//! index, which is only sound in the paper's global-beat model (every
-//! message arrives the beat it was sent). Its semi-synchronous sibling is
-//! [`crate::BufferedRounds`], which carries the round index on the wire
-//! and advances on quorums or timeouts instead of beats — same trait,
-//! same instances, different clockwork. Lockstep runs of the two modes
-//! are output-identical; see the `buffered` module docs for the contract.
+//! **Lockstep only.** The pipeline equates the driver's beat index with
+//! the round index, which is only sound in the paper's global-beat model
+//! (every message arrives the beat it was sent). The one bounded-delay
+//! protocol, [`crate::BdClock`], does not run instances at all: its clock
+//! value is the round index of a round-tag wheel that advances on `n − f`
+//! quorums (see its module docs).
 
 use crate::round::RoundProtocol;
 use byzclock_sim::{NodeId, SimRng, Target, Wire, WireFormat, WireReader, WireWriter};

@@ -17,8 +17,7 @@ use crate::rand_source::RandSource;
 use crate::trit::Trit;
 use crate::two_clock::{TwoClock, TwoClockMsg};
 use byzclock_sim::{
-    Application, Envelope, NodeCfg, Outbox, SimRng, Target, Wire, WireFormat, WireReader,
-    WireWriter,
+    Application, Envelope, NodeCfg, Outbox, SimRng, Wire, WireFormat, WireReader, WireWriter,
 };
 use rand::Rng;
 
@@ -121,10 +120,7 @@ impl<R: RandSource> Application for RecursiveClock<R> {
                     level: phase as u8,
                     msg: m,
                 };
-                match t {
-                    Target::All => out.broadcast(msg),
-                    Target::One(to) => out.unicast(to, msg),
-                }
+                out.push(t, msg);
             }
         }
     }

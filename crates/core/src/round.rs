@@ -1,24 +1,10 @@
-//! Round-based protocol instances — the unit the Fig. 1 pipeline staggers
-//! and the buffered engine stretches.
+//! Round-based protocol instances — the unit the Fig. 1 pipeline staggers.
 //!
 //! A [`RoundProtocol`] is *specified* synchronously (round `r` = one send
 //! plus one receive), but deliberately never drives itself: the round
-//! index always comes from a driver, and the workspace has two of them —
-//! two **execution modes** over one protocol trait:
-//!
-//! - [`crate::Pipeline`] — the lockstep mode. The driver's beat index is
-//!   the round index; `Δ` staggered instances advance one round per beat.
-//!   Exactly the paper's global-beat model, bit-for-bit pinned.
-//! - [`crate::BufferedRounds`] — the buffered mode. Messages carry their
-//!   round tag on the wire, arrivals park in a per-round wheel, and an
-//!   instance advances on an `n − f` quorum or a delivery-window timeout.
-//!   The same instance code runs unchanged under
-//!   [`byzclock_sim::TimingModel::BoundedDelay`], where "this beat's
-//!   inbox" is no longer a meaningful notion.
-//!
-//! Under lockstep the two modes produce identical outputs (pinned by
-//! `tests/buffered_engine.rs`); under bounded delay only the buffered
-//! mode makes progress per the protocol's own semantics.
+//! index always comes from the driver, [`crate::Pipeline`], whose beat
+//! index is the round index — `Δ` staggered instances advance one round
+//! per beat, exactly the paper's global-beat model.
 
 use byzclock_sim::{NodeId, SimRng, Target, Wire};
 use std::fmt;
@@ -26,10 +12,9 @@ use std::fmt;
 /// A synchronous protocol instance that runs for a fixed number of rounds
 /// and then yields an output.
 ///
-/// Round `r` of an instance consists of one send and one receive — within
-/// the same beat under the lockstep driver ([`crate::Pipeline`]), or
-/// spread over as many beats as delivery needs under the buffered driver
-/// ([`crate::BufferedRounds`]). The *driver* owns the round index; an
+/// Round `r` of an instance consists of one send and one receive within
+/// the same beat of the lockstep driver ([`crate::Pipeline`]). The
+/// *driver* owns the round index; an
 /// instance must trust the index it is given rather than an internal
 /// counter, which is what makes pipelined execution self-stabilizing: a
 /// corrupted instance emits garbage for at most its remaining rounds and is

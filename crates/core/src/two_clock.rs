@@ -230,10 +230,7 @@ impl<R: RandSource> Application for TwoClock<R> {
         // Split borrows: collect with the outbox RNG, then queue.
         self.step_send(out.rng(), &mut sends);
         for (target, msg) in sends {
-            match target {
-                Target::All => out.broadcast(msg),
-                Target::One(to) => out.unicast(to, msg),
-            }
+            out.push(target, msg);
         }
     }
 
@@ -308,10 +305,7 @@ impl<R: RandSource> Application for BrokenTwoClock<R> {
         self.rand_source.send(out.rng(), &mut coin_out);
         sends.extend(coin_out.into_iter().map(|(t, m)| (t, TwoClockMsg::Coin(m))));
         for (target, msg) in sends {
-            match target {
-                Target::All => out.broadcast(msg),
-                Target::One(to) => out.unicast(to, msg),
-            }
+            out.push(target, msg);
         }
     }
 

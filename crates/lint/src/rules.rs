@@ -45,11 +45,6 @@ impl LintReport {
     pub fn clean(&self) -> bool {
         self.results.iter().all(|r| r.findings.is_empty())
     }
-
-    /// Total unsuppressed findings.
-    pub fn total_findings(&self) -> usize {
-        self.results.iter().map(|r| r.findings.len()).sum()
-    }
 }
 
 /// A pre-suppression finding. `P1` findings inside decode roots are not

@@ -28,27 +28,12 @@ use byzclock_sim::{collect_sends, Application, Envelope, NodeCfg, NodeId, SimRng
 use rand::SeedableRng;
 
 use crate::engine::{Choice, Model};
+use crate::two_clock::{trit_rank, trit_unrank};
 
 const N: usize = 4;
 const F: usize = 1;
 const CORRECT: usize = 3;
 const K: u8 = 4;
-
-fn trit_rank(t: Trit) -> u8 {
-    match t {
-        Trit::Zero => 0,
-        Trit::One => 1,
-        Trit::Bot => 2,
-    }
-}
-
-fn trit_unrank(r: u8) -> Trit {
-    match r {
-        0 => Trit::Zero,
-        1 => Trit::One,
-        _ => Trit::Bot,
-    }
-}
 
 fn trit_name(r: u8) -> &'static str {
     ["0", "1", "⊥"][r as usize]

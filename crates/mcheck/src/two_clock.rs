@@ -72,7 +72,8 @@ pub const LETTERS: [ByzLetter; 7] = [
     ByzLetter::Dup(Trit::One, Trit::One),
 ];
 
-fn rank(t: Trit) -> u8 {
+/// The trit's rank in a packed state: 0, 1, ⊥ ↦ 0, 1, 2.
+pub(crate) fn trit_rank(t: Trit) -> u8 {
     match t {
         Trit::Zero => 0,
         Trit::One => 1,
@@ -80,7 +81,8 @@ fn rank(t: Trit) -> u8 {
     }
 }
 
-fn unrank(r: u8) -> Trit {
+/// Inverse of [`trit_rank`].
+pub(crate) fn trit_unrank(r: u8) -> Trit {
     match r {
         0 => Trit::Zero,
         1 => Trit::One,
@@ -220,13 +222,13 @@ impl TwoClockModel {
     }
 
     fn canon(&self, clocks: &[Trit]) -> Vec<u8> {
-        let mut v: Vec<u8> = clocks.iter().map(|&t| rank(t)).collect();
+        let mut v: Vec<u8> = clocks.iter().map(|&t| trit_rank(t)).collect();
         v.sort_unstable();
         v
     }
 
     fn trits(&self, state: &[u8]) -> Vec<Trit> {
-        state.iter().map(|&r| unrank(r)).collect()
+        state.iter().map(|&r| trit_unrank(r)).collect()
     }
 }
 
@@ -318,7 +320,7 @@ impl Model for TwoClockModel {
     }
 
     fn is_synced(&self, state: &Vec<u8>) -> bool {
-        state.iter().all(|&r| r == state[0]) && state[0] != rank(Trit::Bot)
+        state.iter().all(|&r| r == state[0]) && state[0] != trit_rank(Trit::Bot)
     }
 
     fn bound_beats(&self) -> u32 {
@@ -326,13 +328,16 @@ impl Model for TwoClockModel {
     }
 
     fn describe(&self, state: &Vec<u8>) -> String {
-        let parts: Vec<String> = state.iter().map(|&r| format!("{:?}", unrank(r))).collect();
+        let parts: Vec<String> = state
+            .iter()
+            .map(|&r| format!("{:?}", trit_unrank(r)))
+            .collect();
         format!("[{}]", parts.join(","))
     }
 
     fn synced_progress(&self, from: &Vec<u8>, to: &Vec<u8>) -> bool {
         // A synced 2-clock alternates: all-0 -> all-1 -> all-0 -> …
-        let next = rank(unrank(from[0]).flipped());
+        let next = trit_rank(trit_unrank(from[0]).flipped());
         to.iter().all(|&r| r == next)
     }
 }

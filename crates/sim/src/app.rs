@@ -81,6 +81,11 @@ impl<'a, M> Outbox<'a, M> {
         self.sends.push((Target::All, msg));
     }
 
+    /// Queue a `(target, msg)` pair a protocol collected itself.
+    pub fn push(&mut self, target: Target, msg: M) {
+        self.sends.push((target, msg));
+    }
+
     /// The node's deterministic RNG, for protocols that randomize at send
     /// time (e.g. the coin's dealing round).
     pub fn rng(&mut self) -> &mut SimRng {

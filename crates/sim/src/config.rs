@@ -30,7 +30,6 @@ pub struct SimBuilder {
     seed: u64,
     visibility: Visibility,
     fault_plan: FaultPlan,
-    history_cap: usize,
     corrupted_start: bool,
     timing: TimingModel,
     wire: WireConfig,
@@ -63,21 +62,10 @@ impl SimBuilder {
             seed: 0,
             visibility: Visibility::PrivateChannels,
             fault_plan: FaultPlan::none(),
-            history_cap: 4096,
             corrupted_start: false,
             timing: TimingModel::Lockstep,
             wire: WireConfig::default(),
         }
-    }
-
-    /// Cluster size `n`.
-    pub fn cluster_size(&self) -> usize {
-        self.n
-    }
-
-    /// Protocol fault budget `f`.
-    pub fn fault_budget(&self) -> usize {
-        self.f
     }
 
     /// Chooses which nodes are actually Byzantine (any count `< n`).
@@ -148,12 +136,6 @@ impl SimBuilder {
         self
     }
 
-    /// Capacity of the stale-traffic ring used for phantom replay.
-    pub fn history_cap(mut self, cap: usize) -> Self {
-        self.history_cap = cap;
-        self
-    }
-
     /// Starts every correct node from scrambled memory: after the factory
     /// runs, [`Application::corrupt`] fires once with the node's own RNG —
     /// the self-stabilization experiments' "arbitrary initial state"
@@ -196,7 +178,6 @@ impl SimBuilder {
             seed,
             visibility,
             fault_plan,
-            history_cap,
             corrupted_start,
             timing,
             wire,
@@ -240,7 +221,6 @@ impl SimBuilder {
             fault_rng,
             phantom_tag_rng,
             fault_plan,
-            history_cap,
             timing,
             delay_rng,
             wire,

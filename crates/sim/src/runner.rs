@@ -111,10 +111,9 @@ pub struct Simulation<A: Application, Adv> {
     scheduler: DeliveryScheduler<A::Msg>,
     beat: u64,
     stats: TrafficStats,
-    /// The last `history_cap` envelopes routed, for phantom replay.
+    /// The last [`HISTORY_CAP`] envelopes routed, for phantom replay.
     /// Recorded only when `record_history` says a fault can read it.
     history: VecDeque<Envelope<A::Msg>>,
-    history_cap: usize,
     /// Whether the (immutable) fault plan contains a phantom burst.
     record_history: bool,
     pending_phantoms: Vec<Envelope<A::Msg>>,
@@ -129,6 +128,9 @@ pub struct Simulation<A: Application, Adv> {
     /// Recycled encode buffer for the byte-boundary seam.
     wire_scratch: BytesMut,
 }
+
+/// Capacity of the stale-traffic ring phantom bursts replay from.
+const HISTORY_CAP: usize = 4096;
 
 /// The byte-boundary seam: the payload is serialized in the run's wire
 /// format and re-parsed before it enters the delivery scheduler — what a
@@ -159,7 +161,6 @@ where
         fault_rng: SimRng,
         phantom_tag_rng: SimRng,
         fault_plan: FaultPlan,
-        history_cap: usize,
         timing: TimingModel,
         delay_rng: SimRng,
         wire: WireConfig,
@@ -190,7 +191,6 @@ where
             beat: 0,
             stats: TrafficStats::default(),
             history: VecDeque::new(),
-            history_cap,
             record_history,
             pending_phantoms: Vec::new(),
             blackout_until: 0,
@@ -379,7 +379,7 @@ where
     /// about to route, in routing order: correct, Byzantine, phantom.
     fn record_phase(&mut self) {
         let mut record = |e: Envelope<A::Msg>| {
-            if self.history.len() == self.history_cap {
+            if self.history.len() == HISTORY_CAP {
                 self.history.pop_front();
             }
             self.history.push_back(e);

@@ -28,11 +28,6 @@ impl BeatTraffic {
     pub fn total_msgs(&self) -> u64 {
         self.correct_msgs + self.byz_msgs + self.phantom_msgs
     }
-
-    /// Total delivered payload bytes this beat.
-    pub fn total_bytes(&self) -> u64 {
-        self.correct_bytes + self.byz_bytes
-    }
 }
 
 /// Per-beat traffic history for a simulation run.

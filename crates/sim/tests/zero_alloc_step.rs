@@ -107,7 +107,7 @@ fn steady_state_beats_allocate_nothing() {
 }
 
 /// With a phantom burst anywhere in the plan the history ring records
-/// every envelope; once it holds `history_cap` of them (here after 22
+/// every envelope; once it holds its 4096-envelope capacity (here after 22
 /// beats) recording recycles its slots.
 #[test]
 fn a_full_history_ring_allocates_nothing_either() {

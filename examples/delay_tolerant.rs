@@ -9,7 +9,7 @@
 //! PR 2's `bounded_delay` example showed every lockstep protocol losing
 //! its convergence once the delivery window reaches 2 beats. This example
 //! shows the gap being closed: the same sweep, with the round-tagged
-//! `bd-clock` (buffered round engine) next to the `two-clock` it
+//! `bd-clock` (round-tag wheel) next to the `two-clock` it
 //! replaces. Watch the `bd_quorum_ticks` / `bd_timeout_events` split —
 //! once synced, every advancement is a quorum tick, which is why the
 //! clock keeps the paper's one-tick-per-beat cadence under delay.

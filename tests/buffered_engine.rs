@@ -1,182 +1,24 @@
-//! The buffered round engine's cross-crate contract: under the paper's
-//! lockstep beat it is output-identical to plain synchronous round
-//! execution (any `RoundProtocol`, any cluster shape), and under bounded
-//! delay a Byzantine sender lying about round tags cannot stall quorum
-//! advancement.
+//! `bd-clock`'s round-tag wheel seen from outside: a Byzantine sender
+//! lying about round tags cannot stall quorum ticks, a quorum that lands
+//! on the expiry beat wins over the timeout rules, and under bounded
+//! delay the wheel keeps ticking where a beat-indexed tag count stalls.
 
-use byzclock::alg::{BufferedApp, CoinScheme, RoundMsg, RoundProtocol};
-use byzclock::sim::{
-    Adversary, AdversaryView, Application, ByzOutbox, Envelope, NodeId, SilentAdversary,
-    SimBuilder, SimRng, Target, TimingModel,
+use byzclock::alg::{
+    all_synced, BdClock, BdClockMsg, BdSnapshot, DigitalClock, FixedRand, OracleBeacon, RandSource,
+    RoundMsg,
 };
-use proptest::prelude::*;
-use rand::Rng;
+use byzclock::sim::{
+    Adversary, AdversaryView, Application, ByzOutbox, Envelope, NodeCfg, NodeId, Outbox,
+    SilentAdversary, SimBuilder, SimRng, TimingModel,
+};
+use rand::SeedableRng;
 
-/// A parameterized toy round protocol whose output is sensitive to every
-/// inbox it sees and every RNG draw it makes — if the buffered engine
-/// reordered, dropped, or duplicated anything relative to the synchronous
-/// path, the outputs diverge.
-#[derive(Clone)]
-struct MixScheme {
-    rounds: usize,
-}
-
-#[derive(Debug)]
-struct MixProto {
-    acc: u64,
-    my: u64,
-}
-
-impl RoundProtocol for MixProto {
-    type Msg = u64;
-    type Output = bool;
-
-    fn send_round(&mut self, round: usize, rng: &mut SimRng, out: &mut Vec<(Target, u64)>) {
-        // A fresh draw per round makes the output RNG-schedule-sensitive.
-        self.my = self
-            .my
-            .wrapping_add(rng.random::<u64>())
-            .rotate_left(round as u32);
-        out.push((Target::All, self.my));
-    }
-
-    fn recv_round(&mut self, round: usize, inbox: &[(NodeId, u64)], _rng: &mut SimRng) {
-        for &(from, v) in inbox {
-            self.acc = self
-                .acc
-                .wrapping_mul(31)
-                .wrapping_add(v ^ u64::from(from.raw()))
-                .wrapping_add(round as u64);
-        }
-    }
-
-    fn output(&self) -> bool {
-        self.acc.count_ones().is_multiple_of(2)
-    }
-
-    fn corrupt(&mut self, rng: &mut SimRng) {
-        self.acc = rng.random();
-        self.my = rng.random();
-    }
-}
-
-impl CoinScheme for MixScheme {
-    type Proto = MixProto;
-
-    fn rounds(&self) -> usize {
-        self.rounds
-    }
-
-    fn spawn(&self, rng: &mut SimRng) -> MixProto {
-        MixProto {
-            acc: rng.random(),
-            my: rng.random(),
-        }
-    }
-}
-
-/// The synchronous reference: one instance at a time, exactly one round
-/// per beat (the lockstep global-beat contract), same wire format as the
-/// buffered app so the two runs exchange identical traffic.
-struct SyncApp {
-    scheme: MixScheme,
-    inst: MixProto,
-    round: usize,
-    outputs: Vec<bool>,
-}
-
-impl SyncApp {
-    fn new(scheme: MixScheme, rng: &mut SimRng) -> Self {
-        let inst = scheme.spawn(rng);
-        SyncApp {
-            scheme,
-            inst,
-            round: 0,
-            outputs: Vec::new(),
-        }
-    }
-}
-
-impl Application for SyncApp {
-    type Msg = RoundMsg<u64>;
-
-    fn send(&mut self, _phase: usize, out: &mut byzclock::sim::Outbox<'_, Self::Msg>) {
-        let mut sends = Vec::new();
-        self.inst.send_round(self.round, out.rng(), &mut sends);
-        let tag = self.round as u8;
-        for (target, msg) in sends {
-            match target {
-                Target::All => out.broadcast(RoundMsg { round: tag, msg }),
-                Target::One(to) => out.unicast(to, RoundMsg { round: tag, msg }),
-            }
-        }
-    }
-
-    fn deliver(&mut self, _phase: usize, inbox: &[Envelope<Self::Msg>], rng: &mut SimRng) {
-        let current: Vec<(NodeId, u64)> = inbox
-            .iter()
-            .filter(|e| usize::from(e.msg.round) == self.round)
-            .map(|e| (e.from, e.msg.msg))
-            .collect();
-        self.inst.recv_round(self.round, &current, rng);
-        self.round += 1;
-        if self.round == self.scheme.rounds() {
-            self.outputs.push(self.inst.output());
-            self.inst = self.scheme.spawn(rng);
-            self.round = 0;
-        }
-    }
-
-    fn corrupt(&mut self, _rng: &mut SimRng) {}
-}
-
-fn buffered_outputs(
-    scheme: &MixScheme,
-    n: usize,
-    f: usize,
-    seed: u64,
-    beats: u64,
-) -> Vec<Vec<bool>> {
-    let s = scheme.clone();
-    let mut sim = SimBuilder::new(n, f).seed(seed).build(
-        move |cfg, rng| BufferedApp::new(s.clone(), cfg.quorum(), 1, rng),
-        SilentAdversary,
-    );
-    sim.run_beats(beats);
-    sim.correct_apps()
-        .map(|(_, a)| a.outputs().to_vec())
-        .collect()
-}
-
-fn sync_outputs(scheme: &MixScheme, n: usize, f: usize, seed: u64, beats: u64) -> Vec<Vec<bool>> {
-    let s = scheme.clone();
-    let mut sim = SimBuilder::new(n, f).seed(seed).build(
-        move |_cfg, rng| SyncApp::new(s.clone(), rng),
-        SilentAdversary,
-    );
-    sim.run_beats(beats);
-    sim.correct_apps().map(|(_, a)| a.outputs.clone()).collect()
-}
-
-proptest! {
-    /// Under lockstep, buffered execution of an arbitrary `RoundProtocol`
-    /// is output-identical to the synchronous path — for every cluster
-    /// shape, instance depth, and seed.
-    #[test]
-    fn lockstep_buffered_equals_synchronous(
-        seed in 0u64..500,
-        rounds in 1usize..6,
-        n in 4usize..9,
-        beats in 8u64..40,
-    ) {
-        let f = (n - 1) / 3;
-        let scheme = MixScheme { rounds };
-        let buffered = buffered_outputs(&scheme, n, f, seed, beats);
-        let sync = sync_outputs(&scheme, n, f, seed, beats);
-        prop_assert_eq!(&buffered, &sync, "outputs diverged (n={}, rounds={})", n, rounds);
-        // Sanity: the run actually completed instances.
-        prop_assert_eq!(buffered[0].len() as u64, beats / rounds as u64);
-    }
+fn metric(app: &BdClock<impl RandSource<Msg = ()>>, name: &str) -> f64 {
+    app.metrics()
+        .into_iter()
+        .find(|(n, _)| n == name)
+        .map(|(_, v)| v)
+        .unwrap()
 }
 
 /// A Byzantine strategy built entirely out of round-tag lies: every beat
@@ -185,12 +27,8 @@ proptest! {
 /// scatters copies across the delivery window.
 struct TagChaos;
 
-impl Adversary<RoundMsg<u64>> for TagChaos {
-    fn act(
-        &mut self,
-        view: &AdversaryView<'_, RoundMsg<u64>>,
-        out: &mut ByzOutbox<'_, RoundMsg<u64>>,
-    ) {
+impl Adversary<BdClockMsg> for TagChaos {
+    fn act(&mut self, view: &AdversaryView<'_, BdClockMsg>, out: &mut ByzOutbox<'_, BdClockMsg>) {
         for &b in view.byzantine() {
             for to in view.all_ids() {
                 for tag in 0..8u8 {
@@ -201,183 +39,215 @@ impl Adversary<RoundMsg<u64>> for TagChaos {
                             to,
                             RoundMsg {
                                 round: tag,
-                                msg: u64::from(tag) ^ copy,
+                                msg: (),
                             },
                             view.beat().wrapping_add(1_000), // claimed beat: a lie
                             copy % view.delay_window(),
                         );
                     }
                 }
-                out.send(b, to, RoundMsg { round: 255, msg: 0 }); // garbage tag
+                out.send(
+                    b,
+                    to,
+                    RoundMsg {
+                        round: 255,
+                        msg: (),
+                    },
+                ); // garbage tag
             }
         }
     }
 }
 
-/// Byzantine round-tag lies cannot stall quorum advancement: with `n - f`
-/// correct nodes announcing honestly under bounded delay, the engine keeps
-/// completing instances, and the overwhelming majority of advancements are
-/// quorum-driven (the liars only populate the drop counters).
+/// Byzantine round-tag lies cannot stall quorum ticks: with `n - f`
+/// correct nodes announcing honestly under bounded delay, the clock keeps
+/// ticking once per beat, and the liars only populate the drop counters.
 #[test]
 fn tag_lies_cannot_stall_quorum_advancement() {
     for seed in 0..3u64 {
-        let scheme = MixScheme { rounds: 4 };
         let window = 2u64;
         let beats = 200u64;
-        let s = scheme.clone();
+        let beacon = OracleBeacon::perfect(seed);
         let mut sim = SimBuilder::new(7, 2)
             .seed(seed)
             .timing(TimingModel::bounded(window))
             .build(
-                move |cfg, rng| BufferedApp::new(s.clone(), cfg.quorum(), window, rng),
+                move |cfg, _rng| BdClock::new(cfg, 8, window, beacon.source(cfg.id)),
                 TagChaos,
             );
         sim.run_beats(beats);
+        let synced = all_synced(sim.correct_apps().map(|(_, a)| a.read()));
+        assert_eq!(synced, Some(beats % 8), "seed {seed}: one tick per beat");
         for (id, app) in sim.correct_apps() {
-            let stats = app.engine().stats();
-            // Liveness: rounds keep completing (each round takes at most
-            // `window` beats by the timeout rule alone).
-            let min_instances = beats / (window * 4) / 2;
-            assert!(
-                app.outputs().len() as u64 >= min_instances,
-                "node {id} stalled: {} instances, stats {stats:?}",
-                app.outputs().len()
-            );
+            let metrics = app.metrics();
             // The point of the test: advancement stays quorum-driven — the
             // 5 correct announcements always arrive within the window, so
-            // the adversary's tags never force the timeout path to carry
-            // the protocol.
-            assert!(
-                stats.quorum_advances >= 9 * stats.timeout_advances,
-                "node {id}: tag lies degraded advancement to timeouts: {stats:?}"
+            // the adversary's tags never force the timeout rules to carry
+            // the clock.
+            assert_eq!(
+                metric(app, "bd_quorum_ticks"),
+                beats as f64,
+                "node {id}: {metrics:?}"
             );
-            // And the lies are visibly absorbed, not silently accepted.
-            assert!(stats.dropped_duplicates > 0, "node {id}: {stats:?}");
-            assert!(stats.dropped_garbage > 0, "node {id}: {stats:?}");
+            assert_eq!(
+                metric(app, "bd_timeout_events"),
+                0.0,
+                "node {id}: {metrics:?}"
+            );
+            // And the lies are visibly absorbed, not silently accepted:
+            // more drops than the garbage tags alone account for.
+            assert!(
+                metric(app, "bd_dropped_invalid") > (2 * beats) as f64,
+                "node {id}: {metrics:?}"
+            );
         }
     }
+}
+
+/// One node restored to round 0 with `beats_waiting` one short of the
+/// window and no support, over a coin that always says 1.
+fn node_one_beat_before_expiry(window: u64) -> BdClock<FixedRand> {
+    let coin = FixedRand::new();
+    coin.set(true);
+    let mut node = BdClock::new(NodeCfg::new(NodeId::new(0), 4, 1), 8, window, coin);
+    node.mc_restore(&BdSnapshot {
+        round: 0,
+        beats_waiting: window - 1,
+        pending_send: false,
+        resend: false,
+        last_send_cached: true,
+        wheel: Vec::new(),
+        evidence: Vec::new(),
+        beat: 10,
+    });
+    node
+}
+
+fn tag_envelopes(
+    senders: std::ops::Range<u16>,
+    tag: u8,
+    claimed: u64,
+) -> Vec<Envelope<BdClockMsg>> {
+    senders
+        .map(|i| Envelope {
+            from: NodeId::new(i),
+            to: NodeId::new(0),
+            round: claimed,
+            msg: RoundMsg {
+                round: tag,
+                msg: (),
+            },
+        })
+        .collect()
 }
 
 /// The timeout edge: a quorum that completes on the exact beat the window
-/// expires must advance by the *quorum* rule — the timeout is the
-/// fallback, not a race winner. Pinned under both API orderings:
-/// [`BufferedRounds::poll`]'s internal check-quorum-then-age, and the
-/// manual `quorum_ready` / `age` / `expired` seam that `bd-clock` drives
-/// by hand (where the model checker showed the window=1 degenerate case
-/// makes this exact race the whole ballgame).
+/// expires must tick by the *quorum* rule — the timeout rules are the
+/// fallback, not a race winner (the model checker showed the window = 1
+/// degenerate case makes this exact race the whole ballgame).
 #[test]
 fn quorum_on_exact_expiry_beat_takes_the_quorum_path() {
-    use byzclock::alg::{Advance, BufferedRounds};
-    use rand::SeedableRng;
-
     let window = 3u64;
-    let fresh = || MixProto { acc: 0, my: 0 };
-    let quorum_inbox: Vec<(NodeId, RoundMsg<u64>)> = (0..3u16)
-        .map(|i| (NodeId::new(i), RoundMsg { round: 0, msg: 7 }))
-        .collect();
-
-    // Ordering 1: `poll`. Quiet beats age the round to one short of the
-    // window; on the edge beat the quorum lands and `poll` must fire the
-    // quorum rule even though this same call would have expired the round.
     let mut rng = SimRng::seed_from_u64(1);
-    let mut eng: BufferedRounds<MixProto> = BufferedRounds::new(4, 3, window, fresh);
-    for _ in 0..window - 1 {
-        assert!(eng.poll(&mut rng, |_, _| fresh()).is_none());
-    }
-    assert_eq!(eng.beats_waiting(), window - 1);
-    eng.ingest(&quorum_inbox);
-    let (kind, _) = eng.poll(&mut rng, |_, _| fresh()).expect("must advance");
-    assert_eq!(kind, Advance::Quorum, "quorum must win the expiry beat");
-    assert_eq!(eng.stats().quorum_advances, 1);
-    assert_eq!(eng.stats().timeout_advances, 0);
-    assert_eq!(eng.round(), 1);
 
-    // Control: the identical schedule minus the quorum fires the timeout
-    // on that very beat — proving the edge was real.
-    let mut eng: BufferedRounds<MixProto> = BufferedRounds::new(4, 3, window, fresh);
-    for _ in 0..window - 1 {
-        assert!(eng.poll(&mut rng, |_, _| fresh()).is_none());
-    }
-    let (kind, _) = eng.poll(&mut rng, |_, _| fresh()).expect("must advance");
-    assert_eq!(kind, Advance::Timeout);
+    let mut node = node_one_beat_before_expiry(window);
+    node.deliver(0, &tag_envelopes(0..3, 0, 10), &mut rng);
+    assert_eq!(node.read(), Some(1), "quorum must win the expiry beat");
+    assert_eq!(metric(&node, "bd_quorum_ticks"), 1.0);
+    assert_eq!(metric(&node, "bd_timeout_events"), 0.0);
 
-    // Ordering 2: the manual seam, exactly as `bd-clock` interleaves it —
-    // quorum first, then age, then the expiry check.
-    let mut eng: BufferedRounds<MixProto> = BufferedRounds::new(4, 3, window, fresh);
-    for beat in 1..=window {
-        if beat == window {
-            eng.ingest(&quorum_inbox);
-        }
-        if eng.quorum_ready() {
-            eng.advance(Advance::Quorum, &mut rng, |_, _| fresh());
-            continue;
-        }
-        eng.age();
-        assert!(
-            !eng.expired() || beat >= window,
-            "beat {beat}: expired before the window"
-        );
-        if eng.expired() {
-            eng.advance(Advance::Timeout, &mut rng, |_, _| fresh());
-        }
-    }
-    assert_eq!(eng.stats().quorum_advances, 1);
-    assert_eq!(eng.stats().timeout_advances, 0);
-    assert_eq!(eng.round(), 1);
+    // Control: the identical state minus the quorum expires on that very
+    // beat and, with the coin at 1, resets — proving the edge was real.
+    let mut node = node_one_beat_before_expiry(window);
+    node.mc_restore(&BdSnapshot {
+        round: 5,
+        ..node.mc_snapshot()
+    });
+    node.deliver(0, &[], &mut rng);
+    assert_eq!(metric(&node, "bd_timeout_events"), 1.0);
+    assert_eq!(metric(&node, "bd_resets"), 1.0);
+    assert_eq!(node.read(), Some(0));
 }
 
-/// The engine's buffering is what closes the d1 gap mechanically: the same
-/// toy protocol that runs 1 round/beat under lockstep still completes
-/// every instance under `delay=3`, just stretched — while a synchronous
-/// executor under the same delay mangles rounds (messages land outside
-/// the round they belong to and are lost).
+/// A beat-indexed executor over the same wire format: it broadcasts its
+/// round tag every beat and ticks only when this beat's inbox holds an
+/// `n - f` quorum for its round — the lockstep reading of "count the
+/// votes of this beat".
+struct BeatIndexedClock {
+    round: u8,
+    quorum: usize,
+    ticks: u64,
+}
+
+impl Application for BeatIndexedClock {
+    type Msg = BdClockMsg;
+
+    fn send(&mut self, _phase: usize, out: &mut Outbox<'_, BdClockMsg>) {
+        out.broadcast(RoundMsg {
+            round: self.round,
+            msg: (),
+        });
+    }
+
+    fn deliver(&mut self, _phase: usize, inbox: &[Envelope<BdClockMsg>], _rng: &mut SimRng) {
+        if inbox.iter().filter(|e| e.msg.round == self.round).count() >= self.quorum {
+            self.round = (self.round + 1) % 8;
+            self.ticks += 1;
+        }
+    }
+
+    fn corrupt(&mut self, _rng: &mut SimRng) {}
+}
+
+/// The wheel is what closes the d1 gap mechanically: from a clean start
+/// under `delay=3` the bd-clock ticks once per beat, parking early tags
+/// for the rounds they belong to — while the beat-indexed executor over
+/// the same delays loses most of each round's traffic to the wrong beat.
 #[test]
 fn buffered_engine_survives_bounded_delay_where_sync_does_not() {
-    let scheme = MixScheme { rounds: 3 };
     let window = 3u64;
-    let s = scheme.clone();
+    let beats = 120u64;
+    let beacon = OracleBeacon::perfect(5);
     let mut sim = SimBuilder::new(7, 2)
         .seed(5)
         .timing(TimingModel::bounded(window))
         .build(
-            move |cfg, rng| BufferedApp::new(s.clone(), cfg.quorum(), window, rng),
+            move |cfg, _rng| BdClock::new(cfg, 8, window, beacon.source(cfg.id)),
             SilentAdversary,
         );
-    sim.run_beats(120);
-    for (_, app) in sim.correct_apps() {
-        assert!(app.outputs().len() >= 10, "{}", app.outputs().len());
-        let stats = app.engine().stats();
+    sim.run_beats(beats);
+    assert!(all_synced(sim.correct_apps().map(|(_, a)| a.read())).is_some());
+    for (id, app) in sim.correct_apps() {
+        // The first tags need up to `window` beats to land; every beat
+        // after that is a quorum tick.
         assert!(
-            stats.buffered_ahead > 0,
-            "a 3-beat window must produce early traffic: {stats:?}"
+            metric(app, "bd_quorum_ticks") >= (beats - window) as f64,
+            "node {id}: {:?}",
+            app.metrics()
+        );
+        assert!(
+            metric(app, "bd_buffered_ahead") > 0.0,
+            "node {id}: a 3-beat window must produce early traffic"
         );
     }
 
-    // The synchronous executor under the same window: every message that
-    // arrives late misses its round entirely; with a 3-beat window most
-    // rounds see a fraction of the traffic the protocol was specified for.
-    let s = scheme.clone();
     let mut sync_sim = SimBuilder::new(7, 2)
         .seed(5)
         .timing(TimingModel::bounded(window))
         .build(
-            move |_cfg, rng| SyncApp::new(s.clone(), rng),
+            |cfg, _rng| BeatIndexedClock {
+                round: 0,
+                quorum: cfg.quorum(),
+                ticks: 0,
+            },
             SilentAdversary,
         );
-    sync_sim.run_beats(120);
-    let (buffered, sync): (Vec<_>, Vec<_>) = {
-        let b = sim
-            .correct_apps()
-            .map(|(_, a)| a.outputs().to_vec())
-            .collect();
-        let s = sync_sim
-            .correct_apps()
-            .map(|(_, a)| a.outputs.clone())
-            .collect();
-        (b, s)
-    };
-    assert_ne!(
-        buffered, sync,
-        "under delay the two execution modes must actually diverge"
-    );
+    sync_sim.run_beats(beats);
+    for (id, app) in sync_sim.correct_apps() {
+        assert!(
+            app.ticks < beats / 2,
+            "node {id}: the beat-indexed count ticked {} of {beats} beats",
+            app.ticks
+        );
+    }
 }

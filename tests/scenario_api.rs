@@ -478,15 +478,16 @@ fn admission_table_refuses_the_coin_first_then_the_adversary() {
     assert_eq!(served, 76);
 }
 
-/// Every (protocol, coin) cell the registry serves, and the committee= and
-/// metrics= wiring, replay the reports pinned in `family_reports.txt`.
+/// Every (protocol, coin) cell the registry serves, the committee= and
+/// metrics= wiring, and bd-clock under bounded delay replay the reports
+/// pinned in `family_reports.txt`.
 #[test]
 fn every_served_cell_replays_its_pinned_report() {
     let pinned: Vec<&str> = include_str!("family_reports.txt")
         .lines()
         .filter(|l| !l.is_empty() && !l.starts_with('#'))
         .collect();
-    assert_eq!(pinned.len(), 25);
+    assert_eq!(pinned.len(), 36);
     for golden in pinned {
         let line = RunReport::from_json(golden).expect("a report line").spec;
         let report = Scenario::run(&ScenarioSpec::parse(&line).unwrap()).unwrap();
