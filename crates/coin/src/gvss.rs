@@ -142,8 +142,6 @@ struct GvssStorage {
     /// [`GvssCore::build_echoes`]; empty when stale (`recv_share`,
     /// `corrupt` and `reset` clear it, `recv_echo` drops it when done).
     echoes: Vec<Arc<FlatMatrix>>,
-    /// Echo-memo scratch: one row evaluated at every share point.
-    evals: Vec<u64>,
     /// `[dealer * n + sender] -> all targets matched my rows`.
     matches: Vec<bool>,
     /// Per-dealer count of `true` entries in `matches`, maintained
@@ -160,10 +158,6 @@ struct GvssStorage {
     recovered: Vec<Option<u64>>,
     /// Per-round sender-dedup scratch.
     seen: Vec<bool>,
-    /// Recover-round scratch: per dealer, the openers' share points.
-    xs: Vec<Vec<u64>>,
-    /// Recover-round scratch: `[dealer * targets + t]` -> one y per opener.
-    ys: Vec<Vec<u64>>,
 }
 
 impl GvssStorage {
@@ -175,8 +169,6 @@ impl GvssStorage {
         self.present.clear();
         self.present.resize(n, false);
         self.echoes.clear();
-        self.evals.clear();
-        self.evals.resize(n, 0);
         self.matches.clear();
         self.matches.resize(n * n, false);
         self.match_counts.clear();
@@ -191,14 +183,6 @@ impl GvssStorage {
         self.recovered.resize(n * targets, None);
         self.seen.clear();
         self.seen.resize(n, false);
-        self.xs.resize_with(n, Vec::new);
-        for v in &mut self.xs {
-            v.clear();
-        }
-        self.ys.resize_with(n * targets, Vec::new);
-        for v in &mut self.ys {
-            v.clear();
-        }
     }
 }
 
@@ -229,13 +213,18 @@ const DECODER_CACHE_CAP: usize = 32;
 ///   the same point set, so they are built once per run instead of once
 ///   per beat, and
 /// - the share-point power table the dealing and echo rounds evaluate
-///   against.
+///   against, and
+/// - the scratch the dealing, the echo memo and the recover round work
+///   in, sized once for the largest instance it has served.
 ///
-/// The last two are pure functions of `(n, f, point set)` — constants in
-/// the sense of the paper's Remark 2.1, not protocol memory — which is why
-/// [`GvssCore::corrupt`] leaves the workspace alone. The one learned thing
-/// a cached decoder holds, its liar hint, is exempt on another ground: it
-/// changes what a decode costs, never what it returns.
+/// The decoders and the power table are pure functions of
+/// `(n, f, point set)` — constants in the sense of the paper's Remark 2.1,
+/// not protocol memory — which is why [`GvssCore::corrupt`] leaves the
+/// workspace alone. The one learned thing a cached decoder holds, its
+/// liar hint, is exempt on another ground: it changes what a decode
+/// costs, never what it returns. The scratch is neither: every call
+/// writes the part it reads before reading it, so nothing in it outlives
+/// the call.
 #[derive(Debug, Clone, Default)]
 pub struct GvssWorkspace(Arc<Mutex<WorkspaceInner>>);
 
@@ -244,6 +233,44 @@ struct WorkspaceInner {
     pool: Vec<GvssStorage>,
     decoders: Vec<CachedDecoder>,
     pows: Option<Arc<SharePowers>>,
+    /// Deal and echo scratch: the coefficients of rows cut at every share
+    /// point (`send_share`, `targets × (f + 1) × n`), or one row's values
+    /// at every share point (the echo memo, `n`).
+    evals: Vec<u64>,
+    view: RecoverView,
+}
+
+/// The recover round's scratch: the shares one `recv_recover` call
+/// received, laid out for the decoder at a fixed stride of `n` openers, so
+/// filling it moves no row and grows no vector.
+#[derive(Debug, Default)]
+struct RecoverView {
+    /// `[dealer · n + k]` -> the share point of `dealer`'s `k`-th opener.
+    xs: Vec<u64>,
+    /// `[dealer]` -> how many openers `dealer` has so far.
+    opened: Vec<usize>,
+    /// `[(dealer · targets + t) · n + k]` -> the `k`-th opener's reduced
+    /// share of `dealer`'s target `t`: the codeword the decoder reads is
+    /// the first `opened[dealer]` of them.
+    ys: Vec<u64>,
+}
+
+impl WorkspaceInner {
+    /// Grows the scratch to serve an `(n, f, targets)` instance; a
+    /// workspace that has served one this size already allocates nothing.
+    fn fit_scratch(&mut self, n: usize, f: usize, targets: usize) {
+        grow(&mut self.evals, (targets * (f + 1)).max(1) * n);
+        grow(&mut self.view.xs, n * n);
+        grow(&mut self.view.opened, n);
+        grow(&mut self.view.ys, n * targets * n);
+    }
+}
+
+/// Lengthens `v` to `len` with default values; never shortens it.
+fn grow<T: Clone + Default>(v: &mut Vec<T>, len: usize) {
+    if v.len() < len {
+        v.resize(len, T::default());
+    }
 }
 
 /// One decoder-cache entry. `decoder` is `None` for a point set no
@@ -256,19 +283,14 @@ struct CachedDecoder {
     hits: u64,
 }
 
-/// Powers `x⁰..=x^f` of every node's share point, in the two shapes the
-/// dealing and echo rounds evaluate against.
+/// Powers `x⁰..=x^f` of every node's share point, transposed
+/// (`(f + 1) × n`, [`Fp::power_columns`]): the table the dealing and the
+/// echo memo evaluate against with [`Fp::eval_columns`].
 #[derive(Debug)]
 struct SharePowers {
     n: usize,
     f: usize,
-    /// Row-major `n × (f + 1)`: one node's powers per row, so each
-    /// coefficient of a row `send_share` cuts is one [`Fp::dot`].
-    table: Vec<u64>,
-    /// Transposed `(f + 1) × n` ([`Fp::power_columns`]): the echo memo
-    /// evaluates each row at every share point in one
-    /// [`Fp::eval_columns`].
-    columns: Vec<u64>,
+    columns: Vec<u32>,
 }
 
 impl SharePowers {
@@ -277,17 +299,8 @@ impl SharePowers {
         SharePowers {
             n: cfg.n,
             f: cfg.f,
-            table: points
-                .iter()
-                .flat_map(|&x| fp.powers(x, cfg.f + 1))
-                .collect(),
             columns: fp.power_columns(&points, cfg.f + 1),
         }
-    }
-
-    /// `[x⁰, …, x^f]` for `id`'s share point.
-    fn of(&self, id: NodeId) -> &[u64] {
-        &self.table[id.index() * (self.f + 1)..][..=self.f]
     }
 }
 
@@ -349,6 +362,7 @@ impl GvssCore {
                 Some(pows) if (pows.n, pows.f) == (n, cfg.f) => Arc::clone(pows),
                 _ => Arc::clone(ws.pows.insert(Arc::new(SharePowers::new(&fp, &cfg)))),
             };
+            ws.fit_scratch(n, cfg.f, targets);
             (ws.pool.pop(), pows)
         };
         let mut st = match pooled {
@@ -425,8 +439,8 @@ impl GvssCore {
         mut sample: impl FnMut(&mut SimRng) -> u64,
         out: &mut Vec<(Target, CoinMsg)>,
     ) {
-        let f = self.cfg.f;
-        self.my_secrets = (0..self.targets)
+        let (n, f, targets) = (self.cfg.n, self.cfg.f, self.targets);
+        self.my_secrets = (0..targets)
             .map(|_| sample(rng) % self.fp.modulus())
             .collect();
         self.dealt = self
@@ -434,11 +448,26 @@ impl GvssCore {
             .iter()
             .map(|&s| SymmetricBivariate::random_with_secret(&self.fp, s, f, rng))
             .collect();
+        // Every row of every target at once: per target, coefficient `a`
+        // of the row at node `m` lands at `a · n + m`.
+        let block = (f + 1) * n;
+        let mut ws = self.workspace.0.lock().expect("workspace lock");
+        let cuts = &mut ws.evals[..targets * block];
+        for (biv, cut) in self.dealt.iter().zip(cuts.chunks_exact_mut(block)) {
+            biv.row_columns(&self.fp, &self.pows.columns, cut);
+        }
         for to in self.cfg.all_ids() {
-            let to_pows = self.pows.of(to);
-            let mut rows = FlatMatrix::with_capacity(self.targets, self.targets * (f + 1));
-            for biv in &self.dealt {
-                rows.push_row_with(|elems| biv.append_row(&self.fp, to_pows, elems));
+            let mut rows = FlatMatrix::with_capacity(targets, targets * (f + 1));
+            for cut in cuts.chunks_exact(block) {
+                rows.push_row_with(|elems| {
+                    // Read down `to`'s column, then strip trailing zeros
+                    // as `Poly::from_coeffs` does: the wire carries
+                    // exactly `row(to.share_point())`.
+                    let start = elems.len();
+                    elems.extend(cut[to.index()..].iter().step_by(n));
+                    let len = elems[start..].iter().rposition(|&c| c != 0);
+                    elems.truncate(len.map_or(start, |last| start + last + 1));
+                });
             }
             let rows = Arc::new(rows);
             out.push((Target::One(to), CoinMsg::Row { rows }));
@@ -484,6 +513,8 @@ impl GvssCore {
         let targets = self.targets;
         let stride = self.cfg.f + 1;
         let st = &mut self.st;
+        let mut ws = self.workspace.0.lock().expect("workspace lock");
+        let evals = &mut ws.evals[..n];
         let mut echoes: Vec<FlatMatrix> = (0..n)
             .map(|_| FlatMatrix::zeroed(&st.present, targets))
             .collect();
@@ -491,9 +522,9 @@ impl GvssCore {
         for (slot, dealer) in held.enumerate() {
             for t in 0..targets {
                 let row = &st.coeffs[(dealer * targets + t) * stride..][..stride];
-                self.fp.eval_columns(row, &self.pows.columns, &mut st.evals);
+                self.fp.eval_columns(row, &self.pows.columns, evals);
                 let at = slot * targets + t;
-                for (echo, &v) in echoes.iter_mut().zip(&st.evals) {
+                for (echo, &v) in echoes.iter_mut().zip(&*evals) {
                     echo.elems_mut()[at] = v;
                 }
             }
@@ -653,23 +684,22 @@ impl GvssCore {
     /// openers coincide, so the whole beat shares one decoder and its
     /// tables. Results are identical to per-codeword `rs::decode` (pinned
     /// by proptests in `byzclock-field`); only the cost of building the
-    /// tables is amortized.
+    /// tables is amortized. The reduced shares are laid out in the
+    /// workspace's recover view, which the decoder reads in place.
     pub fn recv_recover(&mut self, inbox: &[(NodeId, CoinMsg)]) {
         let n = self.cfg.n;
         let f = self.cfg.f;
         let targets = self.targets;
+        let mut ws = self.workspace.0.lock().expect("workspace lock");
+        let ws = &mut *ws;
         // Per dealer: the openers' share points, and one codeword (a y per
-        // opener) per target — workspace scratch, reused across beats.
-        for v in &mut self.st.xs {
-            v.clear();
-        }
-        for v in &mut self.st.ys {
-            v.clear();
-        }
+        // opener) per target.
+        let view = &mut ws.view;
+        view.opened[..n].fill(0);
         // One `Recover` per sender, first wins. This dedup is
         // load-bearing, not bookkeeping: a second copy of the same message
-        // (a phantom replay, a Byzantine double-send) would push the
-        // sender's share point into `xs[dealer]` twice, the duplicate
+        // (a phantom replay, a Byzantine double-send) would add the
+        // sender's share point to a dealer's openers twice, the duplicate
         // x-point would make [`BatchDecoder::new`] return `None`, and
         // *every* codeword of every dealer sharing that point set would
         // fail to open — one replayed envelope stalling the whole recover
@@ -687,9 +717,11 @@ impl GvssCore {
             };
             for dealer in 0..n {
                 if let Some(vals) = shares.get(dealer) {
-                    self.st.xs[dealer].push(from.share_point());
+                    let k = view.opened[dealer];
+                    view.opened[dealer] += 1;
+                    view.xs[dealer * n + k] = from.share_point();
                     for (t, &v) in vals.iter().enumerate() {
-                        self.st.ys[dealer * targets + t].push(self.fp.reduce(v));
+                        view.ys[(dealer * targets + t) * n + k] = self.fp.reduce(v);
                     }
                 }
             }
@@ -701,13 +733,13 @@ impl GvssCore {
         // or duplicate openers) fail every codeword, exactly as the
         // one-shot decode would, and are cached too so a bad point set is
         // probed once.
-        let mut ws = self.workspace.0.lock().expect("workspace lock");
         for dealer in 0..n {
             if self.st.grades[dealer] < Grade::One {
                 continue;
             }
-            let xs = &self.st.xs[dealer];
-            let idx = match ws.decoders.iter().position(|entry| &entry.xs == xs) {
+            let opened = view.opened[dealer];
+            let xs = &view.xs[dealer * n..][..opened];
+            let idx = match ws.decoders.iter().position(|entry| entry.xs == xs) {
                 Some(idx) => {
                     self.alloc_stats.decoder_hits += 1;
                     ws.decoders[idx].hits += 1;
@@ -731,7 +763,7 @@ impl GvssCore {
                         // path — it runs once per distinct point set per
                         // run, not per beat, and `decoder_builds` counts
                         // prove it in tests.
-                        xs: xs.clone(),
+                        xs: xs.to_vec(),
                         decoder,
                         hits: 0,
                     });
@@ -741,9 +773,9 @@ impl GvssCore {
             let decoder = &mut ws.decoders[idx].decoder;
             let routed = decoder.is_some();
             for t in 0..targets {
-                self.st.recovered[dealer * targets + t] = decoder
-                    .as_mut()
-                    .and_then(|d| d.decode_at_zero(&self.st.ys[dealer * targets + t]));
+                let ys = &view.ys[(dealer * targets + t) * n..][..opened];
+                self.st.recovered[dealer * targets + t] =
+                    decoder.as_mut().and_then(|d| d.decode_at_zero(ys));
                 self.decode_stats.codewords += u64::from(routed);
             }
         }
@@ -914,6 +946,44 @@ mod tests {
             c.recv_recover(&inbox);
         }
         cores
+    }
+
+    /// The columnar dealing against the textbook row: every `Row` payload
+    /// `send_share` emits is, target by target, `row(to.share_point())`
+    /// of the dealt bivariate — stripped of trailing zeros, since an
+    /// unstripped row would change the wire bytes without changing any
+    /// recovered secret. Two instances per workspace, so the second deals
+    /// in scratch the first already wrote.
+    #[test]
+    fn dealt_rows_are_the_bivariate_rows() {
+        let mut stripped = 0;
+        for n in [4usize, 7, 13, 32] {
+            let f = (n - 1) / 3;
+            let fp = Fp::for_cluster(n);
+            let mut rng = SimRng::seed_from_u64(n as u64);
+            for dealer in 0..n as u16 {
+                let workspace = GvssWorkspace::new();
+                for targets in [n, 1] {
+                    let cfg = NodeCfg::new(NodeId::new(dealer), n, f);
+                    let mut core = GvssCore::with_workspace(cfg, targets, workspace.clone());
+                    let mut out = Vec::new();
+                    core.send_share(&mut rng, |r| r.random_range(0..n as u64), &mut out);
+                    assert_eq!(out.len(), n);
+                    for (target, msg) in &out {
+                        let (Target::One(to), CoinMsg::Row { rows }) = (target, msg) else {
+                            panic!("rows are unicast");
+                        };
+                        assert_eq!(rows.len(), targets);
+                        for (biv, got) in core.dealt.iter().zip(rows.rows()) {
+                            let want = biv.row(&fp, to.share_point());
+                            assert_eq!(got, Some(want.coeffs()), "n={n} {dealer} -> {to}");
+                            stripped += usize::from(want.coeffs().len() <= f);
+                        }
+                    }
+                }
+            }
+        }
+        assert!(stripped > 0, "no row ended in a zero coefficient");
     }
 
     #[test]

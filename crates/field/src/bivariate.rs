@@ -69,29 +69,29 @@ impl SymmetricBivariate {
         self.row(fp, y).eval(fp, x)
     }
 
-    /// The row polynomial `f_i(x) = S(x, i)` handed to node `i`.
+    /// The row polynomial `f_i(x) = S(x, i)` handed to node `i`: the
+    /// coefficient of `x^a` is the dot product `Σ_b c[a][b]·i^b`.
     pub fn row(&self, fp: &Fp, i: FpElem) -> Poly {
-        let mut coeffs = Vec::with_capacity(self.side);
-        self.append_row(fp, &fp.powers(i, self.side), &mut coeffs);
-        Poly::from_coeffs(coeffs)
+        let ipows = fp.powers(i, self.side);
+        let coeffs = self.coeffs.chunks_exact(self.side);
+        Poly::from_coeffs(coeffs.map(|c| fp.dot(c, &ipows)).collect())
     }
 
-    /// Appends the coefficients of [`SymmetricBivariate::row`] to `out`,
-    /// given the powers `[i⁰, …, i^deg]` of the node's point — for a dealer
-    /// that cuts many rows at the same points straight into one buffer.
-    /// The coefficient of `x^a` is the dot product `Σ_b c[a][b]·i^b`, and
-    /// trailing zeros are stripped as [`Poly::from_coeffs`] strips them, so
-    /// `out` gains exactly `row(fp, i).coeffs()`.
-    pub fn append_row(&self, fp: &Fp, ipows: &[FpElem], out: &mut Vec<FpElem>) {
-        debug_assert_eq!(ipows.len(), self.side);
-        let start = out.len();
-        out.extend(
-            self.coeffs
-                .chunks_exact(self.side)
-                .map(|c| fp.dot(c, ipows)),
-        );
-        while out.len() > start && out.last() == Some(&0) {
-            out.pop();
+    /// Every point's [`SymmetricBivariate::row`] at once, for a dealer that
+    /// cuts a row for every node: given the `(deg + 1) × m` power table of
+    /// `m` points ([`Fp::power_columns`]), `out[a · m + j]` becomes the
+    /// coefficient of `x^a` in the row at point `j` — zero-padded to the
+    /// degree bound, not stripped. Coefficient row `a` of the matrix is a
+    /// polynomial in the point, so each `a` is one [`Fp::eval_columns`].
+    pub fn row_columns(&self, fp: &Fp, table: &[u32], out: &mut [FpElem]) {
+        debug_assert_eq!(out.len() % self.side, 0);
+        let points = out.len() / self.side;
+        if points == 0 {
+            return;
+        }
+        let coeff_rows = self.coeffs.chunks_exact(self.side);
+        for (c, out) in coeff_rows.zip(out.chunks_exact_mut(points)) {
+            fp.eval_columns(c, table, out);
         }
     }
 
@@ -156,25 +156,25 @@ mod tests {
             prop_assert_eq!(s.row(&fp, i), Poly::from_coeffs(expected));
         }
 
-        /// The append-into-buffer cut is `row(..).into_coeffs()` appended
-        /// after whatever the buffer held — zero rows included (`p = 2`
-        /// with a zero secret makes trailing and all-zero rows common).
+        /// The columnar cut is `row` at every point of the table, read
+        /// down a column and stripped — zero rows included (`p = 2` with a
+        /// zero secret makes trailing and all-zero rows common).
         #[test]
-        fn append_row_appends_the_stripped_row(
+        fn row_columns_are_the_rows_at_every_point(
             seed in 0u64..1000,
             deg in 0usize..5,
-            i in 0u64..300,
+            xs in proptest::collection::vec(0u64..300, 0..9),
             p in proptest::sample::select(vec![2u64, 3, 101]),
-            prefix in proptest::collection::vec(0u64..3, 0..3),
         ) {
             let fp = Fp::new(p).unwrap();
             let mut rng = StdRng::seed_from_u64(seed);
             let s = SymmetricBivariate::random_with_secret(&fp, 0, deg, &mut rng);
-            let mut out = prefix.clone();
-            s.append_row(&fp, &fp.powers(i, deg + 1), &mut out);
-            let mut want = prefix;
-            want.extend(s.row(&fp, i).into_coeffs());
-            prop_assert_eq!(out, want);
+            let mut out = vec![u64::MAX; (deg + 1) * xs.len()];
+            s.row_columns(&fp, &fp.power_columns(&xs, deg + 1), &mut out);
+            for (j, &x) in xs.iter().enumerate() {
+                let column = out[j..].iter().step_by(xs.len()).copied().collect();
+                prop_assert_eq!(Poly::from_coeffs(column), s.row(&fp, x), "point {}", x);
+            }
         }
 
         #[test]

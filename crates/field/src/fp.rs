@@ -207,13 +207,17 @@ impl Fp {
     /// `out[m] = Σ_k coeffs[k] · table[k · out.len() + m]`. It is the
     /// column form of [`Fp::dot`], for a caller that evaluates many
     /// polynomials at the same points ([`Fp::power_columns`] builds the
-    /// table).
+    /// table), and the one kernel under every O(n³) loop of the GVSS coin:
+    /// the dealing, the echo memo and the decoder's codeword check.
     ///
     /// The kernel walks the coefficients once, adding `c_k · x_m^k` into
     /// every point's unreduced accumulator, and reduces each accumulator
     /// once per chunk of [`Fp::dot`]'s size — once in all for every
-    /// cluster field, after every term at the 32-bit cap. Only the common
-    /// prefix of `coeffs` and the table's rows is read, so a zero-padded
+    /// cluster field, after every term at the 32-bit cap. The table is
+    /// narrow: every canonical element fits a `u32` under [`Fp::new`]'s
+    /// cap, so each product is of two zero-extended `u32`s, which baseline
+    /// x86-64 multiplies two to an SSE2 instruction. Only the common prefix
+    /// of `coeffs` and the table's rows is read, so a zero-padded
     /// coefficient vector evaluates exactly like its trimmed
     /// [`crate::Poly`].
     ///
@@ -226,20 +230,23 @@ impl Fp {
     /// fp.eval_columns(&[5, 0, 1], &table, &mut out); // 5 + x²
     /// assert_eq!(out, [6, 9, 3]);
     /// ```
-    pub fn eval_columns(&self, coeffs: &[FpElem], table: &[FpElem], out: &mut [FpElem]) {
+    pub fn eval_columns(&self, coeffs: &[FpElem], table: &[u32], out: &mut [FpElem]) {
         out.fill(0);
         if out.is_empty() {
             return;
         }
         let chunk = self.dot_chunk();
-        for (k, (&c, pows)) in coeffs.iter().zip(table.chunks_exact(out.len())).enumerate() {
+        let mut terms = 0;
+        for (&c, pows) in coeffs.iter().zip(table.chunks_exact(out.len())) {
             debug_assert!(self.contains(c));
-            if k > 0 && k % chunk == 0 {
+            if terms == chunk {
                 out.iter_mut().for_each(|acc| *acc %= self.p);
+                terms = 0;
             }
+            terms += 1;
+            let c = c as u32;
             for (acc, &x) in out.iter_mut().zip(pows) {
-                debug_assert!(self.contains(x));
-                *acc += c * x;
+                *acc += u64::from(c) * u64::from(x);
             }
         }
         out.iter_mut().for_each(|acc| *acc %= self.p);
@@ -256,12 +263,17 @@ impl Fp {
 
     /// The `count × xs.len()` table [`Fp::eval_columns`] evaluates
     /// against: row `k` holds `x^k` for every `x` of `xs`, so column `m` is
-    /// [`Fp::powers`]`(xs[m], count)`.
-    pub fn power_columns(&self, xs: &[FpElem], count: usize) -> Vec<FpElem> {
-        let columns: Vec<Vec<FpElem>> = xs.iter().map(|&x| self.powers(x, count)).collect();
-        (0..count)
-            .flat_map(|k| columns.iter().map(move |pows| pows[k]))
-            .collect()
+    /// [`Fp::powers`]`(xs[m], count)`, each power narrowed to the `u32`
+    /// every canonical element fits.
+    pub fn power_columns(&self, xs: &[FpElem], count: usize) -> Vec<u32> {
+        let mut table = vec![0; count * xs.len()];
+        for (m, &x) in xs.iter().enumerate() {
+            let column = table[m..].iter_mut().step_by(xs.len());
+            for (slot, xp) in column.zip(self.powers(x, count)) {
+                *slot = narrow(xp);
+            }
+        }
+        table
     }
 
     /// Exponentiation by squaring.
@@ -303,6 +315,12 @@ impl Fp {
     pub fn sample<R: rand::Rng + ?Sized>(&self, rng: &mut R) -> FpElem {
         rng.random_range(0..self.p)
     }
+}
+
+/// A canonical element as the `u32` it fits: [`Fp::new`] caps the
+/// modulus at 32 bits, so only a field no cluster uses could fail.
+pub(crate) fn narrow(x: FpElem) -> u32 {
+    u32::try_from(x).expect("canonical elements fit 32 bits")
 }
 
 /// The largest modulus [`Fp::new`] admits (`2³² − 5`), where [`Fp::dot`]
@@ -382,6 +400,13 @@ mod tests {
         assert!(Fp::new(LARGEST_PRIME + 4).is_err(), "2^32 - 1 is composite");
         let top = LARGEST_PRIME - 1; // ≡ −1, so top · top ≡ 1
         assert_eq!(fp.dot(&[top; 5], &[top; 5]), 5);
+        // The narrow table holds canonical elements just below 2³²: at
+        // x = −1, Σ_{k<5} (−1)·(−1)^k = −1.
+        let table = fp.power_columns(&[top, 1], 5);
+        assert_eq!(table[2..4], [top as u32, 1]);
+        let mut out = [0; 2];
+        fp.eval_columns(&[top; 5], &table, &mut out);
+        assert_eq!(out, [top, fp.mul(top, 5)]);
     }
 
     #[test]

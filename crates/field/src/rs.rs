@@ -26,13 +26,14 @@
 //! and tries three rungs in order:
 //!
 //! 1. The *clean* rung (`e = 0`): the tables at `degree`. A codeword costs
-//!    dot products, no allocation.
+//!    one [`Fp::eval_columns`] of its head against the extension matrix,
+//!    a comparison with its tail and one dot product, no allocation.
 //! 2. The *erasure* rung: the clean rung over the points outside a learned
 //!    *liar hint* `S` (`1 ≤ |S| ≤ budget` positions the last
 //!    Berlekamp–Welch solves found wrong), with its own tables. The
 //!    paper's Byzantine set is fixed, so the wrong shares of one beat's —
 //!    and the next beat's — codewords come from the same `≤ f` senders,
-//!    and once `S` covers them a dirty view costs dot products too.
+//!    and once `S` covers them a dirty view costs the same evaluation.
 //! 3. *Berlekamp–Welch* at the full budget `e`, for a view neither rung
 //!    above explains, against the *key tables*: the tables at
 //!    `degree + e`. A success folds the positions it found wrong into `S`.
@@ -91,8 +92,8 @@ use crate::{Fp, FpElem, Poly};
 /// in tests.
 ///
 /// Decoding many codewords over one x-set? Use [`BatchDecoder`], which
-/// builds its tables once and answers most views with dot products, and
-/// returns identical results.
+/// builds its tables once and answers most views with one column
+/// evaluation, and returns identical results.
 ///
 /// # Example
 ///
@@ -157,17 +158,20 @@ fn berlekamp_welch(
     mismatches: &mut Vec<usize>,
 ) -> Option<Poly> {
     let (m, k, cols) = (xs.len(), key.k, e + 1);
-    // R, row-major, followed by room for one length-m vector.
+    // R, row-major, followed by room for a length-m vector and for its
+    // head's extension.
     scratch.clear();
-    scratch.resize((m - k) * cols + m, 0);
-    let (r, v) = scratch.split_at_mut((m - k) * cols);
+    scratch.resize((m - k) * cols + m + (m - k), 0);
+    let (r, rest) = scratch.split_at_mut((m - k) * cols);
+    let (v, extension) = rest.split_at_mut(m);
     for j in 0..cols {
         for i in 0..m {
             v[i] = fp.mul(ys[i], xpow[i][j]);
         }
         let (head, tail) = v.split_at(k);
-        for (row, (ext, &y)) in key.ext.chunks(k).zip(tail).enumerate() {
-            r[row * cols + j] = fp.sub(y, fp.dot(ext, head));
+        fp.eval_columns(head, &key.ext, extension);
+        for (row, (&y, &x)) in tail.iter().zip(&*extension).enumerate() {
+            r[row * cols + j] = fp.sub(y, x);
         }
     }
     let locator = kernel_vector(fp, r, cols)?;
@@ -230,10 +234,10 @@ fn power_table(fp: &Fp, xs: &[FpElem], max_pow: usize) -> Vec<Vec<FpElem>> {
 }
 
 /// Decodes many codewords that share one evaluation-point set: a clean
-/// codeword costs dot products against tables that depend only on the
-/// points, so does one whose wrong shares sit where earlier ones' did, and
-/// the rest run Berlekamp–Welch against key tables over the same points
-/// (all built lazily, once).
+/// codeword costs one column evaluation against tables that depend only
+/// on the points, so does one whose wrong shares sit where earlier ones'
+/// did, and the rest run Berlekamp–Welch against key tables over the same
+/// points (all built lazily, once).
 ///
 /// This is the shape of the GVSS recover round: at each beat a node
 /// decodes one degree-`f` polynomial per `(dealer, target)` pair, and all
@@ -282,6 +286,9 @@ pub struct BatchDecoder {
     /// The reduced view under decode, reused across calls so a decode by
     /// a linear rung allocates nothing beyond its result.
     ys_buf: Vec<FpElem>,
+    /// A linear rung's extension of the loaded view's head, one slot per
+    /// point — sized once, at construction.
+    ext_buf: Vec<FpElem>,
     /// The loaded view's values at the hint's kept positions.
     kept_buf: Vec<FpElem>,
     /// Berlekamp–Welch's working space.
@@ -303,21 +310,22 @@ struct LiarHint {
     tables: LinearTables,
 }
 
-/// What a linear rung knows about a point set at one degree `d`. With
-/// `k = d + 1` and the *head* of a view its first `k` values, both
-/// matrices are row-major with rows of length `k`, ready for [`Fp::dot`]
-/// against the head.
+/// What a linear rung knows about a point set at one degree `d`, with
+/// `k = d + 1` and the *head* of a view its first `k` values.
 #[derive(Debug, Clone)]
 struct LinearTables {
     k: usize,
-    /// `k × k`, the inverse Vandermonde matrix of the first `k` points:
-    /// row `c` dotted with the head is coefficient `c` of the polynomial
-    /// through it. Row 0 is the functional "value at 0".
+    /// `k × k` row-major, the inverse Vandermonde matrix of the first `k`
+    /// points: row `c` dotted with the head ([`Fp::dot`]) is coefficient
+    /// `c` of the polynomial through it. Row 0 is the functional "value
+    /// at 0".
     interp: Vec<FpElem>,
-    /// `(m − k) × k`: row `r` dotted with the head is that polynomial's
-    /// value at `xs[k + r]` — the view is a codeword iff every one of
-    /// these equals the view's own value there.
-    ext: Vec<FpElem>,
+    /// `k × (m − k)`, narrow and column-major for [`Fp::eval_columns`]:
+    /// entry `(j, r)` is the Lagrange basis polynomial `L_j` at
+    /// `xs[k + r]`, so evaluating the head against it gives the values
+    /// the polynomial through the head takes at the other points — the
+    /// view is a codeword iff every one equals the view's own value there.
+    ext: Vec<u32>,
 }
 
 impl LinearTables {
@@ -349,24 +357,29 @@ impl LinearTables {
                 interp[c * k + j] = fp.mul(quot[c], scale);
             }
         }
-        // ext[r][j] = L_j(x_{k+r}) = Σ_c interp[c][j] · x_{k+r}^c.
-        let mut ext = vec![0; (xs.len() - k) * k];
-        for (row, pows) in ext.chunks_mut(k).zip(&xpow[k..]) {
-            for (c, &xp) in pows[..k].iter().enumerate() {
-                for j in 0..k {
-                    row[j] = fp.add(row[j], fp.mul(interp[c * k + j], xp));
-                }
+        // ext[j][r] = L_j(x_{k+r}) = Σ_c interp[c][j] · x_{k+r}^c.
+        let tail = xs.len() - k;
+        let mut ext = vec![0; k * tail];
+        for (r, pows) in xpow[k..].iter().enumerate() {
+            for j in 0..k {
+                let basis = (0..k).map(|c| interp[c * k + j]);
+                let value = basis
+                    .zip(pows)
+                    .fold(0, |acc, (l, &xp)| fp.add(acc, fp.mul(l, xp)));
+                ext[j * tail + r] = crate::fp::narrow(value);
             }
         }
         LinearTables { k, interp, ext }
     }
 
     /// Whether `view` (one value per point) is a codeword: its tail is
-    /// the extension of its head.
-    fn fits(&self, fp: &Fp, view: &[FpElem]) -> bool {
+    /// the extension of its head. `scratch` holds at least one slot per
+    /// point of the tail.
+    fn fits(&self, fp: &Fp, view: &[FpElem], scratch: &mut [FpElem]) -> bool {
         let (head, tail) = view.split_at(self.k);
-        let mut extension = self.ext.chunks(self.k).zip(tail);
-        extension.all(|(row, &y)| fp.dot(row, head) == y)
+        let extension = &mut scratch[..tail.len()];
+        fp.eval_columns(head, &self.ext, extension);
+        extension == tail
     }
 
     /// The polynomial through `head`.
@@ -400,6 +413,7 @@ impl BatchDecoder {
         }
         let budget = (xs.len() - degree - 1) / 2;
         let xpow = power_table(fp, &xs, degree + budget);
+        let ext_buf = vec![0; xs.len()];
         Some(BatchDecoder {
             fp: *fp,
             xs,
@@ -410,6 +424,7 @@ impl BatchDecoder {
             hint: None,
             key: None,
             ys_buf: Vec::new(),
+            ext_buf,
             kept_buf: Vec::new(),
             scratch: Vec::new(),
             mismatches: Vec::new(),
@@ -483,7 +498,7 @@ impl BatchDecoder {
         let clean = self
             .linear
             .get_or_insert_with(|| LinearTables::new(&fp, xs, xpow, degree));
-        if clean.fits(&fp, &self.ys_buf) {
+        if clean.fits(&fp, &self.ys_buf, &mut self.ext_buf) {
             return Some(Some((clean, &self.ys_buf[..=degree])));
         }
         let Some(hint) = &self.hint else {
@@ -492,7 +507,7 @@ impl BatchDecoder {
         self.kept_buf.clear();
         self.kept_buf
             .extend(hint.kept.iter().map(|&i| self.ys_buf[i]));
-        let erased = hint.tables.fits(&fp, &self.kept_buf);
+        let erased = hint.tables.fits(&fp, &self.kept_buf, &mut self.ext_buf);
         Some(erased.then(|| (&hint.tables, &self.kept_buf[..=degree])))
     }
 

@@ -4,6 +4,8 @@
 //! Every coin matrix is one flat block (`FlatMatrix`: an element `Vec`
 //! plus a span table) instead of a `Vec` per row, the instance storage is
 //! one zero-padded coefficient block, and `recv_share` allocates nothing.
+//! The scratch the dealing, echo and recover rounds work in is sized once
+//! per node, in its `GvssWorkspace`, not per call.
 //! What is left per beat is a handful of allocations per message — each
 //! payload's two vectors and its `Arc` — plus the per-instance dealing.
 //!
@@ -11,9 +13,10 @@
 //! faults=none seed=1`, counted per calling thread: the
 //! nested layout (one `Vec` per matrix row, rows stored as `Vec<Poly>`,
 //! echoes evaluated twice) made 736 299 calls there, 14 726 a beat; the
-//! flat layout makes 200 799, 4 016 a beat. The window sits between the
-//! doublings of `TrafficStats`' per-beat row vector at beats 64 and 128,
-//! like `crates/sim/tests/zero_alloc_step.rs`'s.
+//! flat layout makes 200 799, 4 016 a beat, and still does with the
+//! columnar dealing and the recover view in the workspace. The window
+//! sits between the doublings of `TrafficStats`' per-beat row vector at
+//! beats 64 and 128, like `crates/sim/tests/zero_alloc_step.rs`'s.
 
 use byzclock::scenario::{Scenario, ScenarioSpec};
 use std::alloc::{GlobalAlloc, Layout, System};
