@@ -28,7 +28,7 @@
 
 use byzclock::coin::default_committee_size;
 use byzclock::scenario::{
-    default_registry, AdversarySpec, CoinSpec, FaultPlanSpec, MetricsSpec, ProtocolRegistry,
+    default_registry, json, AdversarySpec, CoinSpec, FaultPlanSpec, MetricsSpec, ProtocolRegistry,
     RunReport, ScenarioSpec, WireSpec,
 };
 use byzclock_bench::shard::{worker_exact_requested, worker_loop};
@@ -237,8 +237,8 @@ fn run_spec_lines(lines: &[String]) {
 /// nonzero on any violation; an exploration truncated by `--max-states`
 /// reports INCOMPLETE but does not fail (CI smokes under a state cap
 /// and separately enforces recorded state-count floors). With `--jsonl`,
-/// each verdict is a [`RunReport`] JSON line (violations emit a second
-/// line carrying the minimal counterexample trace).
+/// each verdict is one `CheckReport::to_json` record (violations emit a
+/// second record, `Trace::to_json`, carrying the minimal counterexample).
 fn run_model_check(rest: &[String], jsonl: bool) {
     use byzclock::mcheck::{
         check, BdModel, CheckReport, FourClockModel, TopLayerModel, TwoClockModel, MODEL_NAMES,
@@ -271,7 +271,7 @@ fn run_model_check(rest: &[String], jsonl: bool) {
     let target = target.unwrap_or_else(|| "all".to_string());
     let wants = |name: &str| target == name || target == "all";
     // Default caps: every menu that completes does so well under 2^19
-    // states (bd-clock window=1 fully explores at 304,374). The bd-clock
+    // states (bd-clock window=1 fully explores at 304,303). The bd-clock
     // window=2 space exceeds 2M canonical states — its default run is a
     // ~30s capped sweep; raise --max-states (and budget tens of GB) to
     // push the frontier.
@@ -281,9 +281,9 @@ fn run_model_check(rest: &[String], jsonl: bool) {
     let mut violated = false;
     let mut show = |report: CheckReport| {
         if jsonl {
-            println!("{}", report.to_report().to_json());
+            println!("{}", report.to_json());
             if let Some(v) = &report.violation {
-                println!("{}", v.trace.to_report().to_json());
+                println!("{}", v.trace.to_json());
             }
         } else {
             let verdict = if report.verified() {
@@ -337,10 +337,10 @@ fn run_model_check(rest: &[String], jsonl: bool) {
 /// pass over the workspace (the static half of the machine-checking
 /// story — `model-check` is the dynamic half). One verdict line per
 /// rule, one diagnostic line per unsuppressed finding, exit 1 when the
-/// workspace is not clean. With `--jsonl` each verdict is a
-/// [`RunReport`] line (`spec: "lint rule=D1 files=N"`, `beats` carrying
-/// the finding count) and each finding rides the same rails with its
-/// `file=`/`line=` packed into the spec string, so CI greps one format.
+/// workspace is not clean. With `--jsonl` each rule's verdict is one
+/// `{"lint":"D1","files":N,"findings":F,"suppressed":S}` record and each
+/// finding one `{"lint":…,"file":…,"line":…,"message":…,"snippet":…}`
+/// record, both through the shared JSON-line writer.
 fn run_lint(rest: &[String], jsonl: bool) {
     use byzclock::lint::{workspace_root, RULES};
 
@@ -367,50 +367,23 @@ fn run_lint(rest: &[String], jsonl: bool) {
         eprintln!("{e}");
         std::process::exit(2);
     });
-    for r in &report.results {
-        if jsonl {
-            let verdict = RunReport {
-                spec: format!("lint rule={} files={}", r.rule, report.files),
-                beats: r.findings.len() as u64,
-                converged_at: r.findings.is_empty().then_some(0),
-                measured_from: 0,
-                final_clocks: Vec::new(),
-                final_streak: 0,
-                traffic: Default::default(),
-                extras: vec![
-                    ("findings".to_string(), r.findings.len() as f64),
-                    ("suppressed".to_string(), r.suppressed as f64),
-                ],
-            };
-            println!("{}", verdict.to_json());
+    if jsonl {
+        for r in &report.results {
+            let mut w = json::Writer::object();
+            w.key("lint").str(&r.rule).key("files").raw(report.files);
+            w.key("findings").raw(r.findings.len());
+            w.key("suppressed").raw(r.suppressed);
+            println!("{}", w.finish());
             for f in &r.findings {
-                let diag = RunReport {
-                    spec: format!(
-                        "lint finding rule={} file={} line={} message={}",
-                        f.rule, f.file, f.line, f.message
-                    ),
-                    beats: u64::from(f.line),
-                    converged_at: None,
-                    measured_from: 0,
-                    final_clocks: Vec::new(),
-                    final_streak: 0,
-                    traffic: Default::default(),
-                    extras: Vec::new(),
-                };
-                println!("{}", diag.to_json());
-            }
-        } else {
-            println!(
-                "{}: {} finding(s), {} suppressed ({} files)",
-                r.rule,
-                r.findings.len(),
-                r.suppressed,
-                report.files
-            );
-            for f in &r.findings {
-                println!("  {f}");
+                let mut w = json::Writer::object();
+                w.key("lint").str(&f.rule).key("file").str(&f.file);
+                w.key("line").raw(f.line).key("message").str(&f.message);
+                w.key("snippet").str(&f.snippet);
+                println!("{}", w.finish());
             }
         }
+    } else {
+        print!("{report}");
     }
     if !report.clean() {
         std::process::exit(1);

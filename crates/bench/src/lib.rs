@@ -50,14 +50,18 @@
 //! spec-key drift — see the `byzclock-lint` crate docs and
 //! ARCHITECTURE.md's "static-analysis seam" section). One verdict per
 //! rule, one diagnostic per unsuppressed finding, exit 1 when the
-//! workspace is not clean; with `--jsonl` both ride the
-//! `RunReport::to_json` rails (`spec: "lint rule=D1 files=N"`).
-//! `--rule=ID` restricts the pass to one rule.
+//! workspace is not clean; with `--jsonl` each verdict is a
+//! `{"lint":"D1","files":N,"findings":F,"suppressed":S}` record and each
+//! finding a `{"lint":…,"file":…,"line":…,"message":…,"snippet":…}`
+//! record. `--rule=ID` restricts the pass to one rule.
 //!
-//! **`--jsonl`.** Switches output to one stable-keyed JSON line per
-//! executed spec (diffable, archivable) instead of the aggregated
-//! Markdown. It applies to `spec`, `model-check`, `lint` and every named
-//! grid: a grid emits its converge-mode cells in build order, then its
+//! **`--jsonl`.** Switches output to JSON lines (diffable, archivable)
+//! instead of the aggregated Markdown, all written by one writer,
+//! `byzclock_core::scenario::json`. `spec` and every named grid print one
+//! `RunReport::to_json` line per executed spec; `model-check` prints one
+//! verdict record per model (`CheckReport::to_json`, plus a
+//! `Trace::to_json` record per violation) and `lint` the records above. A
+//! grid emits its converge-mode cells in build order, then its
 //! full-budget (exact-mode) cells, and nothing else on the stream.
 //!
 //! **`--backend` and `--manifest`.** Every named grid accepts
@@ -96,8 +100,9 @@
 //! dependencies resolve to API-compatible stand-ins under
 //! `crates/compat/`: `rand` (seedable `StdRng`-style PRNG), `bytes`
 //! (`BytesMut` encode buffers) and `proptest` (strategy/`proptest!`
-//! subset). `serde` and `parking_lot` were dropped outright (hand-rolled
-//! JSON in `RunReport::to_json`, std `Mutex` in the oracle beacon).
+//! subset). `serde` and `parking_lot` were dropped outright (one small
+//! JSON-line codec, `byzclock_core::scenario::json`; std `Mutex` in the
+//! oracle beacon).
 //! **Swap-back:** to use the real crates, replace the three
 //! `[workspace.dependencies]` path entries in the root `Cargo.toml` with
 //! registry versions (`rand = "0.9"`, `bytes = "1"`, `proptest = "1"`)

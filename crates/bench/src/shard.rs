@@ -65,7 +65,7 @@
 //! backend-agnostic, so a sweep can be started under threads, killed, and
 //! finished under processes (or vice versa).
 
-use byzclock::scenario::{ProtocolRegistry, RunReport, ScenarioError, ScenarioSpec};
+use byzclock::scenario::{json, ProtocolRegistry, RunReport, ScenarioError, ScenarioSpec};
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::fs::{File, OpenOptions};
@@ -442,44 +442,18 @@ impl WorkerProc {
     }
 }
 
-/// Renders the worker-side line for a spec that cannot run: the message
-/// as a JSON string — `"` and `\` backslash-escaped, control characters
-/// (newlines above all: this is a line protocol) as `\u00XX`, everything
-/// else verbatim.
+/// Renders the worker-side line for a spec that cannot run:
+/// `{"error":"<message>"}` through the [`json`] writer, whose escape
+/// keeps the line on one line.
 pub fn error_line(message: &str) -> String {
-    let mut line = String::from("{\"error\":\"");
-    for c in message.chars() {
-        match c {
-            '"' | '\\' => line.extend(['\\', c]),
-            c if c.is_ascii_control() => line.push_str(&format!("\\u{:04x}", c as u32)),
-            c => line.push(c),
-        }
-    }
-    line.push_str("\"}");
-    line
+    let mut w = json::Writer::object();
+    w.key("error").str(message);
+    w.finish()
 }
 
-/// Recognizes an [`error_line`] and returns the message — its exact
-/// inverse, for every string.
+/// Recognizes an [`error_line`] and returns the message.
 fn parse_error_line(line: &str) -> Option<String> {
-    let body = line.strip_prefix("{\"error\":\"")?.strip_suffix("\"}")?;
-    let mut out = String::new();
-    let mut chars = body.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        match chars.next()? {
-            c @ ('"' | '\\') => out.push(c),
-            'u' => {
-                let hex: String = chars.by_ref().take(4).collect();
-                out.push(char::from_u32(u32::from_str_radix(&hex, 16).ok()?)?);
-            }
-            _ => return None,
-        }
-    }
-    Some(out)
+    Some(json::parse(line)?.get("error")?.as_str()?.to_string())
 }
 
 // ---------------------------------------------------------------------------
@@ -556,21 +530,16 @@ pub fn load_manifest(path: &Path, exact: bool) -> BTreeMap<String, RunReport> {
 }
 
 fn manifest_line(exact: bool, report: &RunReport) -> String {
-    format!(
-        "{{\"mode\":\"{}\",\"report\":{}}}",
-        mode_tag(exact),
-        report.to_json()
-    )
+    let mut w = json::Writer::object();
+    w.key("mode").str(mode_tag(exact));
+    w.key("report").raw(report.to_json());
+    w.finish()
 }
 
 fn parse_manifest_line(line: &str, exact: bool) -> Option<RunReport> {
-    let body = line
-        .trim()
-        .strip_prefix("{\"mode\":\"")?
-        .strip_prefix(mode_tag(exact))?
-        .strip_prefix("\",\"report\":")?
-        .strip_suffix('}')?;
-    RunReport::from_json(body)
+    let v = json::parse(line)?;
+    (v.get("mode")?.as_str()? == mode_tag(exact)).then_some(())?;
+    RunReport::from_value(v.get("report")?)
 }
 
 /// Whether the manifest's last byte is a newline (a missing or empty
@@ -644,10 +613,39 @@ mod tests {
             assert!(RunReport::from_json(&line).is_none());
         }
         assert_eq!(parse_error_line("{\"spec\":\"...\"}"), None);
-        // Control characters ride as JSON escapes, never as raw bytes that
-        // would tear the line; escapes the writer never emits are refused.
+        assert_eq!(parse_error_line("{\"error\":\"torn"), None);
+        // Control characters ride as `\u00XX` escapes, never as raw bytes
+        // that would tear the line; the reader takes any JSON escape.
         assert_eq!(error_line("a\tb\n"), "{\"error\":\"a\\u0009b\\u000a\"}");
-        assert_eq!(parse_error_line("{\"error\":\"a\\tb\"}"), None);
+        assert_eq!(
+            parse_error_line("{\"error\":\"a\\tb\"}").as_deref(),
+            Some("a\tb")
+        );
+    }
+
+    /// Lines written by builds before the shared JSON codec still load:
+    /// a resumed manifest re-runs nothing, and a worker of either
+    /// vintage can serve a coordinator of the other.
+    #[test]
+    fn lines_earlier_builds_wrote_still_read() {
+        // A worker error line in the earlier hand-escaped format.
+        assert_eq!(
+            parse_error_line(r#"{"error":"a\u0009b\u000a"}"#).as_deref(),
+            Some("a\tb\n")
+        );
+        // A converge-mode manifest line, verbatim.
+        let converge = r#"{"mode":"converge","report":{"spec":"two-clock n=4 f=1 k=8 coin=ticket adv=equivocate faults=corrupt-start+scramble@20 seed=1 budget=80","beats":29,"converged_at":21,"measured_from":21,"final_streak":8,"final_clocks":[0,0,0],"traffic":{"correct_msgs":1740,"correct_bytes":112072,"byz_msgs":116,"byz_bytes":232,"forged_dropped":0,"phantom_msgs":0,"mean_correct_msgs_per_beat":60.000,"mean_correct_bytes_per_beat":3864.552},"extras":{}}}"#;
+        let report = parse_manifest_line(converge, false).expect("converge line loads");
+        assert_eq!((report.beats, report.converged_at), (29, Some(21)));
+        assert_eq!(manifest_line(false, &report), converge);
+        // An exact-mode manifest line around every pinned report golden.
+        let goldens = include_str!("../../../tests/family_reports.txt");
+        for golden in goldens.lines().filter(|l| l.starts_with('{')) {
+            let line = format!("{{\"mode\":\"exact\",\"report\":{golden}}}");
+            let report = parse_manifest_line(&line, true).expect("exact line loads");
+            assert_eq!(report.to_json(), golden);
+            assert_eq!(manifest_line(true, &report), line);
+        }
     }
 
     proptest! {

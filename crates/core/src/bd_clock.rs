@@ -89,10 +89,6 @@ pub struct BdSnapshot {
     pub pending_send: bool,
     /// Wheel resend latch.
     pub resend: bool,
-    /// Wheel latch: the node has announced since its last transient
-    /// fault. It changes no traffic (a re-announcement emits the tags of
-    /// a fresh one) but is part of the checked state.
-    pub last_send_cached: bool,
     /// Wheel support: `(tag, sender)` pairs, in no particular order.
     pub wheel: Vec<(usize, NodeId)>,
     /// Freshness evidence: `(tag, sender, claimed send beat)` rows.
@@ -237,7 +233,6 @@ impl<R: RandSource<Msg = ()>> BdClock<R> {
             beats_waiting: w.beats_waiting,
             pending_send: w.pending_send,
             resend: w.resend,
-            last_send_cached: w.cached,
             wheel: w
                 .seen
                 .iter()
@@ -274,7 +269,6 @@ impl<R: RandSource<Msg = ()>> BdClock<R> {
         w.beats_waiting = s.beats_waiting;
         w.pending_send = s.pending_send;
         w.resend = s.resend;
-        w.cached = s.last_send_cached;
         w.clear();
         for &(tag, from) in &s.wheel {
             w.park(from, tag);

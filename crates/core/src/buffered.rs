@@ -74,12 +74,6 @@ pub(crate) struct Wheel {
     /// once-per-round send discipline deadlocks against any
     /// receiver-side buffer loss.
     pub(crate) resend: bool,
-    /// The node has announced since its last transient fault. With a
-    /// `()` payload a re-announcement puts exactly the tags of a fresh
-    /// one on the wire, so this latch changes no traffic; it is kept
-    /// because the model checker's state (`BdSnapshot::last_send_cached`)
-    /// carries it.
-    pub(crate) cached: bool,
     /// `seen[tag][sender]`: the `(sender, tag)` dedup, one indexed probe
     /// per message. Grown on demand, since a Byzantine sender id is
     /// bounded only by `u16`.
@@ -112,7 +106,6 @@ impl Wheel {
             beats_waiting: 0,
             pending_send: true,
             resend: false,
-            cached: false,
             seen: vec![Vec::new(); k],
             support: vec![0; k],
             quorum_ticks: 0,
@@ -152,7 +145,6 @@ impl Wheel {
         }
         self.pending_send = false;
         self.resend = false;
-        self.cached = true;
         true
     }
 
@@ -233,7 +225,6 @@ impl Wheel {
         self.beats_waiting = rng.random_range(0..self.window.saturating_mul(2).max(1));
         self.pending_send = rng.random();
         self.resend = rng.random();
-        self.cached = false;
         self.clear();
     }
 }
@@ -371,7 +362,6 @@ mod tests {
         assert_eq!((w.k, w.quorum, w.window), (5, 3, 2), "code, not state");
         assert!(w.round < 5);
         assert!(w.beats_waiting < 4);
-        assert!(!w.cached);
         assert_eq!(w.support[2], 0, "wheel scrambled");
     }
 

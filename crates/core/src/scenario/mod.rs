@@ -53,6 +53,7 @@
 //! assert_eq!(report, registry.run(&spec).unwrap()); // same spec => same report
 //! ```
 
+pub mod json;
 mod registry;
 mod run;
 mod spec;

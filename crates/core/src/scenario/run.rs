@@ -1,5 +1,6 @@
 //! Type-erased running scenarios and the [`RunReport`] they produce.
 
+use super::json;
 use super::spec::ScenarioSpec;
 use crate::clock::{all_synced, DigitalClock, SyncTracker};
 use byzclock_sim::{Adversary, Application, Simulation, TimingModel, TrafficStats};
@@ -246,56 +247,37 @@ impl RunReport {
         self.extras.iter().find(|(n, _)| n == name).map(|&(_, v)| v)
     }
 
-    /// Hand-rolled JSON rendering (the build environment has no serde);
-    /// stable key order, suitable for log archiving.
+    /// One JSON line through the [`json`] writer; stable key order,
+    /// suitable for log archiving.
     pub fn to_json(&self) -> String {
-        use std::fmt::Write as _;
-        let mut s = String::new();
-        let _ = write!(s, "{{\"spec\":{:?},\"beats\":{}", self.spec, self.beats);
-        match self.converged_at {
-            Some(b) => {
-                let _ = write!(s, ",\"converged_at\":{b}");
-            }
-            None => s.push_str(",\"converged_at\":null"),
+        let mut w = json::Writer::object();
+        w.key("spec").str(&self.spec).key("beats").raw(self.beats);
+        w.key("converged_at").opt(self.converged_at);
+        w.key("measured_from").raw(self.measured_from);
+        w.key("final_streak").raw(self.final_streak);
+        w.key("final_clocks").open('[');
+        for &c in &self.final_clocks {
+            w.opt(c);
         }
-        let _ = write!(s, ",\"measured_from\":{}", self.measured_from);
-        let _ = write!(s, ",\"final_streak\":{}", self.final_streak);
-        s.push_str(",\"final_clocks\":[");
-        for (i, c) in self.final_clocks.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            match c {
-                Some(v) => {
-                    let _ = write!(s, "{v}");
-                }
-                None => s.push_str("null"),
-            }
-        }
+        w.close(']');
         let t = &self.traffic;
-        let _ = write!(
-            s,
-            "],\"traffic\":{{\"correct_msgs\":{},\"correct_bytes\":{},\"byz_msgs\":{},\
-             \"byz_bytes\":{},\"forged_dropped\":{},\"phantom_msgs\":{},\
-             \"mean_correct_msgs_per_beat\":{:.3},\"mean_correct_bytes_per_beat\":{:.3}}}",
-            t.correct_msgs,
-            t.correct_bytes,
-            t.byz_msgs,
-            t.byz_bytes,
-            t.forged_dropped,
-            t.phantom_msgs,
-            t.mean_correct_msgs_per_beat,
-            t.mean_correct_bytes_per_beat,
-        );
-        s.push_str(",\"extras\":{");
-        for (i, (k, v)) in self.extras.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(s, "{k:?}:{v:.6}");
+        w.key("traffic").open('{');
+        w.key("correct_msgs").raw(t.correct_msgs);
+        w.key("correct_bytes").raw(t.correct_bytes);
+        w.key("byz_msgs").raw(t.byz_msgs);
+        w.key("byz_bytes").raw(t.byz_bytes);
+        w.key("forged_dropped").raw(t.forged_dropped);
+        w.key("phantom_msgs").raw(t.phantom_msgs);
+        w.key("mean_correct_msgs_per_beat")
+            .raw(format_args!("{:.3}", t.mean_correct_msgs_per_beat));
+        w.key("mean_correct_bytes_per_beat")
+            .raw(format_args!("{:.3}", t.mean_correct_bytes_per_beat));
+        w.close('}').key("extras").open('{');
+        for (k, v) in &self.extras {
+            w.key(k).raw(format_args!("{v:.6}"));
         }
-        s.push_str("}}");
-        s
+        w.close('}');
+        w.finish()
     }
 
     /// Parses a [`RunReport::to_json`] line back into a report — the
@@ -312,7 +294,12 @@ impl RunReport {
     /// process-sharded sweep's JSONL output byte-identical to an
     /// in-process one.
     pub fn from_json(s: &str) -> Option<RunReport> {
-        let v = json::parse(s.trim())?;
+        RunReport::from_value(&json::parse(s)?)
+    }
+
+    /// Reads a report out of an already-parsed [`RunReport::to_json`]
+    /// object (a sweep manifest line nests one).
+    pub fn from_value(v: &json::Value) -> Option<RunReport> {
         let opt_u64 = |v: &json::Value| match v {
             json::Value::Null => Some(None),
             other => other.as_u64().map(Some),
@@ -347,279 +334,6 @@ impl RunReport {
                 .map(|(k, val)| val.as_f64().map(|f| (k.clone(), f)))
                 .collect::<Option<Vec<_>>>()?,
         })
-    }
-}
-
-/// A minimal recursive-descent JSON reader for the report codec.
-///
-/// Scope-matched to what [`RunReport::to_json`] emits (the workspace has
-/// no serde): objects keep key order, numbers stay as their source text
-/// so `u64` fields never round through `f64`, and the non-standard float
-/// tokens `to_json` can produce (`NaN`, `inf`, `-inf` — Rust's `{:.6}`
-/// renderings) are accepted. Anything else malformed parses to `None`.
-mod json {
-    /// One parsed JSON value.
-    pub enum Value {
-        /// `null`.
-        Null,
-        /// A number, kept as its source text.
-        Num(String),
-        /// A string, unescaped.
-        Str(String),
-        /// An array.
-        Arr(Vec<Value>),
-        /// An object, in source key order.
-        Obj(Vec<(String, Value)>),
-    }
-
-    impl Value {
-        pub fn get(&self, key: &str) -> Option<&Value> {
-            match self {
-                Value::Obj(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-                _ => None,
-            }
-        }
-
-        pub fn as_u64(&self) -> Option<u64> {
-            match self {
-                Value::Num(s) => s.parse().ok(),
-                _ => None,
-            }
-        }
-
-        pub fn as_f64(&self) -> Option<f64> {
-            match self {
-                Value::Num(s) => s.parse().ok(),
-                _ => None,
-            }
-        }
-
-        pub fn as_str(&self) -> Option<&str> {
-            match self {
-                Value::Str(s) => Some(s),
-                _ => None,
-            }
-        }
-
-        pub fn as_arr(&self) -> Option<&[Value]> {
-            match self {
-                Value::Arr(items) => Some(items),
-                _ => None,
-            }
-        }
-
-        pub fn as_obj(&self) -> Option<&[(String, Value)]> {
-            match self {
-                Value::Obj(pairs) => Some(pairs),
-                _ => None,
-            }
-        }
-    }
-
-    /// Parses one complete JSON value; trailing garbage fails the parse.
-    pub fn parse(s: &str) -> Option<Value> {
-        let mut p = Parser {
-            b: s.as_bytes(),
-            i: 0,
-            depth: 0,
-        };
-        let v = p.value()?;
-        p.ws();
-        if p.i == p.b.len() {
-            Some(v)
-        } else {
-            None
-        }
-    }
-
-    struct Parser<'a> {
-        b: &'a [u8],
-        i: usize,
-        depth: u32,
-    }
-
-    /// Forged input cannot allocate unbounded recursion frames.
-    const MAX_DEPTH: u32 = 64;
-
-    impl Parser<'_> {
-        fn ws(&mut self) {
-            while matches!(self.b.get(self.i), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-                self.i += 1;
-            }
-        }
-
-        fn eat(&mut self, c: u8) -> Option<()> {
-            self.ws();
-            if self.b.get(self.i) == Some(&c) {
-                self.i += 1;
-                Some(())
-            } else {
-                None
-            }
-        }
-
-        fn lit(&mut self, word: &str) -> Option<()> {
-            if self.b[self.i..].starts_with(word.as_bytes()) {
-                self.i += word.len();
-                Some(())
-            } else {
-                None
-            }
-        }
-
-        fn value(&mut self) -> Option<Value> {
-            if self.depth >= MAX_DEPTH {
-                return None;
-            }
-            self.depth += 1;
-            self.ws();
-            let v = match self.b.get(self.i)? {
-                b'{' => self.object(),
-                b'[' => self.array(),
-                b'"' => self.string().map(Value::Str),
-                b'n' => self.lit("null").map(|()| Value::Null),
-                _ => self.number(),
-            };
-            self.depth -= 1;
-            v
-        }
-
-        fn object(&mut self) -> Option<Value> {
-            self.eat(b'{')?;
-            let mut pairs = Vec::new();
-            self.ws();
-            if self.b.get(self.i) == Some(&b'}') {
-                self.i += 1;
-                return Some(Value::Obj(pairs));
-            }
-            loop {
-                self.ws();
-                let key = self.string()?;
-                self.eat(b':')?;
-                pairs.push((key, self.value()?));
-                self.ws();
-                match self.b.get(self.i)? {
-                    b',' => self.i += 1,
-                    b'}' => {
-                        self.i += 1;
-                        return Some(Value::Obj(pairs));
-                    }
-                    _ => return None,
-                }
-            }
-        }
-
-        fn array(&mut self) -> Option<Value> {
-            self.eat(b'[')?;
-            let mut items = Vec::new();
-            self.ws();
-            if self.b.get(self.i) == Some(&b']') {
-                self.i += 1;
-                return Some(Value::Arr(items));
-            }
-            loop {
-                items.push(self.value()?);
-                self.ws();
-                match self.b.get(self.i)? {
-                    b',' => self.i += 1,
-                    b']' => {
-                        self.i += 1;
-                        return Some(Value::Arr(items));
-                    }
-                    _ => return None,
-                }
-            }
-        }
-
-        /// Strings are produced by `{:?}` on the encode side, so both the
-        /// JSON escapes and Rust's `\u{…}` form are accepted.
-        fn string(&mut self) -> Option<String> {
-            if self.b.get(self.i) != Some(&b'"') {
-                return None;
-            }
-            self.i += 1;
-            let mut out = Vec::new();
-            loop {
-                match *self.b.get(self.i)? {
-                    b'"' => {
-                        self.i += 1;
-                        return String::from_utf8(out).ok();
-                    }
-                    b'\\' => {
-                        self.i += 1;
-                        match *self.b.get(self.i)? {
-                            c @ (b'"' | b'\\' | b'/' | b'\'') => {
-                                out.push(c);
-                                self.i += 1;
-                            }
-                            b'n' => {
-                                out.push(b'\n');
-                                self.i += 1;
-                            }
-                            b't' => {
-                                out.push(b'\t');
-                                self.i += 1;
-                            }
-                            b'r' => {
-                                out.push(b'\r');
-                                self.i += 1;
-                            }
-                            b'0' => {
-                                out.push(0);
-                                self.i += 1;
-                            }
-                            b'u' => {
-                                self.i += 1;
-                                let c = self.unicode_escape()?;
-                                let mut buf = [0u8; 4];
-                                out.extend_from_slice(c.encode_utf8(&mut buf).as_bytes());
-                            }
-                            _ => return None,
-                        }
-                    }
-                    c => {
-                        out.push(c);
-                        self.i += 1;
-                    }
-                }
-            }
-        }
-
-        fn unicode_escape(&mut self) -> Option<char> {
-            let hex = if self.b.get(self.i) == Some(&b'{') {
-                // Rust-style \u{…}.
-                self.i += 1;
-                let start = self.i;
-                while self.b.get(self.i)? != &b'}' {
-                    self.i += 1;
-                }
-                let hex = &self.b[start..self.i];
-                self.i += 1; // closing brace
-                hex
-            } else {
-                // JSON-style \uXXXX (surrogate pairs unsupported).
-                let start = self.i;
-                self.i = self.i.checked_add(4)?;
-                self.b.get(start..self.i)?
-            };
-            let code = u32::from_str_radix(std::str::from_utf8(hex).ok()?, 16).ok()?;
-            char::from_u32(code)
-        }
-
-        fn number(&mut self) -> Option<Value> {
-            let start = self.i;
-            while matches!(
-                self.b.get(self.i),
-                Some(c) if c.is_ascii_alphanumeric() || matches!(c, b'+' | b'-' | b'.')
-            ) {
-                self.i += 1;
-            }
-            let tok = std::str::from_utf8(&self.b[start..self.i]).ok()?;
-            // Rust's f64 parser already accepts `inf`, `-inf`, and `NaN` —
-            // exactly the non-standard tokens `{:.6}` can emit.
-            tok.parse::<f64>().ok()?;
-            Some(Value::Num(tok.to_string()))
-        }
     }
 }
 

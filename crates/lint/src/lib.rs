@@ -19,11 +19,12 @@
 //! is itself a violation, and allows inside `Wire::decode` bodies are
 //! ignored by design).
 //!
-//! Run it as `experiments lint [--jsonl] [--rule=ID]` (diagnostics ride
-//! the `RunReport` JSON rails) or standalone:
+//! Run it as `experiments lint [--jsonl] [--rule=ID]` (with `--jsonl`,
+//! one verdict record per rule and one record per finding, through the
+//! workspace's JSON-line writer) or standalone, text only:
 //!
 //! ```text
-//! cargo run -p byzclock-lint [-- [--jsonl] [--rule=ID] [--root=PATH]]
+//! cargo run -p byzclock-lint [-- [--rule=ID] [--root=PATH]]
 //! ```
 //!
 //! ```

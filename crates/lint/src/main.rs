@@ -1,27 +1,23 @@
 //! Standalone entry point: `cargo run -p byzclock-lint`.
 //!
 //! Prints one summary line per rule and one diagnostic per unsuppressed
-//! finding, exits 1 when the workspace is not clean. `--jsonl` emits
-//! one hand-rolled JSON object per finding (the `experiments lint`
-//! subcommand is the path that wraps verdicts as full `RunReport`
-//! lines — use it where the JSON rails matter).
+//! finding, exits 1 when the workspace is not clean. For JSON lines use
+//! `experiments --jsonl lint`, which writes the same verdicts through the
+//! workspace's one JSON-line writer.
 
 use byzclock_lint::{run, workspace_root, RULES};
 
 fn main() {
-    let mut jsonl = false;
     let mut rule: Option<String> = None;
     let mut root: Option<std::path::PathBuf> = None;
     for arg in std::env::args().skip(1) {
-        if arg == "--jsonl" {
-            jsonl = true;
-        } else if let Some(v) = arg.strip_prefix("--rule=") {
+        if let Some(v) = arg.strip_prefix("--rule=") {
             rule = Some(v.to_string());
         } else if let Some(v) = arg.strip_prefix("--root=") {
             root = Some(std::path::PathBuf::from(v));
         } else {
             eprintln!(
-                "usage: byzclock-lint [--jsonl] [--rule={}] [--root=PATH]",
+                "usage: byzclock-lint [--rule={}] [--root=PATH]",
                 RULES.join("|")
             );
             std::process::exit(2);
@@ -35,35 +31,7 @@ fn main() {
         eprintln!("{e}");
         std::process::exit(2);
     });
-    for r in &report.results {
-        if jsonl {
-            println!(
-                "{{\"rule\":{:?},\"findings\":{},\"suppressed\":{},\"files\":{}}}",
-                r.rule,
-                r.findings.len(),
-                r.suppressed,
-                report.files
-            );
-        } else {
-            println!(
-                "{}: {} finding(s), {} suppressed ({} files)",
-                r.rule,
-                r.findings.len(),
-                r.suppressed,
-                report.files
-            );
-        }
-        for f in &r.findings {
-            if jsonl {
-                println!(
-                    "{{\"rule\":{:?},\"file\":{:?},\"line\":{},\"message\":{:?},\"snippet\":{:?}}}",
-                    f.rule, f.file, f.line, f.message, f.snippet
-                );
-            } else {
-                println!("  {f}");
-            }
-        }
-    }
+    print!("{report}");
     if !report.clean() {
         std::process::exit(1);
     }

@@ -47,6 +47,27 @@ impl LintReport {
     }
 }
 
+/// The text form: one summary line per rule, one indented diagnostic per
+/// unsuppressed finding.
+impl std::fmt::Display for LintReport {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        for r in &self.results {
+            writeln!(
+                f,
+                "{}: {} finding(s), {} suppressed ({} files)",
+                r.rule,
+                r.findings.len(),
+                r.suppressed,
+                self.files
+            )?;
+            for finding in &r.findings {
+                writeln!(f, "  {finding}")?;
+            }
+        }
+        Ok(())
+    }
+}
+
 /// A pre-suppression finding. `P1` findings inside decode roots are not
 /// suppressible: the contract there admits no exceptions.
 struct Candidate {

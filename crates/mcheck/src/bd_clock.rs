@@ -110,8 +110,7 @@ pub struct Row {
     /// Beats waited in the current round, clamped to the window (the only
     /// protocol read is `>= window`).
     pub bw: u8,
-    /// Send latches: bit 0 `pending_send`, bit 1 `resend`, bit 2
-    /// `last_send_cached`.
+    /// Send latches: bit 0 `pending_send`, bit 1 `resend`.
     pub flags: u8,
     /// `wheel[tag]` = bitmask of senders buffered for that tag.
     pub wheel: [u8; K],
@@ -272,7 +271,6 @@ impl BdModel {
             beats_waiting: u64::from(row.bw),
             pending_send: row.flags & 1 != 0,
             resend: row.flags & 2 != 0,
-            last_send_cached: row.flags & 4 != 0,
             wheel,
             evidence,
             beat: B0,
@@ -342,9 +340,7 @@ impl BdModel {
             Row {
                 round: snap.round as u8,
                 bw: snap.beats_waiting.min(self.window) as u8,
-                flags: u8::from(snap.pending_send)
-                    | (u8::from(snap.resend) << 1)
-                    | (u8::from(snap.last_send_cached) << 2),
+                flags: u8::from(snap.pending_send) | (u8::from(snap.resend) << 1),
                 wheel,
             },
             ev_out,
@@ -406,8 +402,8 @@ impl Model for BdModel {
 
     fn initial_states(&self) -> Vec<BdState> {
         // The transient-fault image of `corrupt`: round/timer/latches
-        // scrambled, buffers and evidence cleared, send cache dropped, no
-        // bundles in flight (see the module-docs caveat).
+        // scrambled, buffers and evidence cleared, no bundles in flight
+        // (see the module-docs caveat).
         let mut rows = Vec::new();
         for round in 0..K as u8 {
             for bw in 0..=self.window as u8 {
@@ -415,7 +411,7 @@ impl Model for BdModel {
                     rows.push(Row {
                         round,
                         bw,
-                        flags, // cached bit stays 0: corrupt drops the cache
+                        flags,
                         wheel: [0u8; K],
                     });
                 }
@@ -594,7 +590,7 @@ impl Model for BdModel {
         for (i, r) in state.rows.iter().enumerate() {
             let _ = write!(
                 s,
-                "n{i}(r{} w{} f{:03b} [{},{},{},{}])",
+                "n{i}(r{} w{} f{:02b} [{},{},{},{}])",
                 r.round, r.bw, r.flags, r.wheel[0], r.wheel[1], r.wheel[2], r.wheel[3]
             );
         }

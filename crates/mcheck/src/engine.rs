@@ -31,6 +31,8 @@ use std::collections::HashMap;
 use std::fmt::Debug;
 use std::hash::Hash;
 
+use byzclock_core::scenario::json;
+
 use crate::trace::{Trace, TraceStep};
 
 /// Rank value meaning "the adversary can prevent convergence forever".
@@ -158,46 +160,33 @@ impl CheckReport {
         self.complete && self.violation.is_none()
     }
 
-    /// Renders the verdict as a [`RunReport`] so `model-check --jsonl`
-    /// speaks the same line format as every other harness command
-    /// (`spec`, the sweep grids): `beats` carries the measured worst-case
-    /// convergence, the counters land in `extras`, and a violation's
-    /// witness is serialized separately via [`Trace::to_report`].
-    ///
-    /// [`RunReport`]: byzclock_core::scenario::RunReport
-    pub fn to_report(&self) -> byzclock_core::scenario::RunReport {
-        let mut spec = format!("mcheck model={}", self.model);
+    /// The verdict as one JSON record (`model-check --jsonl`): model,
+    /// verdict (`verified`, `violation` or `incomplete`), the state and
+    /// edge counts, the worst rank (`null` when trapped) and the bound,
+    /// then a violation's kind and diagnosis. The witness is a second
+    /// record, [`Trace::to_json`].
+    pub fn to_json(&self) -> String {
+        let finite = |r: u32| (r != RANK_INF).then_some(r);
+        let verdict = match (&self.violation, self.complete) {
+            (Some(_), _) => "violation",
+            (None, true) => "verified",
+            (None, false) => "incomplete",
+        };
+        let mut w = json::Writer::object();
+        w.key("model").str(&self.model).key("verdict").str(verdict);
+        w.key("states").raw(self.states);
+        w.key("edges").raw(self.edges);
+        w.key("synced_states").raw(self.synced_states);
+        w.key("persistent_states").raw(self.persistent_states);
+        w.key("transient_synced").raw(self.transient_synced);
+        w.key("max_rank").opt(finite(self.max_rank));
+        w.key("max_rank_beats").opt(finite(self.max_rank_beats));
+        w.key("bound_beats").raw(self.bound_beats);
         if let Some(v) = &self.violation {
-            use std::fmt::Write as _;
-            let _ = write!(spec, " violation={} detail={}", v.kind, v.detail);
+            w.key("violation").str(&v.kind.to_string());
+            w.key("detail").str(&v.detail);
         }
-        byzclock_core::scenario::RunReport {
-            spec,
-            beats: u64::from(self.max_rank_beats),
-            converged_at: self.verified().then_some(u64::from(self.max_rank_beats)),
-            measured_from: 0,
-            final_clocks: Vec::new(),
-            final_streak: 0,
-            traffic: byzclock_core::scenario::TrafficSummary::default(),
-            extras: vec![
-                ("complete".to_string(), f64::from(u8::from(self.complete))),
-                ("states".to_string(), self.states as f64),
-                ("edges".to_string(), self.edges as f64),
-                ("synced_states".to_string(), self.synced_states as f64),
-                (
-                    "persistent_states".to_string(),
-                    self.persistent_states as f64,
-                ),
-                ("transient_synced".to_string(), self.transient_synced as f64),
-                ("max_rank".to_string(), f64::from(self.max_rank)),
-                ("max_rank_beats".to_string(), f64::from(self.max_rank_beats)),
-                ("bound_beats".to_string(), f64::from(self.bound_beats)),
-                (
-                    "violation".to_string(),
-                    f64::from(u8::from(self.violation.is_some())),
-                ),
-            ],
-        }
+        w.finish()
     }
 }
 

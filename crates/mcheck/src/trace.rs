@@ -1,8 +1,7 @@
-//! Replayable counterexample traces, exportable through the workspace's
-//! [`RunReport`] JSON machinery so checker verdicts land in the same log
-//! pipeline as simulation runs.
+//! Replayable counterexample traces, exportable as one JSON record through
+//! the workspace's JSON-line writer ([`byzclock_core::scenario::json`]).
 
-use byzclock_core::scenario::{RunReport, TrafficSummary};
+use byzclock_core::scenario::json;
 
 /// One hop of a counterexample: which adversary choice and which coin
 /// outcome were taken, plus the canonical state the real core produced.
@@ -45,43 +44,22 @@ impl Trace {
         self.steps.is_empty()
     }
 
-    /// Renders the trace as a [`RunReport`] so it serializes through the
-    /// workspace's JSON pipeline. The `spec` line is a self-describing
-    /// `mcheck-trace` record (model, initial state, per-step labels);
-    /// the numeric `(choice, outcome)` indices ride in `extras`, so a
-    /// parsed report still replays exactly.
-    pub fn to_report(&self) -> RunReport {
-        use std::fmt::Write as _;
-        let mut spec = format!(
-            "mcheck-trace model={} initial={}",
-            self.model, self.initial_state
-        );
-        for (i, step) in self.steps.iter().enumerate() {
-            let _ = write!(
-                spec,
-                " step{}=[{}]->{}",
-                i, step.choice_label, step.next_state
-            );
+    /// The witness as one JSON record: model, initial state, and each
+    /// step as `[choice, outcome, label, adversarial, next_state]`. The
+    /// indices are what [`crate::engine::replay`] re-applies, so a parsed
+    /// record still replays exactly.
+    pub fn to_json(&self) -> String {
+        let mut w = json::Writer::object();
+        w.key("model").str(&self.model);
+        w.key("initial_state").str(&self.initial_state);
+        w.key("steps").open('[');
+        for step in &self.steps {
+            w.open('[').raw(step.choice).raw(step.outcome);
+            w.str(&step.choice_label).raw(step.adversarial_outcome);
+            w.str(&step.next_state).close(']');
         }
-        let mut extras = vec![("trace_steps".to_string(), self.steps.len() as f64)];
-        for (i, step) in self.steps.iter().enumerate() {
-            extras.push((format!("step{i}_choice"), step.choice as f64));
-            extras.push((format!("step{i}_outcome"), step.outcome as f64));
-            extras.push((
-                format!("step{i}_adversarial"),
-                f64::from(u8::from(step.adversarial_outcome)),
-            ));
-        }
-        RunReport {
-            spec,
-            beats: self.steps.len() as u64,
-            converged_at: None,
-            measured_from: 0,
-            final_clocks: Vec::new(),
-            final_streak: 0,
-            traffic: TrafficSummary::default(),
-            extras,
-        }
+        w.close(']');
+        w.finish()
     }
 }
 

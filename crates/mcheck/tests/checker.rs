@@ -1,12 +1,12 @@
-//! Checker-level integration tests: the seeded-bug canary, trace
-//! serialization, and the window=1 jump-rule trap the checker discovered.
+//! Checker-level integration tests: the seeded-bug canary, trace and
+//! verdict records, and the window=1 jump-rule trap the checker discovered.
 //!
 //! The exhaustive *verification* runs (hundreds of thousands of states)
 //! live in the release-mode `model-check` CLI and its CI smoke job; the
 //! tests here stay debug-mode fast by checking the small models whole and
 //! the big one through a hand-pinned witness.
 
-use byzclock_core::scenario::RunReport;
+use byzclock_core::scenario::json;
 use byzclock_mcheck::{check, replay, BdModel, Model, Trace, TraceStep, TwoClockModel};
 use byzclock_mcheck::{ViolationKind, MODEL_NAMES};
 
@@ -46,47 +46,86 @@ fn honest_two_clock_verifies_where_broken_fails() {
     assert!(report.max_rank_beats <= report.bound_beats);
 }
 
-/// Satellite: traces serialize through the [`RunReport`] JSON machinery,
-/// and `from_json ∘ to_json` is the identity on the rendered report.
+/// Rebuilds a [`Trace`] from its JSON record, step tuples and all.
+fn trace_from_json(line: &str) -> Trace {
+    let v = json::parse(line).expect("trace record parses");
+    let text = |v: &json::Value| v.as_str().expect("string field").to_string();
+    let steps = v.get("steps").and_then(json::Value::as_arr).expect("steps");
+    Trace {
+        model: text(v.get("model").expect("model")),
+        initial_state: text(v.get("initial_state").expect("initial_state")),
+        steps: steps
+            .iter()
+            .map(|step| match step.as_arr().expect("step tuple") {
+                [choice, outcome, label, adversarial, next] => TraceStep {
+                    choice: choice.as_u64().expect("choice") as usize,
+                    outcome: outcome.as_u64().expect("outcome") as usize,
+                    choice_label: text(label),
+                    adversarial_outcome: adversarial.as_bool().expect("adversarial"),
+                    next_state: text(next),
+                },
+                other => panic!("step is not a 5-tuple: {other:?}"),
+            })
+            .collect(),
+    }
+}
+
+/// Traces and verdicts are their own JSON records, and a parsed trace
+/// record still replays exactly through the real core.
 #[test]
 fn trace_report_json_round_trips() {
-    // A synthetic trace with every field exercised (two steps, one
-    // adversarial outcome) plus a real one from the canary.
-    let synthetic = Trace {
-        model: "two-clock n=4 f=1".to_string(),
-        initial_state: "[Zero,Zero,One]".to_string(),
-        steps: vec![
-            TraceStep {
-                choice: 7,
-                outcome: 1,
-                choice_label: "n0:- n1:VZero n2:Dup(One,One)".to_string(),
-                adversarial_outcome: false,
-                next_state: "[Zero,One,One]".to_string(),
-            },
-            TraceStep {
-                choice: 0,
-                outcome: 3,
-                choice_label: "n0:- n1:- n2:-".to_string(),
-                adversarial_outcome: true,
-                next_state: "[Zero,Zero,Zero]".to_string(),
-            },
-        ],
-    };
-    let canary = check(&TwoClockModel::broken(4, 1), 1 << 20)
+    let model = TwoClockModel::broken(4, 1);
+    let canary = check(&model, 1 << 20)
         .violation
         .expect("canary violation")
         .trace;
-    for trace in [synthetic, canary] {
-        let report = trace.to_report();
-        let json = report.to_json();
-        let back = RunReport::from_json(&json).expect("trace report must parse");
-        assert_eq!(back.to_json(), json, "round-trip must be the identity");
-        assert_eq!(back.beats, trace.len() as u64);
+    // A multi-step walk through the same model, taking each menu's last
+    // choice and last outcome (adversarial where one exists), so the
+    // record carries real step tuples.
+    let mut state = model.initial_states().swap_remove(0);
+    let mut walk = Trace {
+        model: model.name(),
+        initial_state: model.describe(&state),
+        steps: Vec::new(),
+    };
+    for _ in 0..3 {
+        let menu = model.choices(&state);
+        let choice = menu.len() - 1;
+        let c = &menu[choice];
+        let outcome = c.common.len() + c.adversarial.len() - 1;
+        state = c
+            .common
+            .iter()
+            .chain(&c.adversarial)
+            .nth(outcome)
+            .cloned()
+            .unwrap();
+        walk.steps.push(TraceStep {
+            choice,
+            outcome,
+            choice_label: c.label.clone(),
+            adversarial_outcome: outcome >= c.common.len(),
+            next_state: model.describe(&state),
+        });
     }
-    // The check verdict itself rides the same rails.
-    let verdict = check(&TwoClockModel::honest(4, 1), 1 << 20).to_report();
-    let back = RunReport::from_json(&verdict.to_json()).expect("verdict must parse");
-    assert_eq!(back.to_json(), verdict.to_json());
+    for trace in [canary, walk] {
+        let back = trace_from_json(&trace.to_json());
+        assert_eq!(back, trace, "the record carries every field");
+        assert_eq!(
+            replay(&model, &back).expect("parsed trace replays"),
+            replay(&model, &trace).expect("trace replays"),
+            "same final state"
+        );
+    }
+    // The verdict record reads as what it is.
+    let verdict = check(&TwoClockModel::honest(4, 1), 1 << 20).to_json();
+    let v = json::parse(&verdict).expect("verdict record parses");
+    assert_eq!(
+        v.get("verdict").and_then(json::Value::as_str),
+        Some("verified")
+    );
+    assert_eq!(v.get("states").and_then(json::Value::as_u64), Some(10));
+    assert!(v.get("violation").is_none());
 }
 
 /// The checker's own find (not a seeded bug): at `window = 1` every round
@@ -116,8 +155,8 @@ fn window1_split_tag_trap_has_a_closed_winning_region() {
         .into_iter()
         .find(|s| {
             model.describe(s)
-                == "n0(r0 w0 f000 [0,0,0,0])n1(r0 w0 f001 [0,0,0,0])\
-                    n2(r2 w0 f001 [0,0,0,0]) if[0,0,0] ev[0000000000000000]"
+                == "n0(r0 w0 f00 [0,0,0,0])n1(r0 w0 f01 [0,0,0,0])\
+                    n2(r2 w0 f01 [0,0,0,0]) if[0,0,0] ev[0000000000000000]"
         })
         .expect("the trap start is a corrupt image the model enumerates");
     let mut region = std::collections::BTreeSet::new();

@@ -93,10 +93,10 @@ pub mod scenario {
     //! stream), then `baselines`' Table 1 clocks.
 
     pub use byzclock_core::scenario::{
-        builder_for, clock_adversary, delay_extras, drive, drive_exact, AdversarySpec, ClockRun,
-        CoinSpec, FaultPlanSpec, MetricsSpec, ProtocolFamily, ProtocolRegistry, RunReport,
-        ScenarioError, ScenarioRun, ScenarioSpec, TimingModel, TrafficSummary, WireConfig,
-        WireFormat, WireSpec, DEFAULT_SYNC_WINDOW,
+        builder_for, clock_adversary, delay_extras, drive, drive_exact, json, AdversarySpec,
+        ClockRun, CoinSpec, FaultPlanSpec, MetricsSpec, ProtocolFamily, ProtocolRegistry,
+        RunReport, ScenarioError, ScenarioRun, ScenarioSpec, TimingModel, TrafficSummary,
+        WireConfig, WireFormat, WireSpec, DEFAULT_SYNC_WINDOW,
     };
 
     /// A registry with every protocol family in the workspace registered.

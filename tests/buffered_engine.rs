@@ -115,7 +115,6 @@ fn node_one_beat_before_expiry(window: u64) -> BdClock<FixedRand> {
         beats_waiting: window - 1,
         pending_send: false,
         resend: false,
-        last_send_cached: true,
         wheel: Vec::new(),
         evidence: Vec::new(),
         beat: 10,
