@@ -293,13 +293,14 @@ fn run_model_check(rest: &[String], jsonl: bool) {
             } else {
                 "INCOMPLETE (raise --max-states)".to_string()
             };
-            let worst = if report.max_rank == byzclock::mcheck::RANK_INF {
-                "inf".to_string()
-            } else {
-                report.max_rank_beats.to_string()
+            // `-` when the rank game never ran: no rank was measured.
+            let worst = match report.max_rank_beats {
+                None => "-".to_string(),
+                Some(byzclock::mcheck::RANK_INF) => "infb".to_string(),
+                Some(beats) => format!("{beats}b"),
             };
             println!(
-                "{}: {} states={} edges={} synced={} persistent={} worst={}b bound={}b",
+                "{}: {} states={} edges={} synced={} persistent={} worst={} bound={}b",
                 report.model,
                 verdict,
                 report.states,

@@ -39,9 +39,7 @@ impl CoinNoiseAdversary {
                     })
                     .collect(),
             ),
-            2 => CoinMsg::Vote {
-                content: (0..n).map(|_| rng.random()).collect(),
-            },
+            2 => CoinMsg::vote((0..n).map(|_| rng.random()).collect()),
             _ => CoinMsg::recover(
                 (0..n)
                     .map(|_| {
@@ -163,18 +161,18 @@ impl Adversary<SlotMsg<CoinMsg>> for InconsistentDealer {
             }
             // Slot 2: vote content for all Byzantine dealers, none for the
             // correct ones (maximal vote skew).
-            let content: Vec<bool> = (0..n as u16)
-                .map(|i| view.is_byzantine(NodeId::new(i)))
-                .collect();
+            let vote = CoinMsg::vote(
+                (0..n as u16)
+                    .map(|i| view.is_byzantine(NodeId::new(i)))
+                    .collect(),
+            );
             for to in view.all_ids() {
                 out.send(
                     b,
                     to,
                     SlotMsg {
                         slot: 2,
-                        msg: CoinMsg::Vote {
-                            content: content.clone(),
-                        },
+                        msg: vote.clone(),
                     },
                 );
             }

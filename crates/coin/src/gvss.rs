@@ -605,7 +605,8 @@ impl GvssCore {
     /// dealer thanks to the incremental tally in [`GvssCore::recv_echo`].
     pub fn send_vote(&mut self, out: &mut Vec<(Target, CoinMsg)>) {
         let quorum = self.cfg.quorum();
-        let content: Vec<bool> = (0..self.cfg.n)
+        // Collected straight into the shared slice: one allocation.
+        let content = (0..self.cfg.n)
             .map(|dealer| {
                 self.st.present[dealer] && self.st.match_counts[dealer] as usize >= quorum
             })
@@ -1222,7 +1223,7 @@ mod tests {
                     core.st.present[dealer] && count >= n - f
                 })
                 .collect();
-            assert_eq!(outs[0].1, CoinMsg::Vote { content: want }, "{ctx}");
+            assert_eq!(outs[0].1, CoinMsg::vote(want), "{ctx}");
         }
         let inboxes = deliver(sends);
         let mut want_grades: Vec<Vec<Grade>> = Vec::new();
@@ -1534,18 +1535,8 @@ mod tests {
         let mut core = GvssCore::new(cfg, 1);
         let from = NodeId::new(2);
         core.recv_vote(&[
-            (
-                from,
-                CoinMsg::Vote {
-                    content: vec![true; 4],
-                },
-            ),
-            (
-                from,
-                CoinMsg::Vote {
-                    content: vec![false; 4],
-                },
-            ),
+            (from, CoinMsg::vote(vec![true; 4])),
+            (from, CoinMsg::vote(vec![false; 4])),
         ]);
         assert!(
             core.st.votes.chunks(4).all(|per| per[2]),
@@ -1569,12 +1560,7 @@ mod tests {
         core.recv_share(&[(from, CoinMsg::Row { rows })]);
         assert!(!core.st.present[1]);
         // Vote with wrong arity.
-        core.recv_vote(&[(
-            from,
-            CoinMsg::Vote {
-                content: vec![true],
-            },
-        )]);
+        core.recv_vote(&[(from, CoinMsg::vote(vec![true]))]);
         assert!(core.st.votes.chunks(4).all(|per| !per[1]));
         // Echo with wrong dealer arity.
         core.recv_echo(&[(from, CoinMsg::echo(vec![None]))]);

@@ -167,14 +167,15 @@ impl FlatMatrix {
 /// `targets` (the per-dealer secret count — `n` for the ticket coin, 1 for
 /// the XOR coin).
 ///
-/// The three matrix payloads are [`FlatMatrix`]es behind an [`Arc`]: a
-/// message is built once and then only read, while the runner and every
-/// demultiplexing layer above the coin clone it (per broadcast recipient,
-/// into the phantom-replay history, per delivery), so each of those clones
-/// is a reference-count bump instead of a copy of an O(n·targets) matrix.
-/// The protocol builds them flat; [`CoinMsg::row`], [`CoinMsg::echo`] and
-/// [`CoinMsg::recover`] build them from nested vectors, for adversaries
-/// and tests. The matrices may be ragged — a Byzantine sender can say
+/// Every payload sits behind an [`Arc`] — the three matrices as
+/// [`FlatMatrix`]es, the vote as a `[bool]`: a message is built once and
+/// then only read, while the runner and every demultiplexing layer above
+/// the coin clone it (per broadcast recipient, into the phantom-replay
+/// history, per delivery), so each of those clones is a reference-count
+/// bump instead of a copy of an O(n·targets) matrix or an `n`-entry vote.
+/// The protocol builds them flat; [`CoinMsg::row`], [`CoinMsg::echo`],
+/// [`CoinMsg::vote`] and [`CoinMsg::recover`] build them from vectors,
+/// for adversaries and tests. The matrices may be ragged — a Byzantine sender can say
 /// anything — and receivers validate shape before use.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CoinMsg {
@@ -195,7 +196,7 @@ pub enum CoinMsg {
     /// Round 2, broadcast: per-dealer contentment (enough matching echoes).
     Vote {
         /// `[dealer] -> content`.
-        content: Vec<bool>,
+        content: Arc<[bool]>,
     },
     /// Round 3 (recover), broadcast: the sender's secret shares
     /// `S_j(0, sender)` for every dealer it holds rows from.
@@ -219,6 +220,13 @@ impl CoinMsg {
     pub fn echo(points: Vec<Option<Vec<u64>>>) -> Self {
         CoinMsg::Echo {
             points: Arc::new(FlatMatrix::from_rows(points.iter().map(Option::as_deref))),
+        }
+    }
+
+    /// A [`CoinMsg::Vote`] carrying `content`.
+    pub fn vote(content: Vec<bool>) -> Self {
+        CoinMsg::Vote {
+            content: content.into(),
         }
     }
 
@@ -446,7 +454,13 @@ impl Wire for CoinMsg {
             CoinMsg::Vote { content } => {
                 w.put_u8(2);
                 match format {
-                    WireFormat::Fixed => content.encode(format, w),
+                    // `Vec<bool>`'s layout: a `u32` count, a byte per entry.
+                    WireFormat::Fixed => {
+                        let len = u32::try_from(content.len())
+                            .expect("vote too long for the u32 wire length header");
+                        w.put_u32(len);
+                        content.iter().for_each(|b| b.encode(format, w));
+                    }
                     WireFormat::Packed => {
                         put_count(content.len(), w);
                         put_bitset(content.iter().copied(), w);
@@ -471,14 +485,14 @@ impl Wire for CoinMsg {
             0 => false,
             1 | 3 => true,
             2 => {
-                let content = match format {
+                let content: Vec<bool> = match format {
                     WireFormat::Fixed => Wire::decode(format, r)?,
                     WireFormat::Packed => {
                         let len = get_count(r)?;
                         get_bitset(r, len)?
                     }
                 };
-                return Some(CoinMsg::Vote { content });
+                return Some(CoinMsg::vote(content));
             }
             _ => return None,
         };
@@ -509,9 +523,7 @@ mod tests {
 
     #[test]
     fn wire_lengths() {
-        let m = CoinMsg::Vote {
-            content: vec![true, false, true],
-        };
+        let m = CoinMsg::vote(vec![true, false, true]);
         // tag + vec header + 3 bools
         assert_eq!(WireFormat::Fixed.len_of(&m), 1 + 4 + 3);
         let m = CoinMsg::row(vec![vec![1, 2], vec![3]]);
@@ -533,9 +545,7 @@ mod tests {
         assert_eq!(WireFormat::Packed.len_of(&echo), 1 + 2 + 1 + 1 + 2 + 7 * 9);
         assert!(WireFormat::Fixed.len_of(&echo) >= 6 * WireFormat::Packed.len_of(&echo));
 
-        let vote = CoinMsg::Vote {
-            content: vec![true; 7],
-        };
+        let vote = CoinMsg::vote(vec![true; 7]);
         assert_eq!(WireFormat::Packed.len_of(&vote), 1 + 2 + 1);
 
         // Row at f=2: 7 targets x 3 coefficients.
@@ -567,10 +577,10 @@ mod tests {
             CoinMsg::row(vec![vec![], vec![1, u64::MAX], vec![7]]),
             CoinMsg::echo(vec![]),
             CoinMsg::echo(vec![None, Some(vec![3, 9]), None, Some(vec![])]),
-            CoinMsg::Vote { content: vec![] },
-            CoinMsg::Vote {
-                content: vec![true, false, true, true, false, false, true, true, false],
-            },
+            CoinMsg::vote(vec![]),
+            CoinMsg::vote(vec![
+                true, false, true, true, false, false, true, true, false,
+            ]),
             CoinMsg::recover(vec![Some(vec![0, 0, 0]), None]),
         ];
         for msg in &samples {
@@ -591,9 +601,7 @@ mod tests {
         // n = 300 is beyond any realistic cluster but expressible through
         // the public builder; the two-byte packed counts must carry it
         // (a one-byte header panicked here).
-        let vote = CoinMsg::Vote {
-            content: (0..300).map(|i| i % 3 == 0).collect(),
-        };
+        let vote = CoinMsg::vote((0..300).map(|i| i % 3 == 0).collect());
         let echo = CoinMsg::echo(
             (0..300u64)
                 .map(|d| (d % 2 == 0).then(|| vec![d; 2]))

@@ -79,7 +79,7 @@ fn multibyte_reads_are_total_at_every_truncation() {
 fn packed_vote_bitset_boundaries_decode_or_fail_cleanly() {
     for len in [0usize, 1, 7, 8, 9, 15, 16, 17, 64, 65] {
         let content: Vec<bool> = (0..len).map(|i| i % 3 == 0).collect();
-        let msg = CoinMsg::Vote { content };
+        let msg = CoinMsg::vote(content);
         let mut buf = bytes::BytesMut::new();
         WireFormat::Packed.encode_into(&msg, &mut buf);
         assert_eq!(

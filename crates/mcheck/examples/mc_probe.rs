@@ -4,7 +4,7 @@ use byzclock_mcheck::two_clock::TwoClockModel;
 
 fn show(r: &byzclock_mcheck::CheckReport) {
     println!(
-        "{}: complete={} states={} edges={} synced={} persistent={} transient={} max_rank={} beats={} bound={} violation={:?}",
+        "{}: complete={} states={} edges={} synced={} persistent={} transient={} max_rank={:?} beats={:?} bound={} violation={:?}",
         r.model, r.complete, r.states, r.edges, r.synced_states, r.persistent_states,
         r.transient_synced, r.max_rank, r.max_rank_beats, r.bound_beats,
         r.violation.as_ref().map(|v| (v.kind, v.detail.clone()))

@@ -143,11 +143,13 @@ pub struct CheckReport {
     pub persistent_states: usize,
     /// Synced but not persistent.
     pub transient_synced: usize,
-    /// Worst finite convergence rank, in engine steps ([`RANK_INF`] if
-    /// some state is trapped — that is also a violation).
-    pub max_rank: u32,
-    /// `max_rank` converted to beats (rounded up).
-    pub max_rank_beats: u32,
+    /// Worst convergence rank, in engine steps: [`RANK_INF`] if some
+    /// state is trapped (that is also a violation), `None` if the rank
+    /// game never ran — exploration was capped, or closure or progress
+    /// failed first — so no rank was measured.
+    pub max_rank: Option<u32>,
+    /// `max_rank` converted to beats (rounded up; [`RANK_INF`] stays).
+    pub max_rank_beats: Option<u32>,
     /// The model's claimed bound, in beats.
     pub bound_beats: u32,
     /// First (and most severe) property failure, if any.
@@ -162,11 +164,12 @@ impl CheckReport {
 
     /// The verdict as one JSON record (`model-check --jsonl`): model,
     /// verdict (`verified`, `violation` or `incomplete`), the state and
-    /// edge counts, the worst rank (`null` when trapped) and the bound,
+    /// edge counts, the worst rank (`null` when trapped or never measured)
+    /// and the bound,
     /// then a violation's kind and diagnosis. The witness is a second
     /// record, [`Trace::to_json`].
     pub fn to_json(&self) -> String {
-        let finite = |r: u32| (r != RANK_INF).then_some(r);
+        let finite = |r: Option<u32>| r.filter(|&r| r != RANK_INF);
         let verdict = match (&self.violation, self.complete) {
             (Some(_), _) => "violation",
             (None, true) => "verified",
@@ -403,8 +406,8 @@ pub fn check<M: Model>(model: &M, max_states: usize) -> CheckReport {
         synced_states: synced_count,
         persistent_states: 0,
         transient_synced: 0,
-        max_rank: 0,
-        max_rank_beats: 0,
+        max_rank: None,
+        max_rank_beats: None,
         bound_beats: model.bound_beats(),
         violation: None,
     };
@@ -528,8 +531,8 @@ pub fn check<M: Model>(model: &M, max_states: usize) -> CheckReport {
     }
 
     if let Some(trapped) = (0..n).find(|&s| rank[s] == RANK_INF) {
-        report.max_rank = RANK_INF;
-        report.max_rank_beats = RANK_INF;
+        report.max_rank = Some(RANK_INF);
+        report.max_rank_beats = Some(RANK_INF);
         // Name one trapping choice: a menu entry whose every common
         // outcome stays trapped.
         let state = &ex.states[trapped];
@@ -556,15 +559,16 @@ pub fn check<M: Model>(model: &M, max_states: usize) -> CheckReport {
     }
 
     let max_rank = rank.iter().copied().max().unwrap_or(0);
-    report.max_rank = max_rank;
-    report.max_rank_beats = max_rank.div_ceil(model.rank_per_beat());
-    if report.max_rank_beats > report.bound_beats {
+    let max_rank_beats = max_rank.div_ceil(model.rank_per_beat());
+    report.max_rank = Some(max_rank);
+    report.max_rank_beats = Some(max_rank_beats);
+    if max_rank_beats > report.bound_beats {
         let worst = (0..n).find(|&s| rank[s] == max_rank).expect("max exists") as u32;
         report.violation = Some(Violation {
             kind: ViolationKind::Convergence,
             detail: format!(
                 "measured worst-case convergence is {} beats, over the claimed bound of {}",
-                report.max_rank_beats, report.bound_beats
+                max_rank_beats, report.bound_beats
             ),
             trace: build_trace(model, &ex, &path_to(&ex, worst)),
         });

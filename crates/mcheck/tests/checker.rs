@@ -7,8 +7,8 @@
 //! the big one through a hand-pinned witness.
 
 use byzclock_core::scenario::json;
-use byzclock_mcheck::{check, replay, BdModel, Model, Trace, TraceStep, TwoClockModel};
-use byzclock_mcheck::{ViolationKind, MODEL_NAMES};
+use byzclock_mcheck::{check, replay, BdModel, Choice, Model, Trace, TraceStep, TwoClockModel};
+use byzclock_mcheck::{ViolationKind, MODEL_NAMES, RANK_INF};
 
 /// Satellite canary: re-break the PR 5 dedup bug (duplicate-sender slots
 /// reaching the counting core) and assert the explorer finds it and
@@ -34,6 +34,76 @@ fn canary_broken_dedup_caught_with_minimal_counterexample() {
     );
     // The witness replays through the real (broken) core.
     replay(&broken, &v.trace).expect("counterexample must replay");
+    // The rank game ran and found the trap: the rank is infinite, which
+    // the verdict record writes as `null` beside `"violation"`.
+    assert_eq!(report.max_rank, Some(RANK_INF));
+    assert_eq!(report.max_rank_beats, Some(RANK_INF));
+    let record = json::parse(&report.to_json()).expect("verdict record parses");
+    assert_eq!(record.get("max_rank"), Some(&json::Value::Null));
+}
+
+/// Reads `key` of a verdict record: `Some(None)` for `null`.
+fn rank_field(record: &str, key: &str) -> Option<Option<u64>> {
+    let v = json::parse(record).expect("verdict record parses");
+    v.get(key).map(|r| r.as_u64())
+}
+
+/// A run capped before exploration ends issues no verdict and measures no
+/// rank: the report says so instead of claiming convergence at rank 0.
+#[test]
+fn a_capped_run_reports_no_rank() {
+    let report = check(&TwoClockModel::honest(4, 1), 3);
+    assert!(!report.complete);
+    assert!(report.violation.is_none());
+    assert_eq!((report.max_rank, report.max_rank_beats), (None, None));
+    let record = report.to_json();
+    assert!(record.contains(r#""verdict":"incomplete""#), "{record}");
+    assert_eq!(rank_field(&record, "max_rank"), Some(None));
+    assert_eq!(rank_field(&record, "max_rank_beats"), Some(None));
+}
+
+/// Two states, `Out` and `In` (synced): the adversary can always move
+/// between them, so `In` is reachable but never persistent.
+struct Revolving;
+
+impl Model for Revolving {
+    type State = bool;
+    fn name(&self) -> String {
+        "revolving".into()
+    }
+    fn initial_states(&self) -> Vec<bool> {
+        vec![false]
+    }
+    fn choices(&self, state: &bool) -> Vec<Choice<bool>> {
+        vec![Choice {
+            label: "flip".into(),
+            common: vec![!state],
+            adversarial: vec![],
+        }]
+    }
+    fn is_synced(&self, state: &bool) -> bool {
+        *state
+    }
+    fn bound_beats(&self) -> u32 {
+        1
+    }
+    fn describe(&self, state: &bool) -> String {
+        if *state { "In" } else { "Out" }.into()
+    }
+}
+
+/// A closure violation returns before the rank game: no rank is reported.
+#[test]
+fn a_closure_violation_reports_no_rank() {
+    let report = check(&Revolving, 16);
+    assert!(report.complete);
+    let v = report
+        .violation
+        .as_ref()
+        .expect("In can be forced back out");
+    assert_eq!(v.kind, ViolationKind::Closure);
+    assert_eq!((report.max_rank, report.max_rank_beats), (None, None));
+    assert_eq!(rank_field(&report.to_json(), "max_rank_beats"), Some(None));
 }
 
 /// The honest stack, same parameters, verifies clean — the dedup seam is
@@ -43,7 +113,10 @@ fn honest_two_clock_verifies_where_broken_fails() {
     let report = check(&TwoClockModel::honest(4, 1), 1 << 20);
     assert!(report.verified(), "{:?}", report.violation);
     assert!(report.persistent_states >= 2); // all-0 and all-1 keep ticking
-    assert!(report.max_rank_beats <= report.bound_beats);
+    let worst = report
+        .max_rank_beats
+        .expect("a verified run played the rank game");
+    assert!(worst <= report.bound_beats);
 }
 
 /// Rebuilds a [`Trace`] from its JSON record, step tuples and all.

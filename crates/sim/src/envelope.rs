@@ -93,6 +93,85 @@ pub(crate) fn for_each_send<M>(
     }
 }
 
+/// Where one phase's send lists put each recipient's traffic: the
+/// `(sender, emission)` position of every broadcast, and per recipient the
+/// positions of the unicasts addressed to it, all in (sender, emission)
+/// order. One pass over the send lists fills it into recycled buffers, so
+/// reading a recipient's share afterwards costs what that recipient is
+/// delivered, not a walk over every send.
+#[derive(Debug)]
+pub(crate) struct SendIndex {
+    broadcasts: Vec<(u16, u32)>,
+    /// `unicasts[to]`; empty for a recipient the index was told to skip.
+    unicasts: Vec<Vec<(u16, u32)>>,
+}
+
+impl SendIndex {
+    /// An empty index over recipients `0..n`.
+    pub(crate) fn new(n: usize) -> Self {
+        SendIndex {
+            broadcasts: Vec::new(),
+            unicasts: (0..n).map(|_| Vec::new()).collect(),
+        }
+    }
+
+    /// Re-indexes `sends`. Unicasts to `skip`ped recipients (`skip[to]`)
+    /// and to ids outside the cluster are left out: nobody reads them.
+    pub(crate) fn build<M>(&mut self, sends: &[Vec<(Target, M)>], skip: &[bool]) {
+        self.broadcasts.clear();
+        self.unicasts.iter_mut().for_each(Vec::clear);
+        for (from, sends) in sends.iter().enumerate() {
+            for (emission, (target, _)) in sends.iter().enumerate() {
+                let at = (from as u16, emission as u32);
+                match *target {
+                    Target::All => self.broadcasts.push(at),
+                    Target::One(to) => {
+                        if !skip.get(to.index()).copied().unwrap_or(true) {
+                            self.unicasts[to.index()].push(at);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Calls `f(from, msg)` for every send in `sends` (the lists the index
+    /// was built from) addressed to `to`, in (sender, emission) order: the
+    /// broadcasts and `to`'s unicasts, merged.
+    pub(crate) fn for_each_to<'s, M>(
+        &self,
+        sends: &'s [Vec<(Target, M)>],
+        to: NodeId,
+        mut f: impl FnMut(NodeId, &'s M),
+    ) {
+        let (mut all, mut one) = (
+            self.broadcasts.as_slice(),
+            self.unicasts[to.index()].as_slice(),
+        );
+        loop {
+            let (from, emission) = match (all.split_first(), one.split_first()) {
+                (Some((&a, rest)), Some((&b, _))) if a < b => {
+                    all = rest;
+                    a
+                }
+                (_, Some((&b, rest))) => {
+                    one = rest;
+                    b
+                }
+                (Some((&a, rest)), None) => {
+                    all = rest;
+                    a
+                }
+                (None, None) => return,
+            };
+            f(
+                NodeId::new(from),
+                &sends[from as usize][emission as usize].1,
+            );
+        }
+    }
+}
+
 /// A correct node's envelope: the runner authenticates `from` and stamps
 /// the true send beat as the round tag.
 pub(crate) fn correct_envelope<M: Clone>(
@@ -124,6 +203,41 @@ mod tests {
         let e2 = e.clone();
         assert_eq!(e, e2);
         assert!(format!("{e:?}").contains("42"));
+    }
+
+    /// Per recipient, the index yields exactly the sends `for_each_send`
+    /// addresses to it, in the same order; skipped and out-of-range
+    /// unicast recipients get nothing indexed.
+    #[test]
+    fn send_index_reads_each_recipient_in_send_order() {
+        let one = |to: u16| Target::One(NodeId::new(to));
+        let sends = vec![
+            vec![(one(2), 0u64), (Target::All, 1), (one(0), 2), (one(9), 3)],
+            vec![],
+            vec![(Target::All, 4), (one(2), 5), (one(3), 6), (Target::All, 7)],
+            vec![(one(2), 8), (one(2), 9)],
+        ];
+        let skip = [false, false, false, true];
+        let mut index = SendIndex::new(4);
+        // Build twice: the second build must not see the first's entries.
+        index.build(&sends, &skip);
+        index.build(&sends, &skip);
+        for to in 0..4u16 {
+            let to = NodeId::new(to);
+            let mut want = Vec::new();
+            for_each_send(&sends, 4, |from, t, msg| {
+                if t == to {
+                    want.push((from, *msg));
+                }
+            });
+            let mut got = Vec::new();
+            index.for_each_to(&sends, to, |from, msg| got.push((from, *msg)));
+            if skip[to.index()] {
+                // Only the broadcasts (payloads 1, 4 and 7) are indexed.
+                want.retain(|&(_, msg)| [1, 4, 7].contains(&msg));
+            }
+            assert_eq!(got, want, "recipient {to:?}");
+        }
     }
 
     #[test]

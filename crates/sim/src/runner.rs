@@ -1,16 +1,28 @@
 //! The beat-by-beat simulation loop.
 //!
-//! # One pass from outbox to inbox
+//! # Build at delivery
 //!
 //! The paper's network (Def. 2.2) is memoryless: a message sent in phase
-//! `p` is simply *there* when phase `p` is delivered. The runner matches
-//! that with one pass per phase. Correct nodes fill their recycled send
-//! lists; the runner walks those lists in node-id order and stamps every
-//! `(target, message)` straight into its recipient's inbox inside the
-//! [`DeliveryScheduler`] — a ring of per-recipient inboxes, one slot per
-//! `(arrival beat, phase)` — then sorts, delivers and empties the inboxes
-//! of the slot that is due. Nothing is gathered into an intermediate list
-//! on the way:
+//! `p` is simply *there* when phase `p` is delivered, and a broadcast is
+//! just `n` unicasts (§2 footnote). Under [`TimingModel::Lockstep`] the
+//! runner holds no correct traffic in between either. Correct nodes fill
+//! their recycled send lists; once the phase's traffic is accounted and
+//! the adversary has acted, the runner walks the correct recipients in id
+//! order and builds each one's inbox, in one recycled buffer, from:
+//!
+//! 1. the recipient's slot of the [`DeliveryScheduler`]'s ring — under
+//!    lockstep, this phase's Byzantine sends to it;
+//! 2. its share of the send lists, in (sender, emission) order, read
+//!    through a [`SendIndex`] built in one pass over the lists (every
+//!    broadcast, plus the unicasts per recipient), so building every inbox
+//!    costs the envelopes delivered plus one step per sender;
+//! 3. the phase's phantom replays addressed to it.
+//!
+//! It then stable-sorts the buffer by sender (only if it is not sorted
+//! already), delivers it, and reuses the buffer for the next recipient. A
+//! Byzantine recipient gets no inbox at all.
+//!
+//! Nothing else is gathered into an intermediate list on the way:
 //!
 //! - the adversary's [`AdversaryView`] borrows the send lists and expands
 //!   the envelopes it may see only if the strategy reads them;
@@ -19,9 +31,28 @@
 //! - the phantom-replay history ring is fed only when the fault plan
 //!   contains a [`FaultKind::PhantomBurst`] that could ever read it.
 //!
+//! # Delivery order
+//!
 //! Within a phase the routing order is fixed — correct envelopes in
 //! (sender, emission, recipient) order, then Byzantine sends, then phantom
-//! replays — so a run is a pure function of its configuration.
+//! replays — so a run is a pure function of its configuration. Every
+//! inbox is its share of that order, stable-sorted by sender: the sort is
+//! what makes [`Application::deliver`]'s "sorted by sender id" promise
+//! true, and stability keeps each sender's envelopes in routing order.
+//!
+//! The lockstep build puts the Byzantine block first (`byzantine ++ fresh
+//! ++ phantoms`, not `fresh ++ byzantine ++ phantoms`), and after the
+//! stable sort the two are the same inbox, envelope for envelope. A stable
+//! sort by sender only keeps the relative order of envelopes that share a
+//! sender, so the two agree as long as each sender's envelopes come in the
+//! same relative order in both — and they do:
+//!
+//! - [`ByzOutbox`] drops forgeries, so a Byzantine envelope never carries
+//!   a correct sender's id: moving the Byzantine block ahead of the fresh
+//!   one never reorders two envelopes of one sender;
+//! - phantoms come last in both, so a sender's fresh traffic still
+//!   precedes every phantom replay carrying its id (pinned by
+//!   `fresh_traffic_precedes_phantoms_of_the_same_sender`).
 //!
 //! # The serial beat
 //!
@@ -29,10 +60,7 @@
 //! order, on the calling thread — the paper's global beat system (§2)
 //! written out as one loop. Each node owns its RNG stream (`node_rngs`)
 //! and its send list (`send_bufs`), so what a node does depends only on
-//! its own state and its inbox. Routing appends Byzantine and phantom
-//! envelopes after the correct ones, so every inbox is stable-sorted by
-//! sender before delivery: that sort is what makes
-//! [`Application::deliver`]'s "sorted by sender id" promise true.
+//! its own state and its inbox.
 //!
 //! # The timing model
 //!
@@ -48,6 +76,12 @@
 //!   anywhere in the window via [`crate::ByzOutbox::send_after`]. The
 //!   observed delays are recorded in [`Simulation::delay_histogram`].
 //!
+//! What a delayed envelope delivers cannot be read off the send lists of
+//! its arrival phase, so under bounded delay — window 1 included, whose
+//! histogram counts every correct envelope — every envelope is routed into
+//! the scheduler's ring in routing order (the order the delay draws
+//! follow), and the inboxes of the due slot are sorted and delivered.
+//!
 //! Blackout faults interact with delay at the *arrival* end: a message
 //! due during a blacked-out beat is lost, one due after the blackout
 //! clears is delivered normally.
@@ -58,7 +92,7 @@
 
 use crate::adversary::{Adversary, AdversaryView, ByzOutbox, Visibility};
 use crate::app::{Application, Outbox};
-use crate::envelope::{correct_envelope, for_each_send};
+use crate::envelope::{correct_envelope, for_each_send, SendIndex};
 use crate::faults::{FaultKind, FaultPlan};
 use crate::stats::TrafficStats;
 use crate::timing::DeliveryScheduler;
@@ -87,8 +121,9 @@ where
 /// Each [`Simulation::step`] advances one beat:
 ///
 /// 1. for every exchange phase: correct nodes send, the adversary acts
-///    (rushing), everything is routed through the delivery scheduler, and
-///    the envelopes *due this beat* are delivered (unless blacked out);
+///    (rushing), and the envelopes *due this beat* are delivered (unless
+///    blacked out) — built from the send lists under lockstep, taken from
+///    the delivery scheduler's ring under bounded delay;
 /// 2. scheduled fault events fire at the end of the beat.
 pub struct Simulation<A: Application, Adv> {
     n: usize,
@@ -125,6 +160,11 @@ pub struct Simulation<A: Application, Adv> {
     send_bufs: Vec<Vec<(Target, A::Msg)>>,
     /// Recycled `(delay, envelope)` buffer the adversary's outbox fills.
     byz_buf: Vec<(u64, Envelope<A::Msg>)>,
+    /// Where each recipient's traffic sits in `send_bufs`, rebuilt every
+    /// lockstep phase into recycled buffers.
+    send_index: SendIndex,
+    /// The one recycled buffer every lockstep inbox is built in.
+    inbox: Vec<Envelope<A::Msg>>,
     /// Recycled encode buffer for the byte-boundary seam.
     wire_scratch: BytesMut,
 }
@@ -133,7 +173,7 @@ pub struct Simulation<A: Application, Adv> {
 const HISTORY_CAP: usize = 4096;
 
 /// The byte-boundary seam: the payload is serialized in the run's wire
-/// format and re-parsed before it enters the delivery scheduler — what a
+/// format and re-parsed on its way to an inbox — what a
 /// cross-process backend would do with a real socket between the two
 /// halves. `None` when the bytes fail to parse; a correct node's messages
 /// always round-trip, so only hostile or stale garbage can fail here.
@@ -197,6 +237,8 @@ where
             wire,
             send_bufs,
             byz_buf: Vec::new(),
+            send_index: SendIndex::new(n),
+            inbox: Vec::new(),
             wire_scratch: BytesMut::new(),
         }
     }
@@ -327,7 +369,7 @@ where
                     .sum::<u64>();
             }
 
-            // --- route every envelope into its recipient's inbox ---
+            // --- route what the send lists cannot stand for ---
             if self.record_history {
                 self.record_phase();
             }
@@ -338,27 +380,20 @@ where
             }
 
             // --- deliver what is due this (beat, phase) slot ---
-            let due = self.scheduler.due_inboxes(phase);
-            if self.beat >= self.blackout_until {
-                for_each_correct(
-                    &mut self.apps,
-                    &mut self.node_rngs,
-                    due,
-                    |app, rng, inbox| {
-                        // Stable sort: routing appends Byzantine and phantom
-                        // envelopes after the correct ones, and `deliver`
-                        // promises an inbox sorted by sender id.
-                        inbox.sort_by_key(|e| e.from);
-                        app.deliver(phase, inbox, rng);
-                    },
-                );
-            }
-            // else: envelopes due during a blackout are lost — Def. 2.2
-            // only holds once the network is non-faulty again. Either way
-            // the slot is emptied (a Byzantine recipient's inbox included)
-            // so the ring can reuse it and shared payloads are released.
-            for inbox in due {
-                inbox.clear();
+            if self.beat < self.blackout_until {
+                // Envelopes due during a blackout are lost — Def. 2.2 only
+                // holds once the network is non-faulty again. The due slot
+                // is emptied so the ring can reuse it and shared payloads
+                // are released.
+                let due = self.scheduler.due_inboxes(phase);
+                due.iter_mut().for_each(Vec::clear);
+                self.pending_phantoms.clear();
+            } else if !self.scheduler.model().is_lockstep() {
+                self.deliver_due(phase);
+            } else if self.wire.byte_boundary {
+                self.deliver_built::<true>(phase);
+            } else {
+                self.deliver_built::<false>(phase);
             }
         }
 
@@ -391,13 +426,16 @@ where
         self.pending_phantoms.iter().for_each(|e| record(e.clone()));
     }
 
-    /// Routes `phase`'s envelopes into their recipients' inboxes: correct
-    /// sends in (sender, emission, recipient) order, then Byzantine sends,
-    /// then phantoms — the order the delay draws and the in-inbox arrival
-    /// order follow. `BYTE_BOUNDARY` is the run's [`WireConfig`] flag as
-    /// a constant, which keeps the serializer out of the in-memory loop.
+    /// Routes into the scheduler's ring what `phase`'s inboxes cannot be
+    /// built from at delivery: the Byzantine sends and, under bounded
+    /// delay, every correct send and phantom replay too — correct sends in
+    /// (sender, emission, recipient) order, then Byzantine sends, then
+    /// phantoms, the order the delay draws follow. `BYTE_BOUNDARY` is the
+    /// run's [`WireConfig`] flag as a constant, which keeps the serializer
+    /// out of the in-memory loop.
     fn route<const BYTE_BOUNDARY: bool>(&mut self, phase: usize) {
         let format = self.wire.format;
+        let lockstep = self.scheduler.model().is_lockstep();
         let mut route = |e: Envelope<A::Msg>, placed: Option<u64>| {
             let e = if BYTE_BOUNDARY {
                 match reserialize(format, &mut self.wire_scratch, &e.msg) {
@@ -412,17 +450,104 @@ where
                 Some(delay) => self.scheduler.schedule_at(phase, delay, e),
             }
         };
-        for_each_send(&self.send_bufs, self.n, |from, to, msg| {
-            route(correct_envelope(from, to, self.beat, msg), None);
-        });
+        if !lockstep {
+            for_each_send(&self.send_bufs, self.n, |from, to, msg| {
+                route(correct_envelope(from, to, self.beat, msg), None);
+            });
+        }
         for (delay, e) in self.byz_buf.drain(..) {
             route(e, Some(delay));
         }
         // Phantoms model stale traffic resurfacing *now*; a burst fires at
         // the end of a beat, so it is the next beat's phase 0 that finds any.
         self.stats.current().phantom_msgs += self.pending_phantoms.len() as u64;
-        for e in self.pending_phantoms.drain(..) {
-            route(e, Some(0));
+        if !lockstep {
+            for e in self.pending_phantoms.drain(..) {
+                route(e, Some(0));
+            }
+        }
+    }
+
+    /// Bounded-delay delivery: sorts and delivers the inboxes of the due
+    /// slot, then empties the slot (a Byzantine recipient's inbox
+    /// included) so the ring can reuse it and shared payloads are released.
+    fn deliver_due(&mut self, phase: usize) {
+        let due = self.scheduler.due_inboxes(phase);
+        for_each_correct(
+            &mut self.apps,
+            &mut self.node_rngs,
+            due,
+            |app, rng, inbox| {
+                // Stable sort: routing appends Byzantine and phantom
+                // envelopes after the correct ones, and `deliver` promises
+                // an inbox sorted by sender id.
+                inbox.sort_by_key(|e| e.from);
+                app.deliver(phase, inbox, rng);
+            },
+        );
+        due.iter_mut().for_each(Vec::clear);
+    }
+
+    /// Lockstep delivery: builds each correct recipient's inbox in the one
+    /// recycled buffer — its ring slot, its share of the send lists, the
+    /// phantoms addressed to it — sorts it by sender unless it already is,
+    /// and delivers it (see the module doc for why this order is the
+    /// routing order). Every copy crosses the byte boundary on its way in
+    /// when `BYTE_BOUNDARY` is set, and is dropped if it fails to parse.
+    fn deliver_built<const BYTE_BOUNDARY: bool>(&mut self, phase: usize) {
+        let Simulation {
+            apps,
+            node_rngs,
+            byz_mask,
+            scheduler,
+            beat,
+            pending_phantoms,
+            wire,
+            send_bufs,
+            send_index,
+            inbox,
+            wire_scratch,
+            ..
+        } = self;
+        let (beat, format) = (*beat, wire.format);
+        send_index.build(send_bufs, byz_mask);
+        // Stable: the phantoms addressed to one recipient keep their order.
+        pending_phantoms.sort_by_key(|e| e.to);
+        let mut phantoms = pending_phantoms.drain(..).peekable();
+        let due = scheduler.due_inboxes(phase);
+        for (i, ((app, rng), ring)) in apps.iter_mut().zip(node_rngs).zip(due).enumerate() {
+            let Some(app) = app else {
+                ring.clear();
+                continue;
+            };
+            let to = NodeId::new(i as u16);
+            inbox.append(ring);
+            send_index.for_each_to(send_bufs, to, |from, msg| {
+                if !BYTE_BOUNDARY {
+                    inbox.push(correct_envelope(from, to, beat, msg));
+                } else if let Some(msg) = reserialize(format, wire_scratch, msg) {
+                    inbox.push(Envelope {
+                        from,
+                        to,
+                        round: beat,
+                        msg,
+                    });
+                }
+            });
+            // Phantoms to the Byzantine recipients before `to` are lost.
+            while phantoms.next_if(|e| e.to < to).is_some() {}
+            while let Some(e) = phantoms.next_if(|e| e.to == to) {
+                if !BYTE_BOUNDARY {
+                    inbox.push(e);
+                } else if let Some(msg) = reserialize(format, wire_scratch, &e.msg) {
+                    inbox.push(e.map(msg));
+                }
+            }
+            if !inbox.is_sorted_by_key(|e| e.from) {
+                inbox.sort_by_key(|e| e.from);
+            }
+            app.deliver(phase, inbox, rng);
+            inbox.clear();
         }
     }
 

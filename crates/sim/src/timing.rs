@@ -4,9 +4,10 @@
 //! the same beat it was sent — [`TimingModel::Lockstep`]. Its §6.3 future
 //! work is the *bounded-delay* (semi-synchronous) model, where a message
 //! sent at beat `r` arrives at some beat in `r .. r + d` —
-//! [`TimingModel::BoundedDelay`]. The [`DeliveryScheduler`] is the single
-//! place delivery policy lives: every envelope (correct, Byzantine, or
-//! phantom) is routed through it, and the model decides the arrival beat.
+//! [`TimingModel::BoundedDelay`]. The [`DeliveryScheduler`] is where
+//! delivery policy lives: it holds every envelope that cannot be read off
+//! the send lists of the phase it is delivered in, and the model decides
+//! the arrival beat.
 //!
 //! Determinism: bounded-delay arrival beats are drawn from a dedicated RNG
 //! stream derived from the master seed, so adding the scheduler perturbs no
@@ -71,7 +72,15 @@ impl std::fmt::Display for TimingModel {
     }
 }
 
-/// Routes every envelope of a run into the inbox it will be delivered from.
+/// Holds the envelopes in flight: what the runner cannot build an inbox
+/// from at delivery time.
+///
+/// Under [`TimingModel::Lockstep`] that is only the Byzantine sends of the
+/// current phase — correct traffic is read straight from the send lists
+/// when each inbox is built, so a lockstep run holds no correct envelope
+/// in between. Under [`TimingModel::BoundedDelay`] an envelope may arrive
+/// beats after it was sent, so every envelope — correct, Byzantine or
+/// phantom — is routed here, and the delay draws follow that routing.
 ///
 /// The scheduler is a ring of recycled per-recipient inboxes: the slot of
 /// `(deliver_beat, phase)` is `n` inboxes, one per recipient, and a ring of

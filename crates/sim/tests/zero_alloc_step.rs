@@ -3,15 +3,17 @@
 //!
 //! Every container on the send→deliver path is recycled — the per-node
 //! send lists, the adversary's outbox buffer, the scheduler's ring of
-//! per-recipient inboxes, the phantom-history ring once it is full — so
+//! per-recipient inboxes, the per-phase unicast index and the one buffer
+//! lockstep inboxes are built in, the phantom-history ring once it is
+//! full — so
 //! after a warm-up a `Simulation::step` over a non-allocating application
 //! must not touch the allocator at all. The one amortised growth left in
 //! `step` is `TrafficStats`' per-beat row vector, which doubles at beats
 //! 64 and 128; the counted window (beats 70..120) sits between the two.
 
 use byzclock_sim::{
-    Application, Envelope, FaultEvent, FaultKind, FaultPlan, NodeId, Outbox, SilentAdversary,
-    SimBuilder, SimRng,
+    Adversary, AdversaryView, Application, ByzOutbox, Envelope, FaultEvent, FaultKind, FaultPlan,
+    NodeId, Outbox, SilentAdversary, SimBuilder, SimRng, Simulation,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -82,21 +84,62 @@ impl Application for Summer {
     }
 }
 
-/// Allocator calls made by beats 70..120 of an n = 16 lockstep run.
-fn allocations_in_steady_state(plan: FaultPlan) -> u64 {
-    let mut sim = SimBuilder::new(16, 5).seed(3).faults(plan).build(
-        |cfg, _rng| Summer {
-            me: cfg.id,
-            n: cfg.n as u16,
-            sum: u64::from(cfg.id.raw()),
-        },
-        SilentAdversary,
-    );
+/// One phase that mixes both kinds of send: a unicast to the next node,
+/// a broadcast, and a unicast to itself.
+struct Mixer(Summer);
+
+impl Application for Mixer {
+    type Msg = u64;
+    fn send(&mut self, _phase: usize, out: &mut Outbox<'_, u64>) {
+        let Summer { me, n, sum } = self.0;
+        out.unicast(NodeId::new((me.raw() + 1) % n), sum);
+        out.broadcast(sum ^ 1);
+        out.unicast(me, sum ^ 2);
+    }
+    fn deliver(&mut self, phase: usize, inbox: &[Envelope<u64>], rng: &mut SimRng) {
+        self.0.deliver(phase, inbox, rng);
+    }
+    fn corrupt(&mut self, rng: &mut SimRng) {
+        self.0.corrupt(rng);
+    }
+}
+
+/// The lowest Byzantine id broadcasts the beat number, every beat.
+struct Shouter;
+
+impl Adversary<u64> for Shouter {
+    fn act(&mut self, view: &AdversaryView<'_, u64>, out: &mut ByzOutbox<'_, u64>) {
+        out.broadcast(view.byzantine()[0], view.beat());
+    }
+}
+
+fn summer(cfg: byzclock_sim::NodeCfg) -> Summer {
+    Summer {
+        me: cfg.id,
+        n: cfg.n as u16,
+        sum: u64::from(cfg.id.raw()),
+    }
+}
+
+/// Allocator calls made by beats 70..120 of `sim`.
+fn allocations_in_beats_70_to_120<A: Application, Adv: Adversary<A::Msg>>(
+    sim: &mut Simulation<A, Adv>,
+) -> u64 {
     sim.run_beats(70);
     let before = ALLOCS.with(Cell::get);
     sim.run_beats(50);
     let allocations = ALLOCS.with(Cell::get) - before;
     assert_eq!(sim.beat(), 120);
+    allocations
+}
+
+/// Allocator calls made by beats 70..120 of an n = 16 lockstep run.
+fn allocations_in_steady_state(plan: FaultPlan) -> u64 {
+    let mut sim = SimBuilder::new(16, 5)
+        .seed(3)
+        .faults(plan)
+        .build(|cfg, _rng| summer(cfg), SilentAdversary);
+    let allocations = allocations_in_beats_70_to_120(&mut sim);
     assert_eq!(sim.stats().per_beat()[119].correct_msgs, 11 * (16 + 1));
     allocations
 }
@@ -116,4 +159,20 @@ fn a_full_history_ring_allocates_nothing_either() {
         kind: FaultKind::PhantomBurst { count: 8 },
     }]);
     assert_eq!(allocations_in_steady_state(plan), 0);
+}
+
+/// Unicasts and broadcasts in one phase go through the per-phase unicast
+/// index, and a Byzantine broadcast through the scheduler's ring into the
+/// built inboxes (out of sender order, so each inbox is sorted): the
+/// index, the ring and the inbox buffer are all recycled.
+#[test]
+fn mixed_traffic_and_a_byzantine_broadcaster_allocate_nothing() {
+    let mut sim = SimBuilder::new(16, 5)
+        .seed(3)
+        .byzantine([6u16, 7, 8, 9, 10])
+        .build(|cfg, _rng| Mixer(summer(cfg)), Shouter);
+    assert_eq!(allocations_in_beats_70_to_120(&mut sim), 0);
+    let beat = sim.stats().per_beat()[119];
+    assert_eq!(beat.correct_msgs, 11 * (1 + 16 + 1));
+    assert_eq!(beat.byz_msgs, 16);
 }

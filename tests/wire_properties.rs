@@ -70,8 +70,7 @@ fn coin_msg_strategy() -> impl Strategy<Value = CoinMsg> {
         0..5,
     )
     .prop_map(CoinMsg::echo);
-    let vote = proptest::collection::vec(any::<bool>(), 0..8)
-        .prop_map(|content| CoinMsg::Vote { content });
+    let vote = proptest::collection::vec(any::<bool>(), 0..8).prop_map(CoinMsg::vote);
     let recover = proptest::collection::vec(
         proptest::option::of(proptest::collection::vec(any::<u64>(), 0..4)),
         0..5,
