@@ -6,7 +6,7 @@
 //! protocol whose messages expose clock votes via [`VoteMessage`].
 
 use crate::rand_source::{OracleBeacon, OracleDraw};
-use crate::trit::{dedup_by_sender, Trit};
+use crate::trit::{Tally, Trit};
 use byzclock_sim::{Adversary, AdversaryView, ByzOutbox, NodeId};
 
 /// A message type whose clock-vote content adversaries can read and forge.
@@ -101,17 +101,16 @@ impl<M: Clone + std::fmt::Debug> VoteMessage for crate::recursive::LevelMsg<M> {
 
 /// Reads the correct nodes' votes this phase: one vote per correct sender,
 /// as observed at the first Byzantine node (everything a correct node
-/// votes is broadcast, so this is exactly the public tally).
-fn observed_votes<M: VoteMessage>(view: &AdversaryView<'_, M>) -> Vec<(NodeId, Trit)> {
-    let Some(&observer) = view.byzantine().first() else {
-        return Vec::new();
-    };
+/// votes is broadcast, so this is exactly the public tally). `None` when
+/// there is nothing to game (no observer, or no votes in this phase).
+fn observed_votes<M: VoteMessage>(view: &AdversaryView<'_, M>) -> Option<Tally> {
+    let &observer = view.byzantine().first()?;
     let mut votes: Vec<(NodeId, Trit)> = view
         .visible_to(observer)
         .filter_map(|e| e.msg.vote().map(|t| (e.from, t)))
         .collect();
     votes.sort_by_key(|&(from, _)| from);
-    dedup_by_sender(votes)
+    (!votes.is_empty()).then(|| votes.into_iter().collect())
 }
 
 /// Every Byzantine node broadcasts an independent uniformly random vote in
@@ -162,13 +161,10 @@ pub struct SplitVoteAdversary;
 
 impl<M: VoteMessage> Adversary<M> for SplitVoteAdversary {
     fn act(&mut self, view: &AdversaryView<'_, M>, out: &mut ByzOutbox<'_, M>) {
-        let votes = observed_votes(view);
-        if votes.is_empty() {
+        let Some(Tally { zeros, ones, .. }) = observed_votes(view) else {
             // Nothing to game in this phase (e.g. gated sub-clock idle).
             return;
-        }
-        let zeros = votes.iter().filter(|&&(_, v)| v == Trit::Zero).count();
-        let ones = votes.iter().filter(|&&(_, v)| v == Trit::One).count();
+        };
         let maj = if zeros >= ones { Trit::Zero } else { Trit::One };
         for &b in view.byzantine() {
             for (idx, to) in view.all_ids().enumerate() {
@@ -213,12 +209,9 @@ impl RandAwareSplitter {
 
 impl<M: VoteMessage> Adversary<M> for RandAwareSplitter {
     fn act(&mut self, view: &AdversaryView<'_, M>, out: &mut ByzOutbox<'_, M>) {
-        let votes = observed_votes(view);
-        if votes.is_empty() {
+        let Some(Tally { zeros, ones, .. }) = observed_votes(view) else {
             return;
-        }
-        let zeros = votes.iter().filter(|&&(_, v)| v == Trit::Zero).count();
-        let ones = votes.iter().filter(|&&(_, v)| v == Trit::One).count();
+        };
         let f = view.f();
         let quorum = view.n() - f;
         // `w` is the bit ⊥-holders will substitute into *next* beat's

@@ -19,8 +19,8 @@
 use crate::clock::DigitalClock;
 use crate::four_clock::{FourClock, FourClockMsg};
 use crate::rand_source::RandSource;
-use crate::trit::dedup_by_sender;
-use crate::trit::Trit;
+use crate::trit::{first_of_sender, Tally, Trit};
+use crate::two_clock::send_coin;
 use byzclock_sim::{
     Application, Envelope, NodeCfg, NodeId, Outbox, SimRng, Wire, WireFormat, WireReader,
     WireWriter,
@@ -79,9 +79,14 @@ pub struct ClockSync<R: RandSource> {
     block: Option<u8>,
     /// The value retained in block (c) for block (d)'s adoption.
     save: u64,
-    prev_fulls: Vec<(NodeId, u64)>,
-    prev_proposes: Vec<(NodeId, Option<u64>)>,
-    prev_bits: Vec<(NodeId, bool)>,
+    /// Last beat's receipts, first message per sender and kind, refilled
+    /// in place every beat. Later blocks read only their multisets, so
+    /// one list holds bare values: the first `prev_fulls` are `Full`
+    /// values, the rest non-`⊥` `Propose` values. The bit votes are a
+    /// count.
+    receipts: Vec<u64>,
+    prev_fulls: usize,
+    prev_bits: Tally,
     last_rand: bool,
 }
 
@@ -102,9 +107,9 @@ impl<R: RandSource> ClockSync<R> {
             full_clock: 0,
             block: None,
             save: 0,
-            prev_fulls: Vec::new(),
-            prev_proposes: Vec::new(),
-            prev_bits: Vec::new(),
+            receipts: Vec::with_capacity(cfg.n),
+            prev_fulls: 0,
+            prev_bits: Tally::default(),
             last_rand: false,
         }
     }
@@ -148,11 +153,12 @@ impl<R: RandSource> ClockSync<R> {
     //
     // The Layer-B top-layer model in `byzclock-mcheck` restores canonical
     // states and extracts the live-variable images of the `prev_*` receipt
-    // vectors through these. They are not part of the protocol surface.
+    // lists through these. They are not part of the protocol surface.
 
     /// Model-checking hook: overwrites the top layer's mutable state and
     /// pins the 4-clock to a concrete sub-clock pair (so the next beat's
-    /// block dispatch reads `clock(A) = 2·a2 + a1`).
+    /// block dispatch reads `clock(A) = 2·a2 + a1`). The receipts are the
+    /// `Full` values, the non-`⊥` `Propose` values and the bit votes.
     #[allow(clippy::too_many_arguments)]
     pub fn mc_restore_top(
         &mut self,
@@ -160,28 +166,33 @@ impl<R: RandSource> ClockSync<R> {
         a2: Trit,
         full_clock: u64,
         save: u64,
-        fulls: Vec<(NodeId, u64)>,
-        proposes: Vec<(NodeId, Option<u64>)>,
-        bits: Vec<(NodeId, bool)>,
+        fulls: &[u64],
+        proposes: &[u64],
+        bits: &[bool],
     ) {
         self.four.mc_set_state(a1, a2, false);
         self.full_clock = full_clock % self.k;
         self.save = save % self.k;
         self.block = None;
-        self.prev_fulls = fulls;
-        self.prev_proposes = proposes;
-        self.prev_bits = bits;
+        self.receipts.clear();
+        self.receipts.extend_from_slice(fulls);
+        self.prev_fulls = fulls.len();
+        self.receipts.extend_from_slice(proposes);
+        self.prev_bits = Tally::default();
+        for &b in bits {
+            self.prev_bits.count(Trit::from_bit(b));
+        }
     }
 
-    /// Model-checking hook: the propose image of `prev_fulls` — everything
+    /// Model-checking hook: the propose image of the `Full` receipts — everything
     /// block (b) will read from them.
     pub fn mc_propose_image(&self) -> Option<u64> {
         self.compute_propose()
     }
 
-    /// Model-checking hook: the `(save, bit)` image of `prev_proposes` —
+    /// Model-checking hook: the `(save, bit)` image of the propose receipts —
     /// everything block (c) will read from them.
-    pub fn mc_save_bit_image(&self) -> (Option<u64>, bool) {
+    pub fn mc_save_bit_image(&mut self) -> (Option<u64>, bool) {
         self.compute_save_bit()
     }
 
@@ -191,51 +202,59 @@ impl<R: RandSource> ClockSync<R> {
     }
 
     /// Model-checking hook: the bit votes block (d) will read.
-    pub fn mc_prev_bits(&self) -> &[(NodeId, bool)] {
-        &self.prev_bits
+    pub fn mc_prev_bits(&self) -> Tally {
+        self.prev_bits
     }
 
     /// Block (b): the propose derived from the previous beat's `Full`
     /// messages — `Some(v)` iff `v` was received from `n − f` distinct
-    /// senders.
+    /// senders. There is one receipt per sender, so at most `n`, and
+    /// `n − f > n/2` of them make `v` their strict majority: the
+    /// Boyer–Moore candidate is the only value worth counting.
     fn compute_propose(&self) -> Option<u64> {
-        let quorum = self.cfg.quorum();
-        let mut counts: Vec<(u64, usize)> = Vec::new();
-        for &(_, v) in &self.prev_fulls {
-            match counts.iter_mut().find(|(val, _)| *val == v) {
-                Some((_, c)) => *c += 1,
-                None => counts.push((v, 1)),
-            }
+        let fulls = &self.receipts[..self.prev_fulls];
+        let mut candidate = (0, 0usize);
+        for &v in fulls {
+            candidate = match candidate {
+                (_, 0) => (v, 1),
+                (c, lead) if c == v => (c, lead + 1),
+                (c, lead) => (c, lead - 1),
+            };
         }
-        counts
-            .into_iter()
-            .find(|&(_, c)| c >= quorum)
-            .map(|(v, _)| v)
+        let v = candidate.0;
+        let count = fulls.iter().filter(|&&w| w == v).count();
+        (count >= self.cfg.quorum()).then_some(v)
     }
 
     /// Block (c): `(save, bit)` from the previous beat's proposes. `save`
     /// is the most frequent non-`⊥` value (ties to the smaller value —
     /// only reachable below the quorum, where Lemma 7 makes the winner
-    /// unique); `bit = 1` iff it reached `n − f`.
-    fn compute_save_bit(&self) -> (Option<u64>, bool) {
-        let quorum = self.cfg.quorum();
-        let mut counts: Vec<(u64, usize)> = Vec::new();
-        for &(_, p) in &self.prev_proposes {
-            if let Some(v) = p {
-                match counts.iter_mut().find(|(val, _)| *val == v) {
-                    Some((_, c)) => *c += 1,
-                    None => counts.push((v, 1)),
-                }
+    /// unique); `bit = 1` iff it reached `n − f`. Sorts the receipts in
+    /// place (only their multiset is read) and takes the first longest run.
+    fn compute_save_bit(&mut self) -> (Option<u64>, bool) {
+        let proposes = &mut self.receipts[self.prev_fulls..];
+        proposes.sort_unstable();
+        let mut best: Option<(u64, usize)> = None;
+        for run in proposes.chunk_by(|a, b| a == b) {
+            if best.is_none_or(|(_, c)| run.len() > c) {
+                best = Some((run[0], run.len()));
             }
         }
-        let best = counts
-            .into_iter()
-            .max_by(|a, b| a.1.cmp(&b.1).then(b.0.cmp(&a.0)));
         match best {
-            Some((v, c)) => (Some(v), c >= quorum),
+            Some((v, c)) => (Some(v), c >= self.cfg.quorum()),
             None => (None, false),
         }
     }
+}
+
+/// Up to `n` arbitrary receipt values for a scrambled receipt list. Each
+/// receipt draws a sender id and a value; the lists keep only the value.
+fn garbage_receipts(rng: &mut SimRng, n: usize) -> impl Iterator<Item = u64> + '_ {
+    let len = rng.random_range(0..=n);
+    (0..len).map(move |_| {
+        let _sender = rng.random_range(0..n as u16);
+        rng.random()
+    })
 }
 
 impl<R: RandSource> DigitalClock for ClockSync<R> {
@@ -261,19 +280,9 @@ impl<R: RandSource> Application for ClockSync<R> {
                 // Step 3's dispatch considers clock(A) *at the beginning of
                 // the beat* — capture before A executes.
                 self.block = self.four.clock();
-                let mut sends = Vec::new();
-                self.four.phase_send(0, out.rng(), &mut sends);
-                for (t, m) in sends {
-                    out.push(t, ClockSyncMsg::Four(m));
-                }
+                self.four.phase_send(0, out, ClockSyncMsg::Four);
             }
-            1 => {
-                let mut sends = Vec::new();
-                self.four.phase_send(1, out.rng(), &mut sends);
-                for (t, m) in sends {
-                    out.push(t, ClockSyncMsg::Four(m));
-                }
-            }
+            1 => self.four.phase_send(1, out, ClockSyncMsg::Four),
             2 => {
                 // Step 2: increment every beat.
                 self.full_clock = (self.full_clock.wrapping_add(1)) % self.k;
@@ -293,11 +302,7 @@ impl<R: RandSource> Application for ClockSync<R> {
                     // (⊥ / out-of-range garbage) performs no block.
                     _ => {}
                 }
-                let mut coin_out = Vec::new();
-                self.rand_source.send(out.rng(), &mut coin_out);
-                for (t, m) in coin_out {
-                    out.push(t, ClockSyncMsg::Coin(m));
-                }
+                send_coin(&mut self.rand_source, out, ClockSyncMsg::Coin);
             }
             _ => {}
         }
@@ -306,23 +311,39 @@ impl<R: RandSource> Application for ClockSync<R> {
     fn deliver(&mut self, phase: usize, inbox: &[Envelope<Self::Msg>], rng: &mut SimRng) {
         match phase {
             0 | 1 => {
-                let sub: Vec<Envelope<FourClockMsg<R::Msg>>> = inbox
-                    .iter()
-                    .filter_map(|e| match &e.msg {
-                        ClockSyncMsg::Four(m) => Some(e.map(m.clone())),
-                        _ => None,
-                    })
-                    .collect();
-                self.four.phase_deliver(phase, &sub, rng);
+                let four = inbox.iter().filter_map(|e| match &e.msg {
+                    ClockSyncMsg::Four(m) => Some((e.from, m)),
+                    _ => None,
+                });
+                self.four.phase_deliver(phase, four, rng);
             }
             2 => {
-                let coin_inbox: Vec<(NodeId, R::Msg)> = inbox
-                    .iter()
-                    .filter_map(|e| match &e.msg {
-                        ClockSyncMsg::Coin(m) => Some((e.from, m.clone())),
-                        _ => None,
-                    })
-                    .collect();
+                // One pass: collect the coin's sub-inbox and refill this
+                // beat's receipts (one per sender and kind) for the next
+                // block, keeping the previous bit votes for block (d).
+                let bits = std::mem::take(&mut self.prev_bits);
+                self.receipts.clear();
+                self.prev_fulls = 0;
+                let (mut last_full, mut last_propose) = (None, None);
+                let mut coin_inbox: Vec<(NodeId, R::Msg)> = Vec::new();
+                for e in inbox {
+                    match &e.msg {
+                        ClockSyncMsg::Full(v) if first_of_sender(&mut last_full, e.from) => {
+                            // Keep the `Full` values in front of the proposes.
+                            self.receipts.push(*v);
+                            let last = self.receipts.len() - 1;
+                            self.receipts.swap(self.prev_fulls, last);
+                            self.prev_fulls += 1;
+                        }
+                        // A `⊥` propose spends its sender's turn but is not kept.
+                        ClockSyncMsg::Propose(p) if first_of_sender(&mut last_propose, e.from) => {
+                            self.receipts.extend(*p)
+                        }
+                        ClockSyncMsg::BitVote(b) => self.prev_bits.add(e.from, Trit::from_bit(*b)),
+                        ClockSyncMsg::Coin(m) => coin_inbox.push((e.from, m.clone())),
+                        _ => {}
+                    }
+                }
                 // The coin of beat r is revealed only now — after every
                 // sender committed its block messages (Lemma 8's
                 // independence of rand and v).
@@ -332,11 +353,9 @@ impl<R: RandSource> Application for ClockSync<R> {
                 if self.block == Some(3) {
                     // Block (d): decide from the previous beat's bit votes.
                     let quorum = self.cfg.quorum();
-                    let ones = self.prev_bits.iter().filter(|&&(_, b)| b).count();
-                    let zeros = self.prev_bits.iter().filter(|&&(_, b)| !b).count();
-                    self.full_clock = if ones >= quorum {
+                    self.full_clock = if bits.ones >= quorum {
                         (self.save + 3) % self.k
-                    } else if zeros >= quorum {
+                    } else if bits.zeros >= quorum {
                         0
                     } else if rand {
                         (self.save + 3) % self.k
@@ -344,21 +363,6 @@ impl<R: RandSource> Application for ClockSync<R> {
                         0
                     };
                 }
-
-                // Retain this beat's receipts for the next block (one entry
-                // per sender; overwritten every beat).
-                self.prev_fulls = dedup_by_sender(inbox.iter().filter_map(|e| match &e.msg {
-                    ClockSyncMsg::Full(v) => Some((e.from, *v)),
-                    _ => None,
-                }));
-                self.prev_proposes = dedup_by_sender(inbox.iter().filter_map(|e| match &e.msg {
-                    ClockSyncMsg::Propose(p) => Some((e.from, *p)),
-                    _ => None,
-                }));
-                self.prev_bits = dedup_by_sender(inbox.iter().filter_map(|e| match &e.msg {
-                    ClockSyncMsg::BitVote(b) => Some((e.from, *b)),
-                    _ => None,
-                }));
             }
             _ => {}
         }
@@ -375,21 +379,18 @@ impl<R: RandSource> Application for ClockSync<R> {
             None
         };
         self.last_rand = rng.random();
-        let garbage = |rng: &mut SimRng, n: usize| -> Vec<(NodeId, u64)> {
-            (0..rng.random_range(0..=n))
-                .map(|_| (NodeId::new(rng.random_range(0..n as u16)), rng.random()))
-                .collect()
-        };
+        // Arbitrary receipts: an even propose value stands for `⊥`, an
+        // even bit value for a 1.
         let n = self.cfg.n;
-        self.prev_fulls = garbage(rng, n);
-        self.prev_proposes = garbage(rng, n)
-            .into_iter()
-            .map(|(id, v)| (id, if v % 2 == 0 { None } else { Some(v) }))
-            .collect();
-        self.prev_bits = garbage(rng, n)
-            .into_iter()
-            .map(|(id, v)| (id, v % 2 == 0))
-            .collect();
+        self.receipts.clear();
+        self.receipts.extend(garbage_receipts(rng, n));
+        self.prev_fulls = self.receipts.len();
+        self.receipts
+            .extend(garbage_receipts(rng, n).filter(|v| !v.is_multiple_of(2)));
+        self.prev_bits = Tally::default();
+        for v in garbage_receipts(rng, n) {
+            self.prev_bits.count(Trit::from_bit(v.is_multiple_of(2)));
+        }
     }
 
     fn begin_beat(&mut self, beat: u64) {

@@ -16,10 +16,10 @@
 
 use crate::clock::DigitalClock;
 use crate::rand_source::RandSource;
-use crate::trit::{dedup_by_sender, Trit};
-use crate::two_clock::{TwoClock, TwoClockCore, TwoClockMsg};
+use crate::trit::{Tally, Trit};
+use crate::two_clock::{send_coin, TwoClock, TwoClockCore, TwoClockMsg};
 use byzclock_sim::{
-    Application, Envelope, NodeCfg, NodeId, Outbox, SimRng, Target, Wire, WireFormat, WireReader,
+    Application, Envelope, NodeCfg, NodeId, Outbox, SimRng, Wire, WireFormat, WireReader,
     WireWriter,
 };
 use rand::Rng;
@@ -49,19 +49,6 @@ impl<M: Wire> Wire for FourClockMsg<M> {
             _ => None,
         }
     }
-}
-
-fn sub_inbox<M: Clone>(
-    inbox: &[Envelope<FourClockMsg<M>>],
-    want_a1: bool,
-) -> Vec<Envelope<TwoClockMsg<M>>> {
-    inbox
-        .iter()
-        .filter_map(|e| match (&e.msg, want_a1) {
-            (FourClockMsg::A1(m), true) | (FourClockMsg::A2(m), false) => Some(e.map(m.clone())),
-            _ => None,
-        })
-        .collect()
 }
 
 /// `ss-Byz-4-Clock` (Fig. 3). Runs as a two-phase [`Application`] or as a
@@ -125,38 +112,41 @@ impl<R: RandSource> FourClock<R> {
     }
 
     /// Sub-phase send: phase 0 drives `A1`, phase 1 drives `A2` when gated.
-    pub fn phase_send(
+    /// Messages go straight into the enclosing protocol's outbox, wrapped
+    /// by `wrap`.
+    pub fn phase_send<M>(
         &mut self,
         phase: usize,
-        rng: &mut SimRng,
-        out: &mut Vec<(Target, FourClockMsg<R::Msg>)>,
+        out: &mut Outbox<'_, M>,
+        wrap: impl Fn(FourClockMsg<R::Msg>) -> M,
     ) {
-        let mut sub = Vec::new();
         match phase {
-            0 => {
-                self.a1.step_send(rng, &mut sub);
-                out.extend(sub.into_iter().map(|(t, m)| (t, FourClockMsg::A1(m))));
-            }
-            1 if self.gate_a2 => {
-                self.a2.step_send(rng, &mut sub);
-                out.extend(sub.into_iter().map(|(t, m)| (t, FourClockMsg::A2(m))));
-            }
+            0 => self.a1.step_send(out, |m| wrap(FourClockMsg::A1(m))),
+            1 if self.gate_a2 => self.a2.step_send(out, |m| wrap(FourClockMsg::A2(m))),
             _ => {}
         }
     }
 
-    /// Sub-phase deliver; decides the `A2` gate after `A1`'s beat.
-    pub fn phase_deliver(
+    /// Sub-phase deliver over the `(sender, message)` pairs of the phase's
+    /// sender-sorted inbox, borrowed in place; each sub-clock reads only
+    /// its own variant. Decides the `A2` gate after `A1`'s beat.
+    pub fn phase_deliver<'m>(
         &mut self,
         phase: usize,
-        inbox: &[Envelope<FourClockMsg<R::Msg>>],
+        inbox: impl IntoIterator<Item = (NodeId, &'m FourClockMsg<R::Msg>)>,
         rng: &mut SimRng,
-    ) {
+    ) where
+        R::Msg: 'm,
+    {
+        let inbox = inbox.into_iter();
         match phase {
             0 => {
                 self.beats += 1;
-                let a1_inbox = sub_inbox(inbox, true);
-                self.a1.step_deliver(&a1_inbox, rng);
+                let a1 = inbox.filter_map(|(from, m)| match m {
+                    FourClockMsg::A1(m) => Some((from, m)),
+                    FourClockMsg::A2(_) => None,
+                });
+                self.a1.step_deliver(a1, rng);
                 // Fig. 3 line 2: the gate reads clock(A1) *after* A1's beat.
                 self.gate_a2 = self.a1.clock() == Trit::Zero;
                 if self.gate_a2 {
@@ -164,8 +154,11 @@ impl<R: RandSource> FourClock<R> {
                 }
             }
             1 if self.gate_a2 => {
-                let a2_inbox = sub_inbox(inbox, false);
-                self.a2.step_deliver(&a2_inbox, rng);
+                let a2 = inbox.filter_map(|(from, m)| match m {
+                    FourClockMsg::A2(m) => Some((from, m)),
+                    FourClockMsg::A1(_) => None,
+                });
+                self.a2.step_deliver(a2, rng);
             }
             _ => {}
         }
@@ -215,15 +208,11 @@ impl<R: RandSource> Application for FourClock<R> {
     }
 
     fn send(&mut self, phase: usize, out: &mut Outbox<'_, Self::Msg>) {
-        let mut sends = Vec::new();
-        self.phase_send(phase, out.rng(), &mut sends);
-        for (target, msg) in sends {
-            out.push(target, msg);
-        }
+        self.phase_send(phase, out, |m| m);
     }
 
     fn deliver(&mut self, phase: usize, inbox: &[Envelope<Self::Msg>], rng: &mut SimRng) {
-        self.phase_deliver(phase, inbox, rng);
+        self.phase_deliver(phase, inbox.iter().map(|e| (e.from, &e.msg)), rng);
     }
 
     fn corrupt(&mut self, rng: &mut SimRng) {
@@ -321,11 +310,7 @@ impl<R: RandSource> Application for SharedFourClock<R> {
         match phase {
             0 => {
                 out.broadcast(SharedFourClockMsg::A1Vote(self.core1.vote()));
-                let mut coin_out = Vec::new();
-                self.rand_source.send(out.rng(), &mut coin_out);
-                for (target, m) in coin_out {
-                    out.push(target, SharedFourClockMsg::Coin(m));
-                }
+                send_coin(&mut self.rand_source, out, SharedFourClockMsg::Coin);
             }
             1 if self.gate_a2 => {
                 out.broadcast(SharedFourClockMsg::A2Vote(self.core2.vote()));
@@ -337,26 +322,27 @@ impl<R: RandSource> Application for SharedFourClock<R> {
     fn deliver(&mut self, phase: usize, inbox: &[Envelope<Self::Msg>], rng: &mut SimRng) {
         match phase {
             0 => {
-                let coin_inbox: Vec<(NodeId, R::Msg)> = inbox
-                    .iter()
-                    .filter_map(|e| match &e.msg {
-                        SharedFourClockMsg::Coin(m) => Some((e.from, m.clone())),
-                        _ => None,
-                    })
-                    .collect();
+                let mut votes = Tally::default();
+                let mut coin_inbox: Vec<(NodeId, R::Msg)> = Vec::new();
+                for e in inbox {
+                    match &e.msg {
+                        SharedFourClockMsg::A1Vote(t) => votes.add(e.from, *t),
+                        SharedFourClockMsg::Coin(m) => coin_inbox.push((e.from, m.clone())),
+                        SharedFourClockMsg::A2Vote(_) => {}
+                    }
+                }
                 self.rand_this_beat = self.rand_source.deliver(&coin_inbox, rng);
-                let votes = dedup_by_sender(inbox.iter().filter_map(|e| match &e.msg {
-                    SharedFourClockMsg::A1Vote(t) => Some((e.from, *t)),
-                    _ => None,
-                }));
                 self.core1.apply(&votes, self.rand_this_beat);
                 self.gate_a2 = self.core1.clock() == Trit::Zero;
             }
             1 if self.gate_a2 => {
-                let votes = dedup_by_sender(inbox.iter().filter_map(|e| match &e.msg {
-                    SharedFourClockMsg::A2Vote(t) => Some((e.from, *t)),
-                    _ => None,
-                }));
+                let votes: Tally = inbox
+                    .iter()
+                    .filter_map(|e| match e.msg {
+                        SharedFourClockMsg::A2Vote(t) => Some((e.from, t)),
+                        _ => None,
+                    })
+                    .collect();
                 // The same beat's bit is reused — Remark 4.1.
                 self.core2.apply(&votes, self.rand_this_beat);
             }

@@ -71,5 +71,5 @@ pub use rand_source::{
 };
 pub use recursive::{LevelMsg, RecursiveClock};
 pub use round::{merge_metrics, CoinScheme, RoundProtocol};
-pub use trit::{dedup_by_sender, majority_literal, majority_with_rand, MajorityCount, Trit};
+pub use trit::{MajorityCount, Tally, Trit};
 pub use two_clock::{BrokenTwoClock, TwoClock, TwoClockCore, TwoClockMsg};

@@ -113,15 +113,8 @@ impl<R: RandSource> Application for RecursiveClock<R> {
         let gate = phase == 0 || self.zero_chain;
         self.gated_this_beat[phase] = gate;
         if gate {
-            let mut sends = Vec::new();
-            self.levels[phase].step_send(out.rng(), &mut sends);
-            for (t, m) in sends {
-                let msg = LevelMsg {
-                    level: phase as u8,
-                    msg: m,
-                };
-                out.push(t, msg);
-            }
+            let level = phase as u8;
+            self.levels[phase].step_send(out, |msg| LevelMsg { level, msg });
         }
     }
 
@@ -130,12 +123,11 @@ impl<R: RandSource> Application for RecursiveClock<R> {
             return;
         }
         if self.gated_this_beat[phase] {
-            let sub: Vec<Envelope<TwoClockMsg<R::Msg>>> = inbox
+            let level = inbox
                 .iter()
-                .filter(|&e| usize::from(e.msg.level) == phase)
-                .map(|e| e.map(e.msg.msg.clone()))
-                .collect();
-            self.levels[phase].step_deliver(&sub, rng);
+                .filter(|e| usize::from(e.msg.level) == phase)
+                .map(|e| (e.from, &e.msg.msg));
+            self.levels[phase].step_deliver(level, rng);
         }
         // Fig. 3's gate, chained: the next level steps iff everything below
         // it reads 0 *after* this beat's execution.

@@ -86,71 +86,85 @@ pub struct MajorityCount {
     pub count: usize,
 }
 
-/// Computes `maj`/`#maj` over one vote per sender, substituting `rand` for
-/// every `⊥` vote (Fig. 2 line 3).
+impl MajorityCount {
+    fn of(zeros: usize, ones: usize) -> Self {
+        MajorityCount {
+            maj: ones > zeros,
+            count: zeros.max(ones),
+        }
+    }
+}
+
+/// One beat's clock votes, counted in one streaming pass over the inbox:
+/// the first vote per sender, split into zeros, ones and `⊥`.
 ///
-/// `votes` must already be deduplicated to one vote per sender — the
-/// protocol layer keeps the first message per sender, so a Byzantine node
-/// cannot vote twice.
-pub fn majority_with_rand(votes: &[(NodeId, Trit)], rand: bool) -> MajorityCount {
-    let mut zeros = 0usize;
-    let mut ones = 0usize;
-    for &(_, vote) in votes {
-        match vote.bit().unwrap_or(rand) {
-            false => zeros += 1,
-            true => ones += 1,
-        }
-    }
-    if ones > zeros {
-        MajorityCount {
-            maj: true,
-            count: ones,
-        }
-    } else {
-        MajorityCount {
-            maj: false,
-            count: zeros,
-        }
-    }
+/// Inboxes arrive sorted by sender, so a Byzantine double-send is adjacent
+/// to its first vote and [`Tally::add`] drops it. `rand` is folded in only
+/// after the coin has answered ([`Tally::with_rand`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Tally {
+    /// Definite `0` votes.
+    pub zeros: usize,
+    /// Definite `1` votes.
+    pub ones: usize,
+    /// `⊥` votes.
+    pub bots: usize,
+    last: Option<NodeId>,
 }
 
-/// Computes `maj`/`#maj` counting only definite votes (`⊥` contributes to
-/// neither side) — used by the broken Remark 3.1 variant where senders
-/// substitute before broadcasting.
-pub fn majority_literal(votes: &[(NodeId, Trit)]) -> MajorityCount {
-    let mut zeros = 0usize;
-    let mut ones = 0usize;
-    for &(_, vote) in votes {
+impl Tally {
+    /// Counts `vote` unless `from` also sent the previous vote added — in
+    /// a sender-sorted stream, unless `from` already voted (first wins).
+    pub fn add(&mut self, from: NodeId, vote: Trit) {
+        if first_of_sender(&mut self.last, from) {
+            self.count(vote);
+        }
+    }
+
+    /// Counts `vote` with no sender check — for callers whose votes are
+    /// already one per sender, or that model a protocol without the check.
+    pub fn count(&mut self, vote: Trit) {
         match vote {
-            Trit::Zero => zeros += 1,
-            Trit::One => ones += 1,
-            Trit::Bot => {}
+            Trit::Zero => self.zeros += 1,
+            Trit::One => self.ones += 1,
+            Trit::Bot => self.bots += 1,
         }
     }
-    if ones > zeros {
-        MajorityCount {
-            maj: true,
-            count: ones,
+
+    /// `maj`/`#maj` with `rand` substituted for every `⊥` vote (Fig. 2
+    /// lines 3–4).
+    pub fn with_rand(&self, rand: bool) -> MajorityCount {
+        if rand {
+            MajorityCount::of(self.zeros, self.ones + self.bots)
+        } else {
+            MajorityCount::of(self.zeros + self.bots, self.ones)
         }
-    } else {
-        MajorityCount {
-            maj: false,
-            count: zeros,
-        }
+    }
+
+    /// `maj`/`#maj` over the definite votes only (`⊥` counts for neither
+    /// side) — the broken Remark 3.1 variant, whose senders substitute
+    /// before broadcasting.
+    pub fn literal(&self) -> MajorityCount {
+        MajorityCount::of(self.zeros, self.ones)
     }
 }
 
-/// Keeps the first message per sender: one vote per node, Byzantine
-/// duplicates ignored. `inbox` must be sorted by sender (the simulator
-/// guarantees it), so `is_sorted` duplicates are adjacent.
-pub fn dedup_by_sender<T: Copy>(pairs: impl IntoIterator<Item = (NodeId, T)>) -> Vec<(NodeId, T)> {
-    let mut out: Vec<(NodeId, T)> = Vec::new();
-    for (from, value) in pairs {
-        if out.last().map(|&(prev, _)| prev) != Some(from) {
-            out.push((from, value));
+impl FromIterator<(NodeId, Trit)> for Tally {
+    /// Tallies a sender-sorted vote stream, first vote per sender.
+    fn from_iter<I: IntoIterator<Item = (NodeId, Trit)>>(votes: I) -> Self {
+        let mut tally = Tally::default();
+        for (from, vote) in votes {
+            tally.add(from, vote);
         }
+        tally
     }
-    out
+}
+
+/// Whether `from` starts a new sender in a sender-sorted stream whose
+/// previous sender is `last` (updated): the first-message-per-sender rule
+/// every vote and receipt list of the clock stack applies.
+pub(crate) fn first_of_sender(last: &mut Option<NodeId>, from: NodeId) -> bool {
+    last.replace(from) != Some(from)
 }
 
 #[cfg(test)]
@@ -160,6 +174,10 @@ mod tests {
 
     fn id(i: u16) -> NodeId {
         NodeId::new(i)
+    }
+
+    fn tally(votes: &[(NodeId, Trit)]) -> Tally {
+        votes.iter().copied().collect()
     }
 
     #[test]
@@ -174,18 +192,16 @@ mod tests {
 
     #[test]
     fn majority_substitutes_rand_for_bot() {
-        let votes = vec![(id(0), Trit::Zero), (id(1), Trit::Bot), (id(2), Trit::Bot)];
-        let m = majority_with_rand(&votes, false);
+        let votes = tally(&[(id(0), Trit::Zero), (id(1), Trit::Bot), (id(2), Trit::Bot)]);
         assert_eq!(
-            m,
+            votes.with_rand(false),
             MajorityCount {
                 maj: false,
                 count: 3
             }
         );
-        let m = majority_with_rand(&votes, true);
         assert_eq!(
-            m,
+            votes.with_rand(true),
             MajorityCount {
                 maj: true,
                 count: 2
@@ -195,18 +211,16 @@ mod tests {
 
     #[test]
     fn majority_tie_breaks_to_zero() {
-        let votes = vec![(id(0), Trit::Zero), (id(1), Trit::One)];
-        let m = majority_with_rand(&votes, false);
+        let m = tally(&[(id(0), Trit::Zero), (id(1), Trit::One)]).with_rand(false);
         assert!(!m.maj);
         assert_eq!(m.count, 1);
     }
 
     #[test]
     fn literal_majority_ignores_bot() {
-        let votes = vec![(id(0), Trit::Bot), (id(1), Trit::Bot), (id(2), Trit::One)];
-        let m = majority_literal(&votes);
+        let votes = tally(&[(id(0), Trit::Bot), (id(1), Trit::Bot), (id(2), Trit::One)]);
         assert_eq!(
-            m,
+            votes.literal(),
             MajorityCount {
                 maj: true,
                 count: 1
@@ -216,15 +230,18 @@ mod tests {
 
     #[test]
     fn dedup_keeps_first_per_sender() {
-        let votes = vec![
+        let votes = tally(&[
             (id(0), Trit::Zero),
             (id(1), Trit::One),
             (id(1), Trit::Zero), // duplicate: ignored
             (id(2), Trit::Bot),
-        ];
-        let deduped = dedup_by_sender(votes);
-        assert_eq!(deduped.len(), 3);
-        assert_eq!(deduped[1], (id(1), Trit::One));
+        ]);
+        assert_eq!((votes.zeros, votes.ones, votes.bots), (1, 1, 1));
+        // `count` is the unchecked seam: a second vote of the same sender
+        // counts there.
+        let mut unchecked = votes;
+        unchecked.count(Trit::Zero);
+        assert_eq!(unchecked.zeros, 2);
     }
 
     /// Observation 3.1, executable: two vote vectors that differ in at most
@@ -243,8 +260,8 @@ mod tests {
                     .collect();
                 let mut votes_b = votes_a.clone();
                 votes_b[flip_idx].1 = votes_b[flip_idx].1.flipped();
-                let ma = majority_with_rand(&votes_a, false);
-                let mb = majority_with_rand(&votes_b, false);
+                let ma = tally(&votes_a).with_rand(false);
+                let mb = tally(&votes_b).with_rand(false);
                 if ma.count >= n - f && mb.count >= n - f {
                     assert_eq!(ma.maj, mb.maj, "base={base:b} flip={flip_idx}");
                 }
@@ -280,8 +297,8 @@ mod tests {
             }
             // Both views substitute the same rand (safe beat).
             for rand in [false, true] {
-                let ma = majority_with_rand(&votes_a, rand);
-                let mb = majority_with_rand(&votes_b, rand);
+                let ma = tally(&votes_a).with_rand(rand);
+                let mb = tally(&votes_b).with_rand(rand);
                 if ma.count >= n - f && mb.count >= n - f {
                     prop_assert_eq!(ma.maj, mb.maj);
                 }
@@ -290,14 +307,17 @@ mod tests {
 
         #[test]
         fn majority_count_is_bounded(votes in proptest::collection::vec((0u16..40, 0u8..3), 0..40), rand in any::<bool>()) {
-            let votes: Vec<(NodeId, Trit)> = votes
+            let mut votes: Vec<(NodeId, Trit)> = votes
                 .into_iter()
                 .map(|(i, v)| (id(i), match v { 0 => Trit::Zero, 1 => Trit::One, _ => Trit::Bot }))
                 .collect();
-            let m = majority_with_rand(&votes, rand);
-            prop_assert!(m.count <= votes.len());
+            votes.sort_by_key(|&(from, _)| from);
+            let votes = tally(&votes);
+            let counted = votes.zeros + votes.ones + votes.bots;
+            let m = votes.with_rand(rand);
+            prop_assert!(m.count <= counted);
             // maj got at least half of the (substituted) votes.
-            prop_assert!(2 * m.count >= votes.len());
+            prop_assert!(2 * m.count >= counted);
         }
     }
 }

@@ -14,9 +14,9 @@
 
 use crate::clock::DigitalClock;
 use crate::rand_source::RandSource;
-use crate::trit::{dedup_by_sender, majority_literal, majority_with_rand, Trit};
+use crate::trit::{Tally, Trit};
 use byzclock_sim::{
-    Application, Envelope, NodeCfg, NodeId, Outbox, SimRng, Target, Wire, WireFormat, WireReader,
+    Application, Envelope, NodeCfg, NodeId, Outbox, SimRng, Wire, WireFormat, WireReader,
     WireWriter,
 };
 use rand::Rng;
@@ -63,9 +63,8 @@ impl TwoClockCore {
     }
 
     /// Lines 3–6: substitute `rand` for `⊥`, count, flip or reset.
-    /// `votes` must hold at most one vote per sender.
-    pub fn apply(&mut self, votes: &[(NodeId, Trit)], rand: bool) {
-        let m = majority_with_rand(votes, rand);
+    pub fn apply(&mut self, votes: &Tally, rand: bool) {
+        let m = votes.with_rand(rand);
         self.clock = if m.count >= self.cfg.quorum() {
             Trit::from_bit(!m.maj) // clock := 1 - maj
         } else {
@@ -75,8 +74,8 @@ impl TwoClockCore {
 
     /// The broken variant's update: votes are counted literally (senders
     /// already substituted).
-    pub fn apply_literal(&mut self, votes: &[(NodeId, Trit)]) {
-        let m = majority_literal(votes);
+    pub fn apply_literal(&mut self, votes: &Tally) {
+        let m = votes.literal();
         self.clock = if m.count >= self.cfg.quorum() {
             Trit::from_bit(!m.maj)
         } else {
@@ -117,24 +116,35 @@ impl<M: Wire> Wire for TwoClockMsg<M> {
     }
 }
 
-/// A 2-clock inbox split into clock votes and coin messages.
-type SplitInbox<M> = (Vec<(NodeId, Trit)>, Vec<(NodeId, M)>);
-
-/// Extracts `(sender, vote)` pairs (one per sender, first wins) and the
-/// coin sub-inbox from a 2-clock inbox.
-fn split_inbox<M: Clone>(inbox: &[Envelope<TwoClockMsg<M>>]) -> SplitInbox<M> {
-    let votes = dedup_by_sender(inbox.iter().filter_map(|e| match &e.msg {
-        TwoClockMsg::Clock(t) => Some((e.from, *t)),
-        TwoClockMsg::Coin(_) => None,
-    }));
-    let coin = inbox
-        .iter()
-        .filter_map(|e| match &e.msg {
-            TwoClockMsg::Coin(m) => Some((e.from, m.clone())),
-            TwoClockMsg::Clock(_) => None,
-        })
-        .collect();
+/// One pass over a 2-clock inbox: the clock votes tallied (first per
+/// sender) and the coin sub-inbox collected for the coin that owns it —
+/// empty, and never allocated, for a coin that sends nothing.
+fn read_inbox<'m, M: Clone + 'm>(
+    inbox: impl IntoIterator<Item = (NodeId, &'m TwoClockMsg<M>)>,
+) -> (Tally, Vec<(NodeId, M)>) {
+    let mut votes = Tally::default();
+    let mut coin = Vec::new();
+    for (from, msg) in inbox {
+        match msg {
+            TwoClockMsg::Clock(t) => votes.add(from, *t),
+            TwoClockMsg::Coin(m) => coin.push((from, m.clone())),
+        }
+    }
     (votes, coin)
+}
+
+/// Pushes a coin's sends for this beat into `out`, each wrapped by `wrap`.
+/// The send list is allocated only if the coin sends anything.
+pub(crate) fn send_coin<R: RandSource, M>(
+    rand_source: &mut R,
+    out: &mut Outbox<'_, M>,
+    wrap: impl Fn(R::Msg) -> M,
+) {
+    let mut sends = Vec::new();
+    rand_source.send(out.rng(), &mut sends);
+    for (target, m) in sends {
+        out.push(target, wrap(m));
+    }
 }
 
 /// `ss-Byz-2-Clock` (Fig. 2), generic over the coin.
@@ -180,17 +190,27 @@ impl<R: RandSource> TwoClock<R> {
         self.rand_source.metrics()
     }
 
-    /// One beat's send half: line 1 plus the coin's sends.
-    pub fn step_send(&mut self, rng: &mut SimRng, out: &mut Vec<(Target, TwoClockMsg<R::Msg>)>) {
-        out.push((Target::All, TwoClockMsg::Clock(self.core.vote())));
-        let mut coin_out = Vec::new();
-        self.rand_source.send(rng, &mut coin_out);
-        out.extend(coin_out.into_iter().map(|(t, m)| (t, TwoClockMsg::Coin(m))));
+    /// One beat's send half: line 1 plus the coin's sends, pushed straight
+    /// into the enclosing protocol's outbox, each message wrapped by `wrap`.
+    pub fn step_send<M>(
+        &mut self,
+        out: &mut Outbox<'_, M>,
+        wrap: impl Fn(TwoClockMsg<R::Msg>) -> M,
+    ) {
+        out.broadcast(wrap(TwoClockMsg::Clock(self.core.vote())));
+        send_coin(&mut self.rand_source, out, |m| wrap(TwoClockMsg::Coin(m)));
     }
 
-    /// One beat's deliver half: lines 2–6.
-    pub fn step_deliver(&mut self, inbox: &[Envelope<TwoClockMsg<R::Msg>>], rng: &mut SimRng) {
-        let (votes, coin_inbox) = split_inbox(inbox);
+    /// One beat's deliver half: lines 2–6, over the `(sender, message)`
+    /// pairs of this 2-clock's sender-sorted inbox, borrowed in place.
+    pub fn step_deliver<'m>(
+        &mut self,
+        inbox: impl IntoIterator<Item = (NodeId, &'m TwoClockMsg<R::Msg>)>,
+        rng: &mut SimRng,
+    ) where
+        R::Msg: 'm,
+    {
+        let (votes, coin_inbox) = read_inbox(inbox);
         // Line 2 happens *after* all senders (Byzantine included) committed
         // their line-1 messages of this beat — see Remark 3.1.
         let rand = self.rand_source.deliver(&coin_inbox, rng);
@@ -226,16 +246,11 @@ impl<R: RandSource> Application for TwoClock<R> {
     type Msg = TwoClockMsg<R::Msg>;
 
     fn send(&mut self, _phase: usize, out: &mut Outbox<'_, Self::Msg>) {
-        let mut sends = Vec::new();
-        // Split borrows: collect with the outbox RNG, then queue.
-        self.step_send(out.rng(), &mut sends);
-        for (target, msg) in sends {
-            out.push(target, msg);
-        }
+        self.step_send(out, |m| m);
     }
 
     fn deliver(&mut self, _phase: usize, inbox: &[Envelope<Self::Msg>], rng: &mut SimRng) {
-        self.step_deliver(inbox, rng);
+        self.step_deliver(inbox.iter().map(|e| (e.from, &e.msg)), rng);
     }
 
     fn corrupt(&mut self, rng: &mut SimRng) {
@@ -300,17 +315,12 @@ impl<R: RandSource> Application for BrokenTwoClock<R> {
             Trit::Bot => Trit::from_bit(self.prev_rand),
             v => v,
         };
-        let mut sends = vec![(Target::All, TwoClockMsg::Clock(vote))];
-        let mut coin_out = Vec::new();
-        self.rand_source.send(out.rng(), &mut coin_out);
-        sends.extend(coin_out.into_iter().map(|(t, m)| (t, TwoClockMsg::Coin(m))));
-        for (target, msg) in sends {
-            out.push(target, msg);
-        }
+        out.broadcast(TwoClockMsg::Clock(vote));
+        send_coin(&mut self.rand_source, out, TwoClockMsg::Coin);
     }
 
     fn deliver(&mut self, _phase: usize, inbox: &[Envelope<Self::Msg>], rng: &mut SimRng) {
-        let (votes, coin_inbox) = split_inbox(inbox);
+        let (votes, coin_inbox) = read_inbox(inbox.iter().map(|e| (e.from, &e.msg)));
         let rand = self.rand_source.deliver(&coin_inbox, rng);
         self.core.apply_literal(&votes);
         self.prev_rand = rand;
@@ -511,8 +521,8 @@ mod tests {
             Envelope::new(byz, NodeId::new(0), TwoClockMsg::Clock(Trit::Zero)),
             Envelope::new(byz, NodeId::new(0), TwoClockMsg::Clock(Trit::Zero)),
         ];
-        let (votes, _) = split_inbox(&inbox);
-        assert_eq!(votes.len(), 3, "duplicate vote must be dropped");
+        let (votes, _) = read_inbox(inbox.iter().map(|e| (e.from, &e.msg)));
+        assert_eq!(votes.zeros, 3, "duplicate vote must be dropped");
         core.apply(&votes, false);
         // 3 votes for Zero < quorum 3? quorum = n - f = 3 -> exactly 3.
         assert_eq!(core.clock(), Trit::One);

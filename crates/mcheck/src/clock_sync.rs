@@ -95,26 +95,20 @@ impl FourClockModel {
         let mut four = FourClock::new(NodeCfg::new(me, N, F), h1.clone(), FixedRand::new());
         let (x, y, _) = rows[i];
         four.mc_set_state(trit_unrank(x), trit_unrank(y), false);
-        let mut inbox: Vec<Envelope<FourClockMsg<()>>> = rows
+        let mut inbox: Vec<(NodeId, FourClockMsg<()>)> = rows
             .iter()
             .enumerate()
             .map(|(j, &(xj, _, _))| {
-                Envelope::new(
-                    NodeId::new(j as u16),
-                    me,
-                    FourClockMsg::A1(TwoClockMsg::Clock(trit_unrank(xj))),
-                )
+                let vote = FourClockMsg::A1(TwoClockMsg::Clock(trit_unrank(xj)));
+                (NodeId::new(j as u16), vote)
             })
             .collect();
         if let Some(t) = letter {
-            inbox.push(Envelope::new(
-                NodeId::new(CORRECT as u16),
-                me,
-                FourClockMsg::A1(TwoClockMsg::Clock(t)),
-            ));
+            let vote = FourClockMsg::A1(TwoClockMsg::Clock(t));
+            inbox.push((NodeId::new(CORRECT as u16), vote));
         }
         let mut rng = SimRng::seed_from_u64(0);
-        four.phase_deliver(0, &inbox, &mut rng);
+        four.phase_deliver(0, inbox.iter().map(|(from, m)| (*from, m)), &mut rng);
         let x2 = trit_rank(four.a1().clock());
         // Fig. 3 line 2: the gate is clock(A1) after A1's beat.
         (x2, y, u8::from(x2 == 0))
@@ -135,27 +129,21 @@ impl FourClockModel {
         let mut four = FourClock::new(NodeCfg::new(me, N, F), FixedRand::new(), h2.clone());
         let (x, y, gate) = rows[i];
         four.mc_set_state(trit_unrank(x), trit_unrank(y), gate != 0);
-        let mut inbox: Vec<Envelope<FourClockMsg<()>>> = rows
+        let mut inbox: Vec<(NodeId, FourClockMsg<()>)> = rows
             .iter()
             .enumerate()
             .filter(|&(_, &(_, _, gj))| gj != 0)
             .map(|(j, &(_, yj, _))| {
-                Envelope::new(
-                    NodeId::new(j as u16),
-                    me,
-                    FourClockMsg::A2(TwoClockMsg::Clock(trit_unrank(yj))),
-                )
+                let vote = FourClockMsg::A2(TwoClockMsg::Clock(trit_unrank(yj)));
+                (NodeId::new(j as u16), vote)
             })
             .collect();
         if let Some(t) = letter {
-            inbox.push(Envelope::new(
-                NodeId::new(CORRECT as u16),
-                me,
-                FourClockMsg::A2(TwoClockMsg::Clock(t)),
-            ));
+            let vote = FourClockMsg::A2(TwoClockMsg::Clock(t));
+            inbox.push((NodeId::new(CORRECT as u16), vote));
         }
         let mut rng = SimRng::seed_from_u64(0);
-        four.phase_deliver(1, &inbox, &mut rng);
+        four.phase_deliver(1, inbox.iter().map(|(from, m)| (*from, m)), &mut rng);
         (x, trit_rank(four.a2().clock()), 0)
     }
 
@@ -435,10 +423,8 @@ impl TopLayerModel {
             0 => (0, Vec::new(), Vec::new(), Vec::new()),
             1 => {
                 // e1 = propose image: v < k, or k for ⊥.
-                let fulls: Vec<(NodeId, u64)> = if e1 < K {
-                    (0..CORRECT)
-                        .map(|j| (NodeId::new(j as u16), e1 as u64))
-                        .collect()
+                let fulls = if e1 < K {
+                    vec![e1 as u64; CORRECT]
                 } else {
                     Vec::new()
                 };
@@ -448,26 +434,19 @@ impl TopLayerModel {
                 // (e1, e2) = (save, bit) image of the propose receipts: a
                 // quorum of Some(save) if bit, else a single receipt.
                 let count = if e2 != 0 { CORRECT } else { 1 };
-                let proposes: Vec<(NodeId, Option<u64>)> = (0..count)
-                    .map(|j| (NodeId::new(j as u16), Some(e1 as u64)))
-                    .collect();
-                (0, Vec::new(), proposes, Vec::new())
+                (0, Vec::new(), vec![e1 as u64; count], Vec::new())
             }
             _ => {
                 // e2 = bit-vote class.
-                let bits: Vec<(NodeId, bool)> = match e2 {
-                    CLASS_ONES => (0..CORRECT)
-                        .map(|j| (NodeId::new(j as u16), true))
-                        .collect(),
-                    CLASS_ZEROS => (0..CORRECT)
-                        .map(|j| (NodeId::new(j as u16), false))
-                        .collect(),
-                    _ => vec![(NodeId::new(0), true), (NodeId::new(1), false)],
+                let bits = match e2 {
+                    CLASS_ONES => vec![true; CORRECT],
+                    CLASS_ZEROS => vec![false; CORRECT],
+                    _ => vec![true, false],
                 };
                 (e1 as u64, Vec::new(), Vec::new(), bits)
             }
         };
-        node.mc_restore_top(a1, a2, fc as u64, save, fulls, proposes, bits);
+        node.mc_restore_top(a1, a2, fc as u64, save, &fulls, &proposes, &bits);
         let mut rng = SimRng::seed_from_u64(0);
         collect_sends(&mut node, 0, &mut rng); // captures block = clock(A)
         collect_sends(&mut node, 1, &mut rng);
@@ -530,11 +509,9 @@ impl TopLayerModel {
             _ => {
                 let quorum = N - F;
                 let bits = node.mc_prev_bits();
-                let ones = bits.iter().filter(|&&(_, v)| v).count();
-                let zeros = bits.iter().filter(|&&(_, v)| !v).count();
-                let class = if ones >= quorum {
+                let class = if bits.ones >= quorum {
                     CLASS_ONES
-                } else if zeros >= quorum {
+                } else if bits.zeros >= quorum {
                     CLASS_ZEROS
                 } else {
                     CLASS_NEITHER

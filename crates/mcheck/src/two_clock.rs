@@ -14,21 +14,22 @@
 //! Per correct recipient and Byzantine sender, one of: silence, a vote of
 //! each trit, or a *duplicate pair* (two envelopes from the same sender in
 //! one beat). The duplicate letter is the interesting one: the honest
-//! stack's first-wins dedup (`dedup_by_sender`) must make it equivalent to
+//! stack's first-wins vote tally ([`Tally::add`]) must make it equivalent to
 //! its first vote. The alphabet is covering because the only protocol
 //! input is the per-sender post-dedup vote — every wire behavior collapses
 //! onto one of these letters.
 //!
 //! # The broken variant
 //!
-//! [`TwoClockModel::broken`] bypasses the dedup seam and feeds the
-//! duplicate-sender slot straight into [`TwoClockCore::apply`] — the
+//! [`TwoClockModel::broken`] bypasses the dedup seam: it counts every vote
+//! with [`Tally::count`], the duplicate-sender slot included, and hands
+//! that tally straight to [`TwoClockCore::apply`] — the
 //! "duplicate sender accepted" bug this repo once fixed. The checker is
 //! expected to produce a minimal counterexample against it (see the
 //! canary test), which is the evidence that the seam is load-bearing.
 
-use byzclock_core::{FixedRand, Trit, TwoClock, TwoClockCore, TwoClockMsg};
-use byzclock_sim::{Envelope, NodeCfg, NodeId, SimRng};
+use byzclock_core::{FixedRand, Tally, Trit, TwoClock, TwoClockCore, TwoClockMsg};
+use byzclock_sim::{NodeCfg, NodeId, SimRng};
 use rand::SeedableRng;
 
 use crate::engine::{Choice, Model};
@@ -168,22 +169,19 @@ impl TwoClockModel {
         rng: &mut SimRng,
     ) -> Trit {
         let me = NodeId::new(i as u16);
-        let mut inbox: Vec<Envelope<TwoClockMsg<()>>> = Vec::new();
-        for (j, &t) in state.iter().enumerate() {
-            inbox.push(Envelope::new(
-                NodeId::new(j as u16),
-                me,
-                TwoClockMsg::Clock(t),
-            ));
-        }
+        let mut inbox: Vec<(NodeId, TwoClockMsg<()>)> = state
+            .iter()
+            .enumerate()
+            .map(|(j, &t)| (NodeId::new(j as u16), TwoClockMsg::Clock(t)))
+            .collect();
         for (b, letter) in letters.iter().enumerate() {
             let byz = NodeId::new((self.correct() + b) as u16);
             match *letter {
                 ByzLetter::Silent => {}
-                ByzLetter::Vote(t) => inbox.push(Envelope::new(byz, me, TwoClockMsg::Clock(t))),
+                ByzLetter::Vote(t) => inbox.push((byz, TwoClockMsg::Clock(t))),
                 ByzLetter::Dup(a, b2) => {
-                    inbox.push(Envelope::new(byz, me, TwoClockMsg::Clock(a)));
-                    inbox.push(Envelope::new(byz, me, TwoClockMsg::Clock(b2)));
+                    inbox.push((byz, TwoClockMsg::Clock(a)));
+                    inbox.push((byz, TwoClockMsg::Clock(b2)));
                 }
             }
         }
@@ -191,27 +189,25 @@ impl TwoClockModel {
         handle.set(bit);
         let mut node = TwoClock::new(NodeCfg::new(me, self.n, self.f), handle.clone());
         node.set_clock(state[i]);
-        node.step_deliver(&inbox, rng);
+        node.step_deliver(inbox.iter().map(|(from, m)| (*from, m)), rng);
         node.clock()
     }
 
     fn step_node_broken(&self, state: &[Trit], letters: &[ByzLetter], bit: bool, i: usize) -> Trit {
         let me = NodeId::new(i as u16);
-        let mut votes: Vec<(NodeId, Trit)> = state
-            .iter()
-            .enumerate()
-            .map(|(j, &t)| (NodeId::new(j as u16), t))
-            .collect();
-        for (b, letter) in letters.iter().enumerate() {
-            let byz = NodeId::new((self.correct() + b) as u16);
+        let mut votes = Tally::default();
+        for &t in state {
+            votes.count(t);
+        }
+        for letter in letters {
             match *letter {
                 ByzLetter::Silent => {}
-                ByzLetter::Vote(t) => votes.push((byz, t)),
+                ByzLetter::Vote(t) => votes.count(t),
                 // The bug under test: the duplicate-sender slot is
                 // accepted, so one Byzantine node votes twice.
                 ByzLetter::Dup(a, b2) => {
-                    votes.push((byz, a));
-                    votes.push((byz, b2));
+                    votes.count(a);
+                    votes.count(b2);
                 }
             }
         }

@@ -35,7 +35,8 @@ pub struct Envelope<M> {
 
 impl<M> Envelope<M> {
     /// An envelope tagged with round 0 — the pre-tag constructor shape,
-    /// for tests and callers that re-wrap sub-protocol inboxes.
+    /// for tests and drivers that hand a protocol a hand-built inbox (the
+    /// model checker's single-beat steps).
     pub fn new(from: NodeId, to: NodeId, msg: M) -> Self {
         Envelope {
             from,
@@ -46,9 +47,8 @@ impl<M> Envelope<M> {
     }
 
     /// The same envelope with a different payload, all metadata (sender,
-    /// recipient, round tag) preserved — the demultiplexing helper for
-    /// layered protocols that unwrap an envelope and hand the inner
-    /// message to a sub-protocol.
+    /// recipient, round tag) preserved — how the runner swaps in the
+    /// re-parsed payload at a byte boundary.
     pub fn map<N>(&self, msg: N) -> Envelope<N> {
         Envelope {
             from: self.from,

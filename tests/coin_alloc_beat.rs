@@ -1,5 +1,15 @@
-//! The GVSS coin's allocation counter: how many allocator calls one steady
-//! beat of a ticket-coin clock makes, started through the scenario API.
+//! The clock stack's allocation counters: how many allocator calls steady
+//! beats of a `clock-sync` run make, started through the scenario API —
+//! over the oracle coin (the clock stack alone) and over the GVSS ticket
+//! coin.
+//!
+//! Every layer of the clock stack reads its inbox in one borrowed pass and
+//! sends straight into the runner's outbox; `ClockSync`'s block receipts
+//! are refilled in place. Without a coin's traffic nothing is left to
+//! allocate: beats 70..120 of `clock-sync n=64 f=21 k=64 coin=oracle
+//! adv=silent faults=none seed=1` make no allocator call at all — the
+//! scenario layer and `TrafficStats` included — where the per-layer inbox
+//! copies made 63 812.
 //!
 //! Every coin matrix is one flat block (`FlatMatrix`: an element `Vec`
 //! plus a span table) instead of a `Vec` per row, the instance storage is
@@ -18,7 +28,8 @@
 //! flat layout made 200 799, 4 016 a beat, and still did with the
 //! columnar dealing and the recover view in the workspace. Building
 //! lockstep inboxes at delivery and sharing the vote's payload behind an
-//! `Arc` bring it to 153 774, 3 075 a beat. The window
+//! `Arc` bring it to 153 774, 3 075 a beat, and dropping the clock stack's
+//! per-layer inbox and send copies to 141 750, 2 835 a beat. The window
 //! sits between the doublings of `TrafficStats`' per-beat row vector at
 //! beats 64 and 128, like `crates/sim/tests/zero_alloc_step.rs`'s.
 
@@ -80,12 +91,20 @@ fn allocations_in_steady_beats(line: &str) -> u64 {
 }
 
 #[test]
+fn a_steady_oracle_clock_beat_allocates_nothing() {
+    let allocations = allocations_in_steady_beats(
+        "clock-sync n=64 f=21 k=64 coin=oracle adv=silent faults=none seed=1 budget=1000",
+    );
+    assert_eq!(allocations, 0, "allocator calls in 50 steady oracle beats");
+}
+
+#[test]
 fn a_steady_ticket_coin_beat_allocates_per_message_not_per_row() {
     let allocations = allocations_in_steady_beats(
         "clock-sync n=13 f=4 k=8 coin=ticket adv=silent faults=none seed=1 budget=1000",
     );
     assert!(
-        allocations <= 158_000,
-        "{allocations} allocator calls in 50 steady beats (shared votes: 153 774)"
+        allocations <= 146_000,
+        "{allocations} allocator calls in 50 steady beats (one-pass clock stack: 141 750)"
     );
 }
