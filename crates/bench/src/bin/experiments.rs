@@ -10,8 +10,6 @@
 //!     [--jsonl] model-check [two-clock|clock-sync|bd-clock|all] \
 //!     [--window=1|2] [--max-states=N]
 //! cargo run --release -p byzclock-bench --bin experiments -- \
-//!     [--jsonl] lint [--rule=D1|P1|A1|W1|S1]
-//! cargo run --release -p byzclock-bench --bin experiments -- \
 //!     worker [--exact]
 //! ```
 //!
@@ -28,7 +26,7 @@
 
 use byzclock::coin::default_committee_size;
 use byzclock::scenario::{
-    default_registry, json, AdversarySpec, CoinSpec, FaultPlanSpec, MetricsSpec, ProtocolRegistry,
+    default_registry, AdversarySpec, CoinSpec, FaultPlanSpec, MetricsSpec, ProtocolRegistry,
     RunReport, ScenarioSpec, WireSpec,
 };
 use byzclock_bench::shard::{worker_exact_requested, worker_loop};
@@ -81,10 +79,6 @@ fn main() {
     }
     if which == "model-check" {
         run_model_check(&args[1..], jsonl);
-        return;
-    }
-    if which == "lint" {
-        run_lint(&args[1..], jsonl);
         return;
     }
     let run_all = which == "all";
@@ -330,63 +324,6 @@ fn run_model_check(rest: &[String], jsonl: bool) {
         show(check(&BdModel::new(window.unwrap_or(2)), bd_cap));
     }
     if violated {
-        std::process::exit(1);
-    }
-}
-
-/// `experiments lint [--rule=ID]`: runs the `byzclock-lint` invariant
-/// pass over the workspace (the static half of the machine-checking
-/// story — `model-check` is the dynamic half). One verdict line per
-/// rule, one diagnostic line per unsuppressed finding, exit 1 when the
-/// workspace is not clean. With `--jsonl` each rule's verdict is one
-/// `{"lint":"D1","files":N,"findings":F,"suppressed":S}` record and each
-/// finding one `{"lint":…,"file":…,"line":…,"message":…,"snippet":…}`
-/// record, both through the shared JSON-line writer.
-fn run_lint(rest: &[String], jsonl: bool) {
-    use byzclock::lint::{workspace_root, RULES};
-
-    let usage = || -> ! {
-        eprintln!(
-            "usage: experiments [--jsonl] lint [--rule={}]",
-            RULES.join("|")
-        );
-        std::process::exit(2);
-    };
-    let mut rule: Option<String> = None;
-    for arg in rest {
-        if let Some(v) = arg.strip_prefix("--rule=") {
-            rule = Some(v.to_string());
-        } else {
-            usage();
-        }
-    }
-    let Some(root) = workspace_root() else {
-        eprintln!("no lint.toml found above the current directory");
-        std::process::exit(2);
-    };
-    let report = byzclock::lint::run(&root, rule.as_deref()).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2);
-    });
-    if jsonl {
-        for r in &report.results {
-            let mut w = json::Writer::object();
-            w.key("lint").str(&r.rule).key("files").raw(report.files);
-            w.key("findings").raw(r.findings.len());
-            w.key("suppressed").raw(r.suppressed);
-            println!("{}", w.finish());
-            for f in &r.findings {
-                let mut w = json::Writer::object();
-                w.key("lint").str(&f.rule).key("file").str(&f.file);
-                w.key("line").raw(f.line).key("message").str(&f.message);
-                w.key("snippet").str(&f.snippet);
-                println!("{}", w.finish());
-            }
-        }
-    } else {
-        print!("{report}");
-    }
-    if !report.clean() {
         std::process::exit(1);
     }
 }

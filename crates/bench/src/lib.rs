@@ -19,8 +19,6 @@
 //!     [--jsonl] model-check [two-clock|clock-sync|bd-clock|all] \
 //!     [--window=1|2] [--max-states=N]
 //! cargo run --release -p byzclock-bench --bin experiments -- \
-//!     [--jsonl] lint [--rule=D1|P1|A1|W1|S1]
-//! cargo run --release -p byzclock-bench --bin experiments -- \
 //!     worker [--exact]
 //! ```
 //!
@@ -44,25 +42,14 @@
 //! experiments spec "clock-sync n=7 f=2 k=64 coin=ticket delay=2"
 //! ```
 //!
-//! **`lint` subcommand.** Runs the `byzclock-lint` invariant pass (the
-//! workspace's static contracts: `D1` determinism, `P1` decode
-//! panic-freedom, `A1` hot-path allocation, `W1` wire coverage, `S1`
-//! spec-key drift — see the `byzclock-lint` crate docs and
-//! ARCHITECTURE.md's "static-analysis seam" section). One verdict per
-//! rule, one diagnostic per unsuppressed finding, exit 1 when the
-//! workspace is not clean; with `--jsonl` each verdict is a
-//! `{"lint":"D1","files":N,"findings":F,"suppressed":S}` record and each
-//! finding a `{"lint":…,"file":…,"line":…,"message":…,"snippet":…}`
-//! record. `--rule=ID` restricts the pass to one rule.
-//!
 //! **`--jsonl`.** Switches output to JSON lines (diffable, archivable)
 //! instead of the aggregated Markdown, all written by one writer,
 //! `byzclock_core::scenario::json`. `spec` and every named grid print one
 //! `RunReport::to_json` line per executed spec; `model-check` prints one
 //! verdict record per model (`CheckReport::to_json`, plus a
-//! `Trace::to_json` record per violation) and `lint` the records above. A
-//! grid emits its converge-mode cells in build order, then its
-//! full-budget (exact-mode) cells, and nothing else on the stream.
+//! `Trace::to_json` record per violation). A grid emits its converge-mode
+//! cells in build order, then its full-budget (exact-mode) cells, and
+//! nothing else on the stream.
 //!
 //! **`--backend` and `--manifest`.** Every named grid accepts
 //! `--backend=threads[:N]` (the default: worker threads in this process)
@@ -262,6 +249,10 @@ pub fn power_law_exponent(points: &[(f64, f64)]) -> f64 {
 /// Number of sweep worker threads to use (respects `BYZCLOCK_THREADS`).
 pub fn default_threads() -> usize {
     positive_env("BYZCLOCK_THREADS").unwrap_or_else(|| {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "sizes the sweep's pool; the core count reaches no report"
+        )]
         std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(4)

@@ -293,6 +293,10 @@ impl Coordinator<'_> {
 
 /// Runs `workers` copies of one worker-slot loop on scoped threads and
 /// joins them.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the sweep's worker pool runs whole runs side by side, never threads inside one"
+)]
 fn run_slots(workers: usize, slot: impl Fn() + Sync) {
     std::thread::scope(|scope| {
         for _ in 0..workers {
@@ -385,6 +389,10 @@ impl WorkerProc {
         // A dedicated reader thread turns blocking pipe reads into
         // `recv_timeout`-able messages; it exits on worker EOF (channel
         // disconnect is the coordinator's death signal).
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the pipe reader of a worker process, outside every run"
+        )]
         let reader = std::thread::spawn(move || {
             let mut stdout = BufReader::new(stdout);
             loop {

@@ -760,10 +760,9 @@ impl GvssCore {
                     self.decode_stats.batches += u64::from(decoder.is_some());
                     self.alloc_stats.decoder_builds += 1;
                     ws.decoders.push(CachedDecoder {
-                        // lint:allow(A1): decoder-cache build is the cold
-                        // path — it runs once per distinct point set per
-                        // run, not per beat, and `decoder_builds` counts
-                        // prove it in tests.
+                        // The cold path: once per distinct point set per
+                        // run, not per beat (`decoder_builds` counts it;
+                        // `tests/zero_alloc_recv.rs` pins the warm rounds).
                         xs: xs.to_vec(),
                         decoder,
                         hits: 0,

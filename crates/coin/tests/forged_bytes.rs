@@ -5,9 +5,8 @@
 //! u32,u64}` indexed `b[0]..b[7]` into the slice `take` returned, and the
 //! packed bitset reader indexed `bytes[i / 8]` — all safe only through a
 //! non-local invariant relating the `take` size to the loop bound. Those
-//! bodies are now written in checked form (`try_into`, `get`), the old
-//! shapes are pinned as *failing* lint fixtures in
-//! `crates/lint/tests/fixtures/p1_bad.rs`, and this file pins the byte
+//! bodies are now written in checked form (`try_into`, `get`), which the
+//! `byzclock-lint` pass (`P1`) holds them to, and this file pins the byte
 //! patterns that exercised the old invariant, so a regression either
 //! panics here or trips the linter.
 //!

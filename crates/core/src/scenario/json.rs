@@ -3,9 +3,8 @@
 //!
 //! Every JSON line the workspace prints or reads goes through here: run
 //! reports ([`super::RunReport::to_json`]), the sweep's worker and
-//! manifest lines, model-check verdicts and traces, and lint verdicts.
-//! The workspace has no serde, so both halves are scope-matched to those
-//! records:
+//! manifest lines, and model-check verdicts and traces. The workspace has
+//! no serde, so both halves are scope-matched to those records:
 //!
 //! - Strings escape `"` and `\`, write every control character as
 //!   `\u00XX`, and copy everything else verbatim — so a line never tears

@@ -1076,8 +1076,9 @@ mod tests {
     #[test]
     fn keys_match_the_rendered_grammar_exactly() {
         // A spec with every optional field set renders every key in KEYS,
-        // in KEYS order, and nothing else — so the parser diagnostics, the
-        // documented grammar, and Display can never disagree.
+        // in KEYS order, and nothing else, and its line parses back equal
+        // — so the parser, its diagnostics, the documented grammar, and
+        // Display can never disagree.
         let spec = ScenarioSpec::new("clock-sync", 7, 2)
             .with_modulus(64)
             .with_committee(4)
@@ -1092,6 +1093,24 @@ mod tests {
             .map(|tok| tok.split_once('=').expect("key=value token").0)
             .collect();
         assert_eq!(rendered, ScenarioSpec::KEYS);
+        assert_eq!(ScenarioSpec::parse(&line).unwrap(), spec);
+
+        // And `parse`'s match arms name exactly KEYS: every `"key" =>`
+        // between the parser and the `Display` impl below it.
+        let src = include_str!("spec.rs");
+        let start = src.find("pub fn parse(s: &str)").expect("the parser");
+        let end = src[start..]
+            .find("impl fmt::Display for ScenarioSpec")
+            .expect("the Display impl follows the parser");
+        let segments: Vec<&str> = src[start..start + end].split("\" =>").collect();
+        let mut arms: Vec<&str> = segments[..segments.len() - 1]
+            .iter()
+            .filter_map(|before| Some(before.rsplit_once('"')?.1))
+            .collect();
+        arms.sort_unstable();
+        let mut keys = ScenarioSpec::KEYS.to_vec();
+        keys.sort_unstable();
+        assert_eq!(arms, keys, "parse's match arms must name exactly KEYS");
     }
 
     #[test]

@@ -2,11 +2,10 @@
 //! nothing panics, and the cursor always advances (pinned by a proptest).
 //!
 //! The token model is deliberately coarse — identifiers (keywords
-//! included), literals, comments, and single-character punctuation — which
-//! is exactly enough for the rule set: banned-name scanning, brace
-//! matching, call-edge extraction, and `lint:allow` comment parsing.
-//! Comments are kept in the stream (with their text) so the suppression
-//! scanner can see them in source order.
+//! included), literals and single-character punctuation — which is
+//! exactly enough for the rule: brace matching, call-edge extraction and
+//! panicking-construct scanning. Comments are skipped, so nothing inside
+//! one is ever read as code.
 
 /// What a token is, coarsely.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -23,10 +22,6 @@ pub enum TokKind {
     /// Lifetime (`'a`) — distinct from `Char` so `'a>` never confuses
     /// the char scanner.
     Lifetime,
-    /// `// …` comment, text after the slashes.
-    LineComment,
-    /// `/* … */` comment (nesting handled), delimiters stripped.
-    BlockComment,
     /// Any other single character.
     Punct,
 }
@@ -40,11 +35,6 @@ pub struct Tok {
 }
 
 impl Tok {
-    /// `true` for the comment kinds.
-    pub fn is_comment(&self) -> bool {
-        matches!(self.kind, TokKind::LineComment | TokKind::BlockComment)
-    }
-
     /// `true` when this is punctuation `c`.
     pub fn is_punct(&self, c: char) -> bool {
         self.kind == TokKind::Punct && self.text.starts_with(c)
@@ -73,23 +63,14 @@ pub fn lex(src: &str) -> Vec<Tok> {
             i += 1;
             continue;
         }
-        // Comments.
+        // Comments (block comments nest).
         if c == '/' && at(i + 1) == Some('/') {
-            let start = i + 2;
             while at(i).is_some_and(|c| c != '\n') {
                 i += 1;
             }
-            let text: String = chars[start.min(i)..i].iter().collect();
-            toks.push(Tok {
-                kind: TokKind::LineComment,
-                text,
-                line,
-            });
             continue;
         }
         if c == '/' && at(i + 1) == Some('*') {
-            let start_line = line;
-            let start = i + 2;
             i += 2;
             let mut depth = 1u32;
             while depth > 0 {
@@ -111,15 +92,6 @@ pub fn lex(src: &str) -> Vec<Tok> {
                     (None, _) => break, // unterminated: swallow to EOF
                 }
             }
-            let end = i.saturating_sub(2).max(start);
-            let text: String = chars[start.min(chars.len())..end.min(chars.len())]
-                .iter()
-                .collect();
-            toks.push(Tok {
-                kind: TokKind::BlockComment,
-                text,
-                line: start_line,
-            });
             continue;
         }
         // Raw strings and raw identifiers: r"…", r#"…"#, br#"…"#, r#ident.
@@ -341,10 +313,7 @@ mod tests {
         assert!(toks.contains(&(TokKind::Str, "raw \"inner\"".into())));
         assert!(toks.contains(&(TokKind::Char, "x".into())));
         assert!(toks.contains(&(TokKind::Number, "1_000u64".into())));
-        assert!(toks.contains(&(TokKind::LineComment, " trailing".into())));
-        assert!(toks
-            .iter()
-            .any(|(k, t)| *k == TokKind::BlockComment && t.contains("nested")));
+        assert!(!toks.iter().any(|(_, t)| t == "trailing" || t == "nested"));
     }
 
     #[test]
@@ -361,7 +330,7 @@ mod tests {
     fn unterminated_literals_swallow_to_eof() {
         assert_eq!(lex("\"abc").len(), 1);
         assert_eq!(lex("r#\"abc").len(), 1);
-        assert_eq!(lex("/* abc").len(), 1);
+        assert_eq!(lex("/* abc").len(), 0);
         assert_eq!(lex("'a").len(), 1); // lifetime at EOF
         assert_eq!(lex("'\\").len(), 1);
     }

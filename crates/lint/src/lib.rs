@@ -1,82 +1,112 @@
-//! `byzclock-lint` — a dependency-free invariant linter that
-//! machine-enforces the workspace's determinism, panic-freedom, and
-//! hot-path contracts.
+//! `byzclock-lint` — the one static check clippy cannot express: a
+//! `Wire::decode` never panics on forged bytes, *through everything it
+//! calls*.
 //!
-//! The codebase's load-bearing guarantees — bit-for-bit deterministic
-//! [`RunReport`]s, a `Wire::decode` that never panics on forged bytes,
-//! and a zero-alloc GVSS steady state — were enforced only by
-//! convention, goldens, and sampled tests. This crate is the static
-//! half of the machine-checking story (the model checker in
-//! `byzclock-mcheck` is the dynamic half): its own total Rust lexer and
-//! lightweight item parser (zero external dependencies, in keeping with
-//! the offline compat-stub approach) walk every workspace crate and
-//! enforce five named rules — `D1` determinism, `P1` decode
-//! panic-freedom, `A1` hot-path allocation, `W1` wire coverage, and
-//! `S1` spec-key drift (see [`rules`] for the table). Rules are
-//! configured by the checked-in `lint.toml` at the workspace root;
-//! individual findings are suppressed by a justified
-//! `// lint:allow(RULE): <reason>` comment (see [`diag`] — a bare allow
-//! is itself a violation, and allows inside `Wire::decode` bodies are
-//! ignored by design).
+//! In the paper's model a Byzantine node may send any bytes, so every
+//! decode path must be total. Clippy's restriction lints see one item at
+//! a time; this crate follows the calls. Its own total Rust lexer and
+//! lightweight item parser (no dependencies, like the rest of the offline
+//! workspace) walk every `.rs` file under `src/` and `crates/*/src/`,
+//! build a name-resolved call graph from every `decode` of an `impl Wire`
+//! and flag each panicking construct it reaches — the rule `P1`, see
+//! [`p1`]. There is no configuration and no suppression: a finding is
+//! fixed in the code.
 //!
-//! Run it as `experiments lint [--jsonl] [--rule=ID]` (with `--jsonl`,
-//! one verdict record per rule and one record per finding, through the
-//! workspace's JSON-line writer) or standalone, text only:
+//! The other static contracts live elsewhere: determinism in the root
+//! `clippy.toml` (CI's clippy step), the zero-alloc hot path, wire
+//! coverage and spec-key agreement in ordinary tests.
 //!
-//! ```text
-//! cargo run -p byzclock-lint [-- [--rule=ID] [--root=PATH]]
-//! ```
+//! Run it as `cargo run -p byzclock-lint [-- --root=PATH]`: one line per
+//! finding, exit 1 when there is any.
 //!
 //! ```
-//! let root = byzclock_lint::workspace_root().expect("repo root");
-//! let report = byzclock_lint::run(&root, None).expect("lint pass");
-//! assert_eq!(report.results.len(), 5); // D1, P1, A1, W1, S1
+//! let root = byzclock_lint::workspace_root();
+//! let findings = byzclock_lint::run(&root).expect("lint pass");
+//! assert!(findings.is_empty(), "{findings:?}");
 //! ```
-//!
-//! [`RunReport`]: https://docs.rs/byzclock-core
 
 #![forbid(unsafe_code)]
 
-pub mod config;
-pub mod diag;
 pub mod lexer;
+pub mod p1;
 pub mod parser;
-pub mod rules;
 
-pub use config::Config;
-pub use diag::{AllowIndex, Finding};
-pub use rules::{LintReport, RuleResult, RULES};
-
+use std::fmt;
 use std::path::{Path, PathBuf};
 
-/// One scanned source file: parse results plus the suppression index
-/// and the raw lines the diagnostics quote.
-#[derive(Debug)]
-pub struct SourceFile {
-    pub parsed: parser::ParsedFile,
-    pub allows: diag::AllowIndex,
-    lines: Vec<String>,
+/// One diagnostic: location, offending snippet, message.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Finding {
+    /// Workspace-relative path.
+    pub file: String,
+    pub line: u32,
+    /// The offending line, trimmed and shortened.
+    pub snippet: String,
+    pub message: String,
 }
 
-impl SourceFile {
-    /// Lexes and parses one file given its workspace-relative path.
-    pub fn parse(rel: &str, src: &str) -> SourceFile {
-        let toks = lexer::lex(src);
-        SourceFile {
-            allows: diag::AllowIndex::build(&toks),
-            parsed: parser::parse(rel, toks),
-            lines: src.lines().map(str::to_string).collect(),
+impl fmt::Display for Finding {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{}:{}: [P1] {} — `{}`",
+            self.file, self.line, self.message, self.snippet
+        )
+    }
+}
+
+/// The parsed sources one pass looks at, with their text for snippets.
+#[derive(Debug)]
+pub struct Workspace {
+    pub files: Vec<parser::ParsedFile>,
+    sources: Vec<String>,
+}
+
+impl Workspace {
+    /// Parses in-memory sources given as `(workspace-relative path, text)`.
+    pub fn from_sources(sources: &[(&str, &str)]) -> Workspace {
+        Workspace {
+            files: sources
+                .iter()
+                .map(|(rel, src)| parser::parse(rel, lexer::lex(src)))
+                .collect(),
+            sources: sources.iter().map(|(_, src)| src.to_string()).collect(),
         }
     }
 
-    /// The trimmed source text of `line` (1-indexed), shortened for
-    /// diagnostics.
-    pub fn snippet(&self, line: u32) -> String {
-        let text = (line as usize)
-            .checked_sub(1)
-            .and_then(|i| self.lines.get(i))
-            .map(|s| s.trim())
-            .unwrap_or("");
+    /// Loads every `.rs` file beneath `root`'s `src/` and `crates/*/src/`
+    /// (sorted, so diagnostics are deterministic).
+    pub fn load(root: &Path) -> Result<Workspace, String> {
+        let mut paths: Vec<PathBuf> = Vec::new();
+        collect_rs(&root.join("src"), &mut paths);
+        let members = std::fs::read_dir(root.join("crates"))
+            .map_err(|e| format!("read {}/crates: {e}", root.display()))?;
+        for member in members.filter_map(Result::ok) {
+            collect_rs(&member.path().join("src"), &mut paths);
+        }
+        paths.sort();
+        let mut sources = Vec::new();
+        for path in paths {
+            let src = std::fs::read_to_string(&path)
+                .map_err(|e| format!("read {}: {e}", path.display()))?;
+            let rel = path.strip_prefix(root).unwrap_or(&path);
+            let rel: Vec<_> = rel
+                .components()
+                .map(|c| c.as_os_str().to_string_lossy())
+                .collect();
+            sources.push((rel.join("/"), src));
+        }
+        let borrowed: Vec<(&str, &str)> = sources.iter().map(|(r, s)| (&r[..], &s[..])).collect();
+        Ok(Workspace::from_sources(&borrowed))
+    }
+
+    /// The trimmed text of `line` (1-indexed) of file `file`, shortened
+    /// for diagnostics.
+    fn snippet(&self, file: usize, line: u32) -> String {
+        let text = self.sources[file]
+            .lines()
+            .nth((line as usize).saturating_sub(1))
+            .map_or("", str::trim);
         let mut out: String = text.chars().take(80).collect();
         if out.len() < text.len() {
             out.push('…');
@@ -85,84 +115,12 @@ impl SourceFile {
     }
 }
 
-/// Everything one lint pass looks at: the parsed sources, the rule
-/// configuration, and the wire-coverage property text.
-#[derive(Debug)]
-pub struct Workspace {
-    pub config: Config,
-    pub files: Vec<SourceFile>,
-    /// Text of the `[w1] coverage` file, when present.
-    pub coverage: Option<String>,
-}
-
-impl Workspace {
-    /// Builds a workspace from in-memory sources — the seam the fixture
-    /// self-tests drive.
-    pub fn from_sources(
-        config: Config,
-        sources: &[(&str, &str)],
-        coverage: Option<&str>,
-    ) -> Workspace {
-        Workspace {
-            config,
-            files: sources
-                .iter()
-                .map(|(rel, src)| SourceFile::parse(rel, src))
-                .collect(),
-            coverage: coverage.map(str::to_string),
-        }
-    }
-
-    /// Loads the real workspace under `root`: `lint.toml`, every `.rs`
-    /// file beneath `src/` and `crates/*/src/` (sorted, so diagnostics
-    /// are deterministic), and the `[w1]` coverage file.
-    pub fn load(root: &Path) -> Result<Workspace, String> {
-        let cfg_path = root.join("lint.toml");
-        let text = std::fs::read_to_string(&cfg_path)
-            .map_err(|e| format!("read {}: {e}", cfg_path.display()))?;
-        let config = Config::parse(&text)?;
-        let mut paths: Vec<PathBuf> = Vec::new();
-        collect_rs(&root.join("src"), &mut paths);
-        if let Ok(entries) = std::fs::read_dir(root.join("crates")) {
-            let mut members: Vec<PathBuf> =
-                entries.filter_map(|e| e.ok().map(|e| e.path())).collect();
-            members.sort();
-            for member in members {
-                collect_rs(&member.join("src"), &mut paths);
-            }
-        }
-        paths.sort();
-        let mut files = Vec::new();
-        for path in paths {
-            let src = std::fs::read_to_string(&path)
-                .map_err(|e| format!("read {}: {e}", path.display()))?;
-            let rel = path
-                .strip_prefix(root)
-                .unwrap_or(&path)
-                .components()
-                .map(|c| c.as_os_str().to_string_lossy())
-                .collect::<Vec<_>>()
-                .join("/");
-            files.push(SourceFile::parse(&rel, &src));
-        }
-        let coverage = config
-            .get("w1", "coverage")
-            .and_then(|rel| std::fs::read_to_string(root.join(rel)).ok());
-        Ok(Workspace {
-            config,
-            files,
-            coverage,
-        })
-    }
-}
-
 /// Recursively collects `.rs` files under `dir` (which may not exist).
 fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) {
     let Ok(entries) = std::fs::read_dir(dir) else {
         return;
     };
-    for entry in entries.filter_map(Result::ok) {
-        let path = entry.path();
+    for path in entries.filter_map(|e| e.ok().map(|e| e.path())) {
         if path.is_dir() {
             collect_rs(&path, out);
         } else if path.extension().is_some_and(|e| e == "rs") {
@@ -171,32 +129,12 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) {
     }
 }
 
-/// Loads the workspace under `root` and runs the selected rules (all
-/// five when `rule_filter` is `None`).
-pub fn run(root: &Path, rule_filter: Option<&str>) -> Result<LintReport, String> {
-    if let Some(rule) = rule_filter {
-        if !RULES.contains(&rule) {
-            return Err(format!(
-                "unknown rule `{rule}`; known rules: {}",
-                RULES.join(", ")
-            ));
-        }
-    }
-    let ws = Workspace::load(root)?;
-    Ok(rules::run_rules(&ws, rule_filter))
+/// Loads the workspace under `root` and returns every `P1` finding.
+pub fn run(root: &Path) -> Result<Vec<Finding>, String> {
+    Ok(p1::check(&Workspace::load(root)?))
 }
 
-/// Finds the workspace root: the nearest ancestor of the current
-/// directory holding a `lint.toml`, falling back to the compiled-in
-/// location of this crate (two levels above its manifest).
-pub fn workspace_root() -> Option<PathBuf> {
-    let mut dir = std::env::current_dir().ok();
-    while let Some(d) = dir {
-        if d.join("lint.toml").is_file() {
-            return Some(d);
-        }
-        dir = d.parent().map(Path::to_path_buf);
-    }
-    let baked = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    baked.join("lint.toml").is_file().then_some(baked)
+/// The workspace this crate was built in: two levels above its manifest.
+pub fn workspace_root() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
 }

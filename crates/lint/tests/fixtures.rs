@@ -1,12 +1,10 @@
-//! The linter's self-test corpus: one deliberately bad snippet per rule
-//! under `tests/fixtures/`, each pinned to its *exact* diagnostic — rule
-//! id, `file:line`, message, and quoted snippet. The corpus is the
-//! linter's own regression suite (CI asserts its size separately), and
-//! the trailing proptest pins the lexer/parser/allow-index pipeline as
-//! total over arbitrary byte soup.
+//! The linter's self-test: a deliberately bad decode path under
+//! `tests/fixtures/` (a decode in `p1_bad.rs` and a helper module,
+//! `codec.rs`, only part of which it calls), pinned to its exact
+//! diagnostics, and a proptest that pins the lexer and parser as total
+//! over arbitrary byte soup.
 
-use byzclock_lint::rules::run_rules;
-use byzclock_lint::{Config, Workspace};
+use byzclock_lint::{p1, Workspace};
 use proptest::prelude::*;
 
 /// Reads one fixture from `tests/fixtures/`.
@@ -17,192 +15,34 @@ fn fixture(name: &str) -> String {
     std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()))
 }
 
-/// The full-menu config the per-rule fixtures run under (mirrors the
-/// real `lint.toml`'s shape at fixture scale).
-const CONFIG: &str = r#"
-[d1]
-crates = ["coin"]
-banned = ["HashMap", "Instant"]
-[p1]
-trait = "Wire"
-roots = ["decode"]
-[a1]
-functions = ["crates/coin/src/hot.rs#recv_echo"]
-banned = ["clone", "to_vec"]
-banned_new = ["Vec"]
-[w1]
-coverage = "tests/wire_properties.rs"
-[s1]
-spec = "crates/coin/src/spec.rs"
-"#;
-
-/// A config without `[a1] functions` / `[s1] spec`, for the fixtures
-/// that run the *whole* menu on a one-file workspace (the full config's
-/// drift detectors would otherwise fire on the missing files — which is
-/// correct behavior, just not what those fixtures pin).
-const CONFIG_NO_TARGETS: &str = r#"
-[d1]
-crates = ["coin"]
-banned = ["HashMap", "Instant"]
-[p1]
-trait = "Wire"
-roots = ["decode"]
-[w1]
-coverage = "tests/wire_properties.rs"
-"#;
-
-/// Lints one fixture (mounted at `rel`) and returns every unsuppressed
-/// diagnostic as its rendered string, plus the per-rule suppressed sum.
-fn lint(config: &str, rel: &str, name: &str, rule: Option<&str>) -> (Vec<String>, usize) {
-    let src = fixture(name);
-    let ws = Workspace::from_sources(
-        Config::parse(config).unwrap(),
-        &[(rel, &src)],
-        Some("roundtrip::<Covered>(); garbage::<Covered>();"),
-    );
-    let report = run_rules(&ws, rule);
-    let diags = report
-        .results
-        .iter()
-        .flat_map(|r| r.findings.iter().map(ToString::to_string))
-        .collect();
-    let suppressed = report.results.iter().map(|r| r.suppressed).sum();
-    (diags, suppressed)
-}
-
 #[test]
-fn d1_fixture_flags_banned_idents_and_honors_the_reasoned_allow() {
-    let (diags, suppressed) = lint(CONFIG, "crates/coin/src/d1_bad.rs", "d1_bad.rs", Some("D1"));
+fn p1_fixture_traces_helpers_through_free_and_qualified_calls() {
+    let (bad, codec) = (fixture("p1_bad.rs"), fixture("codec.rs"));
+    let ws = Workspace::from_sources(&[
+        ("crates/coin/src/codec.rs", &codec),
+        ("crates/coin/src/p1_bad.rs", &bad),
+    ]);
+    let diags: Vec<String> = p1::check(&ws).iter().map(ToString::to_string).collect();
     assert_eq!(
         diags,
         [
-            "crates/coin/src/d1_bad.rs:1: [D1] order-/time-dependent construct `HashMap` in a determinism-scoped crate — `use std::collections::HashMap;`",
-            "crates/coin/src/d1_bad.rs:8: [D1] order-/time-dependent construct `HashMap` in a determinism-scoped crate — `fn fresh() -> HashMap<u32, u32> {`",
-            "crates/coin/src/d1_bad.rs:9: [D1] order-/time-dependent construct `HashMap` in a determinism-scoped crate — `HashMap::new()`",
+            "crates/coin/src/codec.rs:2: [P1] unchecked indexing `[…]` in `tag` (reachable from `Msg::decode`) — `r.buf[1]`",
+            "crates/coin/src/p1_bad.rs:5: [P1] `.unwrap()` in `decode` (reachable from `Msg::decode`) — `let first = r.bytes().next().unwrap();`",
+            "crates/coin/src/p1_bad.rs:13: [P1] unchecked indexing `[…]` in `helper` (reachable from `Msg::decode`) — `r.buf[0]`",
+            "crates/coin/src/p1_bad.rs:18: [P1] division/modulo by a non-literal in `width` (reachable from `Msg::decode`) — `r.len() / r.count()`",
+            "crates/coin/src/p1_bad.rs:22: [P1] `assert!` in `id` (reachable from `Msg::decode`) — `assert!(raw < 200, \"reserved\");`",
         ]
     );
-    assert_eq!(
-        suppressed, 1,
-        "the reasoned allow on `memo` suppresses exactly one site"
-    );
-}
-
-#[test]
-fn p1_fixture_traces_helpers_and_ignores_allows_in_decode_roots() {
-    let (diags, suppressed) = lint(CONFIG, "crates/coin/src/p1_bad.rs", "p1_bad.rs", Some("P1"));
-    assert_eq!(
-        diags,
-        [
-            "crates/coin/src/p1_bad.rs:6: [P1] `.unwrap()` in `decode` (reachable from `Msg::decode`) — `let first = r.bytes().next().unwrap();`",
-            "crates/coin/src/p1_bad.rs:14: [P1] unchecked indexing `[…]` in `helper` (reachable from `Msg::decode`) — `r.buf[0]`",
-        ]
-    );
-    assert_eq!(
-        suppressed, 0,
-        "the allow inside the decode root must not count as a suppression"
-    );
-}
-
-#[test]
-fn a1_fixture_flags_allocations_in_the_configured_hot_path() {
-    let (diags, suppressed) = lint(CONFIG, "crates/coin/src/hot.rs", "a1_bad.rs", Some("A1"));
-    assert_eq!(
-        diags,
-        [
-            "crates/coin/src/hot.rs:5: [A1] allocation `to_vec` in zero-alloc steady-state fn `recv_echo` — `let copy = xs.to_vec();`",
-            "crates/coin/src/hot.rs:6: [A1] allocation `Vec::new` in zero-alloc steady-state fn `recv_echo` — `let mut rows = Vec::new();`",
-        ]
-    );
-    assert_eq!(suppressed, 0);
-}
-
-#[test]
-fn w1_fixture_flags_the_uncovered_wire_impl() {
-    let (diags, _) = lint(CONFIG, "crates/coin/src/w1_bad.rs", "w1_bad.rs", Some("W1"));
-    assert_eq!(
-        diags,
-        ["crates/coin/src/w1_bad.rs:3: [W1] `impl Wire for Orphan` has no round-trip/garbage-fuzz coverage in tests/wire_properties.rs — `impl Wire for Orphan {`"]
-    );
-}
-
-#[test]
-fn s1_fixture_reports_every_pairwise_key_drift() {
-    let (diags, _) = lint(CONFIG, "crates/coin/src/spec.rs", "s1_bad.rs", Some("S1"));
-    assert_eq!(
-        diags,
-        [
-            "crates/coin/src/spec.rs:4: [S1] spec key `f` is in ScenarioSpec::KEYS but missing from the parse() match arms — `pub const KEYS: [&str; 2] = [\"n\", \"f\"];`",
-            "crates/coin/src/spec.rs:9: [S1] spec key `k` is in the parse() match arms but missing from ScenarioSpec::KEYS — `\"k\" => {}`",
-            "crates/coin/src/spec.rs:9: [S1] spec key `k` is in the parse() match arms but missing from the Display rendering — `\"k\" => {}`",
-            "crates/coin/src/spec.rs:18: [S1] spec key `f` is in the Display rendering but missing from the parse() match arms — `write!(f, \"n={} f={}\", 0, 0)`",
-        ]
-    );
-}
-
-#[test]
-fn bad_allow_fixture_reports_bare_and_unknown_rule_directives() {
-    let (diags, suppressed) = lint(
-        CONFIG_NO_TARGETS,
-        "crates/coin/src/bad_allow.rs",
-        "bad_allow.rs",
-        None,
-    );
-    assert_eq!(
-        diags,
-        [
-            "crates/coin/src/bad_allow.rs:2: [D1] bare `lint:allow(D1)` without a reason — justifications are part of the contract — `// lint:allow(D1)`",
-            "crates/coin/src/bad_allow.rs:3: [D1] order-/time-dependent construct `Instant` in a determinism-scoped crate — `let t = Instant::now();`",
-            "crates/coin/src/bad_allow.rs:5: [D1] order-/time-dependent construct `Instant` in a determinism-scoped crate — `let u = Instant::now();`",
-            "crates/coin/src/bad_allow.rs:4: [Z9] `lint:allow(Z9)` names an unknown rule (known: D1, P1, A1, W1, S1) — `// lint:allow(Z9): beat counters are not wall clocks`",
-        ]
-    );
-    assert_eq!(suppressed, 0, "neither directive suppresses anything");
-}
-
-#[test]
-fn multi_fixture_fires_three_rules_from_one_file() {
-    let (diags, _) = lint(
-        CONFIG_NO_TARGETS,
-        "crates/coin/src/multi.rs",
-        "multi.rs",
-        None,
-    );
-    assert_eq!(
-        diags,
-        [
-            "crates/coin/src/multi.rs:1: [D1] order-/time-dependent construct `HashMap` in a determinism-scoped crate — `use std::collections::HashMap;`",
-            "crates/coin/src/multi.rs:7: [D1] order-/time-dependent construct `HashMap` in a determinism-scoped crate — `let _map: HashMap<u8, u8> = HashMap::default();`",
-            "crates/coin/src/multi.rs:8: [P1] unchecked indexing `[…]` in `decode` (reachable from `Multi::decode`) — `let _b = r.buf[0];`",
-            "crates/coin/src/multi.rs:5: [W1] `impl Wire for Multi` has no round-trip/garbage-fuzz coverage in tests/wire_properties.rs — `impl Wire for Multi {`",
-        ]
-    );
-}
-
-#[test]
-fn rule_filter_restricts_the_multi_fixture_to_one_rule() {
-    let (diags, _) = lint(
-        CONFIG_NO_TARGETS,
-        "crates/coin/src/multi.rs",
-        "multi.rs",
-        Some("P1"),
-    );
-    assert_eq!(
-        diags.len(),
-        1,
-        "P1 filter leaves exactly the decode finding: {diags:?}"
-    );
-    assert!(diags[0].contains("[P1]"));
 }
 
 proptest! {
-    /// The whole front end — lexer, allow index, item parser — is total:
-    /// arbitrary byte soup (lossily decoded) never panics it.
+    /// The whole front end — lexer and item parser — is total: arbitrary
+    /// byte soup (lossily decoded) never panics it, nor the rule over it.
     #[test]
     fn front_end_is_total_on_arbitrary_bytes(bytes in proptest::collection::vec(any::<u8>(), 0..512)) {
         let text = String::from_utf8_lossy(&bytes).into_owned();
-        let toks = byzclock_lint::lexer::lex(&text);
-        let _ = byzclock_lint::AllowIndex::build(&toks);
-        let parsed = byzclock_lint::parser::parse("fuzz.rs", toks);
-        prop_assert!(parsed.rel == "fuzz.rs");
+        let ws = Workspace::from_sources(&[("fuzz.rs", &text)]);
+        let _ = p1::check(&ws);
+        prop_assert!(ws.files[0].rel == "fuzz.rs");
     }
 }

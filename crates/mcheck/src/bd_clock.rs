@@ -67,9 +67,12 @@
 //! persistent synced set.
 
 use std::cell::RefCell;
-// lint:allow(D1): the three memo caches below are lookup-only (insert +
-// get, never iterated), so hash ordering cannot reach a report, and the
-// bd-clock state space is too hot for ordered maps.
+#[expect(
+    clippy::disallowed_types,
+    reason = "the three memo caches below are lookup-only (insert + get, never iterated), \
+              so hash ordering cannot reach a report, and the bd-clock state space is too \
+              hot for ordered maps"
+)]
 use std::collections::HashMap;
 
 use byzclock_core::{BdClock, BdClockMsg, BdSnapshot, FixedRand};
@@ -196,17 +199,17 @@ pub struct BdModel {
     bound: u32,
     /// Interns each distinct joint inbox so the hot step cache below keys
     /// on a small fixed-size id instead of re-hashing the entry list.
-    // lint:allow(D1): lookup-only memo cache, never iterated.
+    #[expect(clippy::disallowed_types, reason = "lookup-only memo cache")]
     inbox_ids: RefCell<HashMap<Vec<InboxEntry>, u32>>,
     /// `(pre-row, evidence, inbox id, coin)` → `(post-row, evidence')`.
     /// Valid across nodes and states: `deliver` ignores `e.to` and the
     /// spin-up is deterministic.
     #[allow(clippy::type_complexity)]
-    // lint:allow(D1): lookup-only memo cache, never iterated.
+    #[expect(clippy::disallowed_types, reason = "lookup-only memo cache")]
     step_cache: RefCell<HashMap<(Row, Evidence, u32, bool), (Row, Evidence)>>,
     /// Pre-row → the bundle base tag this node broadcasts this beat (if
     /// its send latches fire). Sends never read the evidence table.
-    // lint:allow(D1): lookup-only memo cache, never iterated.
+    #[expect(clippy::disallowed_types, reason = "lookup-only memo cache")]
     bundle_cache: RefCell<HashMap<Row, Option<u8>>>,
 }
 
@@ -227,11 +230,11 @@ impl BdModel {
             // Placeholder bounds; tightened to the measured worst case in
             // the CLI/tests via `with_bound`.
             bound: if window == 1 { 8 } else { 10 },
-            // lint:allow(D1): lookup-only memo caches, never iterated.
+            #[expect(clippy::disallowed_types, reason = "lookup-only memo cache")]
             inbox_ids: RefCell::new(HashMap::new()),
-            // lint:allow(D1): lookup-only memo caches, never iterated.
+            #[expect(clippy::disallowed_types, reason = "lookup-only memo cache")]
             step_cache: RefCell::new(HashMap::new()),
-            // lint:allow(D1): lookup-only memo caches, never iterated.
+            #[expect(clippy::disallowed_types, reason = "lookup-only memo cache")]
             bundle_cache: RefCell::new(HashMap::new()),
         }
     }

@@ -23,11 +23,13 @@
 //!   claimed bound.
 
 use std::collections::hash_map::Entry;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
-// lint:allow(D1): state interning needs O(1) lookups; ids are assigned in
-// BFS insertion order and the map itself is never iterated, so no
-// HashMap ordering can reach a report.
+#[expect(
+    clippy::disallowed_types,
+    reason = "state interning needs O(1) lookups; ids are assigned in BFS insertion order \
+              and the map itself is never iterated, so no HashMap ordering can reach a report"
+)]
 use std::collections::HashMap;
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt::Debug;
 use std::hash::Hash;
 
@@ -194,7 +196,10 @@ impl CheckReport {
 }
 
 struct Explored<S> {
-    // lint:allow(D1): lookup-only interning index; iteration never happens.
+    #[expect(
+        clippy::disallowed_types,
+        reason = "lookup-only interning index, never iterated"
+    )]
     index: HashMap<S, u32>,
     states: Vec<S>,
     preds: Vec<u32>, // u32::MAX for initial states
@@ -208,9 +213,12 @@ struct Explored<S> {
     complete: bool,
 }
 
+#[expect(
+    clippy::disallowed_types,
+    reason = "the interning index; ids are insertion-ordered"
+)]
 fn intern<S: Clone + Eq + Hash>(
     s: &S,
-    // lint:allow(D1): the interning index again; ids are insertion-ordered.
     index: &mut HashMap<S, u32>,
     states: &mut Vec<S>,
     preds: &mut Vec<u32>,
@@ -232,7 +240,7 @@ fn intern<S: Clone + Eq + Hash>(
 
 fn explore<M: Model>(model: &M, max_states: usize) -> Explored<M::State> {
     let mut ex = Explored {
-        // lint:allow(D1): lookup-only interning index.
+        #[expect(clippy::disallowed_types, reason = "lookup-only interning index")]
         index: HashMap::new(),
         states: Vec::new(),
         preds: Vec::new(),

@@ -5,15 +5,17 @@
 //! send lists, the adversary's outbox buffer, the scheduler's ring of
 //! per-recipient inboxes, the per-phase unicast index and the one buffer
 //! lockstep inboxes are built in, the phantom-history ring once it is
-//! full — so
-//! after a warm-up a `Simulation::step` over a non-allocating application
-//! must not touch the allocator at all. The one amortised growth left in
-//! `step` is `TrafficStats`' per-beat row vector, which doubles at beats
-//! 64 and 128; the counted window (beats 70..120) sits between the two.
+//! full — so after a warm-up a `Simulation::step` over a non-allocating
+//! application must not touch the allocator at all. Under bounded delay
+//! the warm-up lasts until every inbox of the scheduler's ring has seen
+//! its peak load (the last test pins when). The one amortised growth left
+//! in `step` is `TrafficStats`' per-beat row vector, which doubles at
+//! beats 64, 128, 256, …; the counted window (beats 70..120) sits between
+//! the first two.
 
 use byzclock_sim::{
     Adversary, AdversaryView, Application, ByzOutbox, Envelope, FaultEvent, FaultKind, FaultPlan,
-    NodeId, Outbox, SilentAdversary, SimBuilder, SimRng, Simulation,
+    NodeId, Outbox, SilentAdversary, SimBuilder, SimRng, Simulation, TimingModel,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -175,4 +177,41 @@ fn mixed_traffic_and_a_byzantine_broadcaster_allocate_nothing() {
     let beat = sim.stats().per_beat()[119];
     assert_eq!(beat.correct_msgs, 11 * (1 + 16 + 1));
     assert_eq!(beat.byz_msgs, 16);
+}
+
+/// Under bounded delay every correct envelope goes through the scheduler's
+/// ring: one recycled inbox per (phase, arrival beat mod window,
+/// recipient). Each delay is drawn at random, so an inbox's load varies
+/// beat to beat, and it grows whenever a beat's arrivals beat its
+/// high-water mark — 2 allocator calls in beats 70..120 at window 2, 3 at
+/// window 3. Once every inbox has seen its peak, a beat allocates nothing:
+/// six 50-beat windows up to beat 1 620, clear of `TrafficStats`'
+/// doublings at beats 1 024 and 2 048, make none.
+#[test]
+fn bounded_delay_beats_allocate_only_at_ring_high_water_marks() {
+    for (window, early) in [(2, 2), (3, 3)] {
+        let mut sim = SimBuilder::new(16, 5)
+            .seed(3)
+            .byzantine([6u16, 7, 8, 9, 10])
+            .timing(TimingModel::bounded(window))
+            .build(|cfg, _rng| Mixer(summer(cfg)), Shouter);
+        assert_eq!(
+            allocations_in_beats_70_to_120(&mut sim),
+            early,
+            "window {window}, beats 70..120"
+        );
+        sim.run_beats(1_200);
+        for _ in 0..6 {
+            let before = ALLOCS.with(Cell::get);
+            sim.run_beats(50);
+            let allocations = ALLOCS.with(Cell::get) - before;
+            assert_eq!(
+                allocations,
+                0,
+                "window {window}, beats up to {}",
+                sim.beat()
+            );
+        }
+        assert_eq!(sim.beat(), 1_620);
+    }
 }

@@ -79,10 +79,6 @@ pub use byzclock_baselines as baselines;
 /// Exhaustive small-model checker (crate `byzclock-mcheck`).
 pub use byzclock_mcheck as mcheck;
 
-/// Invariant linter for the workspace's static contracts (crate
-/// `byzclock-lint`).
-pub use byzclock_lint as lint;
-
 pub mod scenario {
     //! The workspace-wide scenario API: every protocol of the reproduction
     //! behind one declarative entry point.

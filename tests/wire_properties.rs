@@ -384,3 +384,63 @@ proptest! {
         }
     }
 }
+
+/// Impls the in-module proptests of `crates/sim/src/wire.rs` pin: the
+/// primitives and containers every message is built from.
+const PINNED_IN_SIM: [&str; 6] = ["()", "bool", "Option", "Vec", "(A, B)", "NodeId"];
+
+/// Every `.rs` file under `dir`, recursively.
+fn rust_files(dir: &std::path::Path, out: &mut Vec<std::path::PathBuf>) {
+    let Ok(entries) = std::fs::read_dir(dir) else {
+        return;
+    };
+    for path in entries.map(|e| e.expect("readable directory").path()) {
+        if path.is_dir() {
+            rust_files(&path, out);
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            out.push(path);
+        }
+    }
+}
+
+/// Coverage: every `impl Wire for T` outside a test module, anywhere in
+/// the workspace's sources, has `T` in the garbage fuzzer above (and so
+/// in this file), unless `crates/sim/src/wire.rs` pins it itself. A new
+/// message type cannot reach the wire unfuzzed.
+#[test]
+fn every_wire_impl_is_fuzzed_here() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut files = Vec::new();
+    rust_files(&root.join("src"), &mut files);
+    for member in std::fs::read_dir(root.join("crates")).expect("crates/") {
+        rust_files(&member.expect("crate dir").path().join("src"), &mut files);
+    }
+    let this_file = include_str!("wire_properties.rs");
+    let mut impls = 0;
+    for path in files {
+        let src = std::fs::read_to_string(&path).expect("readable source");
+        let src = src.split("\n#[cfg(test)]\nmod ").next().unwrap_or_default();
+        for line in src.lines().map(str::trim_start) {
+            let Some((_, ty)) = line.split_once("Wire for ") else {
+                continue;
+            };
+            if !line.starts_with("impl") || ty.starts_with('$') {
+                continue;
+            }
+            let ty = ty.trim_end_matches(" {");
+            let ty = ty.split('<').next().unwrap_or(ty);
+            let name = ty.rsplit("::").next().unwrap_or(ty);
+            impls += 1;
+            assert!(
+                PINNED_IN_SIM.contains(&name)
+                    || this_file.contains(&format!("decode_from::<{name}")),
+                "`{line}` ({}) has no garbage-fuzz property in tests/wire_properties.rs",
+                path.display()
+            );
+        }
+    }
+    assert!(
+        impls >= 10,
+        "found only {impls} `impl Wire` lines — did the scan break?"
+    );
+}
