@@ -26,9 +26,10 @@
 // subscripts; iterator rewrites would obscure the math.
 #![allow(clippy::needless_range_loop)]
 use crate::messages::{check_matrix, CoinMsg, FlatMatrix};
-use byzclock_field::{BatchDecoder, Fp, SymmetricBivariate};
+use byzclock_field::{narrow, BatchDecoder, Fp, SymmetricBivariate};
 use byzclock_sim::{NodeCfg, NodeId, SimRng, Target};
 use rand::Rng;
+use std::cell::RefCell;
 use std::sync::{Arc, Mutex};
 
 /// Per-round sender dedup: claims `from`'s slot in `seen` and reports
@@ -132,8 +133,9 @@ struct GvssStorage {
     /// `[(dealer * targets + t) * (f + 1) + k]` -> coefficient `k` of my
     /// row for `dealer`'s target `t`, zero-padded to the degree bound — a
     /// padded row evaluates exactly like the `Poly::from_coeffs` trim it
-    /// stands for. Meaningful only where `present`.
-    coeffs: Vec<u64>,
+    /// stands for. Meaningful only where `present`. Stored narrow: every
+    /// coefficient is canonical, and canonical elements fit a `u32`.
+    coeffs: Vec<u32>,
     /// `[dealer] -> I hold rows from dealer`.
     present: Vec<bool>,
     /// The echo memo: `[node] -> the Echo payload I send it`, my rows at
@@ -196,7 +198,9 @@ const POOL_CAP: usize = 8;
 /// handful of times.
 const DECODER_CACHE_CAP: usize = 32;
 
-/// Shared, cross-instance recycling arena for the GVSS hot path.
+/// Shared, cross-instance recycling arena for the GVSS hot path: what one
+/// node keeps across beats. The scratch a call works in is not here but
+/// one per thread, shared by every node the thread steps.
 ///
 /// One workspace is held per node per coin pipeline (the scheme clones its
 /// handle into every spawned instance); no workspace is ever shared across
@@ -213,18 +217,14 @@ const DECODER_CACHE_CAP: usize = 32;
 ///   the same point set, so they are built once per run instead of once
 ///   per beat, and
 /// - the share-point power table the dealing and echo rounds evaluate
-///   against, and
-/// - the scratch the dealing, the echo memo and the recover round work
-///   in, sized once for the largest instance it has served.
+///   against.
 ///
 /// The decoders and the power table are pure functions of
 /// `(n, f, point set)` — constants in the sense of the paper's Remark 2.1,
 /// not protocol memory — which is why [`GvssCore::corrupt`] leaves the
 /// workspace alone. The one learned thing a cached decoder holds, its
 /// liar hint, is exempt on another ground: it changes what a decode
-/// costs, never what it returns. The scratch is neither: every call
-/// writes the part it reads before reading it, so nothing in it outlives
-/// the call.
+/// costs, never what it returns.
 #[derive(Debug, Clone, Default)]
 pub struct GvssWorkspace(Arc<Mutex<WorkspaceInner>>);
 
@@ -233,10 +233,28 @@ struct WorkspaceInner {
     pool: Vec<GvssStorage>,
     decoders: Vec<CachedDecoder>,
     pows: Option<Arc<SharePowers>>,
+}
+
+thread_local! {
+    /// This thread's GVSS scratch, empty until its first GVSS call.
+    static SCRATCH: RefCell<Scratch> = RefCell::default();
+}
+
+/// What a GVSS call works in: every call writes the part it reads before
+/// reading it, so nothing carries from one call, node or run to the next.
+/// So one per thread serves every node the thread steps (serially: one
+/// call at a time, and `with_borrow_mut` panics on a re-entrant one), a
+/// scramble has nothing here to scramble, and each call grows what it
+/// uses rather than a node sizing it when built, maybe on another thread.
+#[derive(Debug, Default)]
+struct Scratch {
     /// Deal and echo scratch: the coefficients of rows cut at every share
     /// point (`send_share`, `targets × (f + 1) × n`), or one row's values
     /// at every share point (the echo memo, `n`).
     evals: Vec<u64>,
+    /// The dealings `send_share` cuts its rows from, one bivariate per
+    /// target.
+    dealt: Vec<SymmetricBivariate>,
     view: RecoverView,
 }
 
@@ -253,17 +271,6 @@ struct RecoverView {
     /// share of `dealer`'s target `t`: the codeword the decoder reads is
     /// the first `opened[dealer]` of them.
     ys: Vec<u64>,
-}
-
-impl WorkspaceInner {
-    /// Grows the scratch to serve an `(n, f, targets)` instance; a
-    /// workspace that has served one this size already allocates nothing.
-    fn fit_scratch(&mut self, n: usize, f: usize, targets: usize) {
-        grow(&mut self.evals, (targets * (f + 1)).max(1) * n);
-        grow(&mut self.view.xs, n * n);
-        grow(&mut self.view.opened, n);
-        grow(&mut self.view.ys, n * targets * n);
-    }
 }
 
 /// Lengthens `v` to `len` with default values; never shortens it.
@@ -318,9 +325,8 @@ pub struct GvssCore {
     cfg: NodeCfg,
     fp: Fp,
     targets: usize,
-    /// My dealings (as dealer), one bivariate per target. Filled at round 0.
-    dealt: Vec<SymmetricBivariate>,
-    /// My secret values (the constant terms of `dealt`).
+    /// My secret values (the constant terms of my dealings), drawn at
+    /// round 0.
     my_secrets: Vec<u64>,
     /// The recycled matrix/scratch block (returned to `workspace` on drop).
     st: GvssStorage,
@@ -362,7 +368,6 @@ impl GvssCore {
                 Some(pows) if (pows.n, pows.f) == (n, cfg.f) => Arc::clone(pows),
                 _ => Arc::clone(ws.pows.insert(Arc::new(SharePowers::new(&fp, &cfg)))),
             };
-            ws.fit_scratch(n, cfg.f, targets);
             (ws.pool.pop(), pows)
         };
         let mut st = match pooled {
@@ -380,7 +385,6 @@ impl GvssCore {
             cfg,
             fp,
             targets,
-            dealt: Vec::new(),
             my_secrets: Vec::new(),
             st,
             decode_stats: DecodeStats::default(),
@@ -443,35 +447,40 @@ impl GvssCore {
         self.my_secrets = (0..targets)
             .map(|_| sample(rng) % self.fp.modulus())
             .collect();
-        self.dealt = self
-            .my_secrets
-            .iter()
-            .map(|&s| SymmetricBivariate::random_with_secret(&self.fp, s, f, rng))
-            .collect();
-        // Every row of every target at once: per target, coefficient `a`
-        // of the row at node `m` lands at `a · n + m`.
-        let block = (f + 1) * n;
-        let mut ws = self.workspace.0.lock().expect("workspace lock");
-        let cuts = &mut ws.evals[..targets * block];
-        for (biv, cut) in self.dealt.iter().zip(cuts.chunks_exact_mut(block)) {
-            biv.row_columns(&self.fp, &self.pows.columns, cut);
-        }
-        for to in self.cfg.all_ids() {
-            let mut rows = FlatMatrix::with_capacity(targets, targets * (f + 1));
-            for cut in cuts.chunks_exact(block) {
-                rows.push_row_with(|elems| {
-                    // Read down `to`'s column, then strip trailing zeros
-                    // as `Poly::from_coeffs` does: the wire carries
-                    // exactly `row(to.share_point())`.
-                    let start = elems.len();
-                    elems.extend(cut[to.index()..].iter().step_by(n));
-                    let len = elems[start..].iter().rposition(|&c| c != 0);
-                    elems.truncate(len.map_or(start, |last| start + last + 1));
-                });
+        SCRATCH.with_borrow_mut(|scratch| {
+            // My dealings, one bivariate per target: read only here, so
+            // they live in the scratch, not in the instance.
+            scratch.dealt.clear();
+            scratch.dealt.extend(
+                self.my_secrets
+                    .iter()
+                    .map(|&s| SymmetricBivariate::random_with_secret(&self.fp, s, f, rng)),
+            );
+            // Every row of every target at once: per target, coefficient
+            // `a` of the row at node `m` lands at `a · n + m`.
+            let block = (f + 1) * n;
+            grow(&mut scratch.evals, targets * block);
+            let cuts = &mut scratch.evals[..targets * block];
+            for (biv, cut) in scratch.dealt.iter().zip(cuts.chunks_exact_mut(block)) {
+                biv.row_columns(&self.fp, &self.pows.columns, cut);
             }
-            let rows = Arc::new(rows);
-            out.push((Target::One(to), CoinMsg::Row { rows }));
-        }
+            for to in self.cfg.all_ids() {
+                let mut rows = FlatMatrix::with_capacity(targets, targets * (f + 1));
+                for cut in cuts.chunks_exact(block) {
+                    rows.push_row_with(|elems| {
+                        // Read down `to`'s column, then strip trailing
+                        // zeros as `Poly::from_coeffs` does: the wire
+                        // carries exactly `row(to.share_point())`.
+                        let start = elems.len();
+                        elems.extend(cut[to.index()..].iter().step_by(n));
+                        let len = elems[start..].iter().rposition(|&c| c != 0);
+                        elems.truncate(len.map_or(start, |last| start + last + 1));
+                    });
+                }
+                let rows = Arc::new(rows);
+                out.push((Target::One(to), CoinMsg::Row { rows }));
+            }
+        });
     }
 
     /// Round 0 receive: store (validated, reduced, zero-padded) rows per
@@ -495,7 +504,7 @@ impl GvssCore {
             for (padded, row) in mine.chunks_exact_mut(stride).zip(rows.rows().flatten()) {
                 padded.fill(0);
                 for (c, &v) in padded.iter_mut().zip(row) {
-                    *c = self.fp.reduce(v);
+                    *c = narrow(self.fp.reduce(v));
                 }
             }
             self.st.present[dealer] = true;
@@ -513,22 +522,24 @@ impl GvssCore {
         let targets = self.targets;
         let stride = self.cfg.f + 1;
         let st = &mut self.st;
-        let mut ws = self.workspace.0.lock().expect("workspace lock");
-        let evals = &mut ws.evals[..n];
         let mut echoes: Vec<FlatMatrix> = (0..n)
             .map(|_| FlatMatrix::zeroed(&st.present, targets))
             .collect();
-        let held = (0..n).filter(|&dealer| st.present[dealer]);
-        for (slot, dealer) in held.enumerate() {
-            for t in 0..targets {
-                let row = &st.coeffs[(dealer * targets + t) * stride..][..stride];
-                self.fp.eval_columns(row, &self.pows.columns, evals);
-                let at = slot * targets + t;
-                for (echo, &v) in echoes.iter_mut().zip(&*evals) {
-                    echo.elems_mut()[at] = v;
+        SCRATCH.with_borrow_mut(|scratch| {
+            grow(&mut scratch.evals, n);
+            let evals = &mut scratch.evals[..n];
+            let held = (0..n).filter(|&dealer| st.present[dealer]);
+            for (slot, dealer) in held.enumerate() {
+                for t in 0..targets {
+                    let row = &st.coeffs[(dealer * targets + t) * stride..][..stride];
+                    self.fp.eval_columns(row, &self.pows.columns, evals);
+                    let at = slot * targets + t;
+                    for (echo, &v) in echoes.iter_mut().zip(&*evals) {
+                        echo.elems_mut()[at] = v;
+                    }
                 }
             }
-        }
+        });
         st.echoes.clear();
         st.echoes.extend(echoes.into_iter().map(Arc::new));
     }
@@ -670,7 +681,7 @@ impl GvssCore {
         let constants = held
             .flat_map(|dealer| (0..targets).map(move |t| coeffs[(dealer * targets + t) * stride]));
         for (share, c) in shares.elems_mut().iter_mut().zip(constants) {
-            *share = c;
+            *share = u64::from(c);
         }
         let shares = Arc::new(shares);
         out.push((Target::All, CoinMsg::Recover { shares }));
@@ -686,8 +697,13 @@ impl GvssCore {
     /// tables. Results are identical to per-codeword `rs::decode` (pinned
     /// by proptests in `byzclock-field`); only the cost of building the
     /// tables is amortized. The reduced shares are laid out in the
-    /// workspace's recover view, which the decoder reads in place.
+    /// thread's recover view, which the decoder reads in place.
     pub fn recv_recover(&mut self, inbox: &[(NodeId, CoinMsg)]) {
+        SCRATCH.with_borrow_mut(|scratch| self.recover_in(&mut scratch.view, inbox));
+    }
+
+    /// [`GvssCore::recv_recover`] in `view`.
+    fn recover_in(&mut self, view: &mut RecoverView, inbox: &[(NodeId, CoinMsg)]) {
         let n = self.cfg.n;
         let f = self.cfg.f;
         let targets = self.targets;
@@ -695,7 +711,9 @@ impl GvssCore {
         let ws = &mut *ws;
         // Per dealer: the openers' share points, and one codeword (a y per
         // opener) per target.
-        let view = &mut ws.view;
+        grow(&mut view.xs, n * n);
+        grow(&mut view.opened, n);
+        grow(&mut view.ys, n * targets * n);
         view.opened[..n].fill(0);
         // One `Recover` per sender, first wins. This dedup is
         // load-bearing, not bookkeeping: a second copy of the same message
@@ -782,16 +800,15 @@ impl GvssCore {
     }
 
     /// Transient fault: scramble everything (rows, matches, votes, grades,
-    /// dealings) with type-valid garbage.
+    /// secrets) with type-valid garbage.
     pub fn corrupt(&mut self, rng: &mut SimRng) {
         let n = self.cfg.n;
         let f = self.cfg.f;
         self.my_secrets = (0..self.targets).map(|_| self.fp.sample(rng)).collect();
-        self.dealt = self
-            .my_secrets
-            .iter()
-            .map(|&s| SymmetricBivariate::random_with_secret(&self.fp, s, f, rng))
-            .collect();
+        // Dealings live only in `send_share`; drawn anyway, so later draws are unchanged.
+        for &s in &self.my_secrets {
+            SymmetricBivariate::random_with_secret(&self.fp, s, f, rng);
+        }
         // The echo memo is derived from the rows: rebuilt, not scrambled.
         self.st.echoes.clear();
         let block = self.targets * (f + 1);
@@ -799,7 +816,7 @@ impl GvssCore {
             self.st.present[dealer] = rng.random();
             if self.st.present[dealer] {
                 for c in &mut self.st.coeffs[dealer * block..][..block] {
-                    *c = self.fp.sample(rng);
+                    *c = narrow(self.fp.sample(rng));
                 }
             }
             for s in 0..n {
@@ -848,7 +865,8 @@ mod tests {
                     (0..core.targets)
                         .map(|t| {
                             let at = (dealer * core.targets + t) * stride;
-                            Poly::from_coeffs(core.st.coeffs[at..at + stride].to_vec())
+                            let row = &core.st.coeffs[at..at + stride];
+                            Poly::from_coeffs(row.iter().map(|&c| u64::from(c)).collect())
                         })
                         .collect()
                 })
@@ -882,6 +900,21 @@ mod tests {
         seed: u64,
         workspaces: &[GvssWorkspace],
     ) -> Vec<GvssCore> {
+        run_with_hooks(n, f, targets, seed, workspaces, &mut || {}, &mut |_, _| {}).0
+    }
+
+    /// The four rounds across all `n` nodes, calling `before_call` before
+    /// every core call and `after_round` after each round's receives.
+    /// Returns the cores and every node's sends, round by round.
+    fn run_with_hooks(
+        n: usize,
+        f: usize,
+        targets: usize,
+        seed: u64,
+        workspaces: &[GvssWorkspace],
+        before_call: &mut dyn FnMut(),
+        after_round: &mut dyn FnMut(usize, &mut [GvssCore]),
+    ) -> (Vec<GvssCore>, Vec<Vec<(Target, CoinMsg)>>) {
         let mut rng = SimRng::seed_from_u64(seed);
         let mut cores: Vec<GvssCore> = (0..n as u16)
             .map(|i| {
@@ -892,68 +925,107 @@ mod tests {
                 )
             })
             .collect();
-        // round 0
-        let sends: Vec<_> = cores
-            .iter_mut()
-            .enumerate()
-            .map(|(i, c)| {
-                let mut out = Vec::new();
-                let modn = n as u64;
-                c.send_share(&mut rng, |r| r.random_range(0..modn), &mut out);
-                (NodeId::new(i as u16), out)
-            })
-            .collect();
-        for (c, inbox) in cores.iter_mut().zip(route(n, sends)) {
-            c.recv_share(&inbox);
+        let mut sent = Vec::new();
+        for round in 0..4 {
+            let sends: Vec<_> = cores
+                .iter_mut()
+                .enumerate()
+                .map(|(i, c)| {
+                    let mut out = Vec::new();
+                    before_call();
+                    match round {
+                        0 => c.send_share(&mut rng, |r| r.random_range(0..n as u64), &mut out),
+                        1 => c.send_echo(&mut out),
+                        2 => c.send_vote(&mut out),
+                        _ => c.send_recover(&mut out),
+                    }
+                    (NodeId::new(i as u16), out)
+                })
+                .collect();
+            sent.extend(sends.iter().map(|(_, out)| out.clone()));
+            for (c, inbox) in cores.iter_mut().zip(route(n, sends)) {
+                before_call();
+                match round {
+                    0 => c.recv_share(&inbox),
+                    1 => c.recv_echo(&inbox),
+                    2 => c.recv_vote(&inbox),
+                    _ => c.recv_recover(&inbox),
+                }
+            }
+            after_round(round, &mut cores);
         }
-        // round 1
-        let sends: Vec<_> = cores
-            .iter_mut()
-            .enumerate()
-            .map(|(i, c)| {
-                let mut out = Vec::new();
-                c.send_echo(&mut out);
-                (NodeId::new(i as u16), out)
-            })
-            .collect();
-        for (c, inbox) in cores.iter_mut().zip(route(n, sends)) {
-            c.recv_echo(&inbox);
+        (cores, sent)
+    }
+
+    /// Fills this thread's scratch with garbage.
+    fn scramble_scratch(rng: &mut SimRng) {
+        SCRATCH.with_borrow_mut(|scratch| {
+            scratch.evals.iter_mut().for_each(|v| *v = rng.random());
+            let fp = Fp::for_cluster(7);
+            scratch.dealt = (0..3)
+                .map(|s| SymmetricBivariate::random_with_secret(&fp, s, 2, rng))
+                .collect();
+            let view = &mut scratch.view;
+            view.xs.iter_mut().for_each(|v| *v = rng.random());
+            view.ys.iter_mut().for_each(|v| *v = rng.random());
+            view.opened
+                .iter_mut()
+                .for_each(|k| *k = rng.random_range(0..3));
+        });
+    }
+
+    /// The per-thread scratch carries nothing from one call to the next:
+    /// an honest execution, and one where a node is scrambled after every
+    /// round, send the same payloads and end with the same grades and
+    /// recovered values whether or not the scratch is filled with garbage
+    /// before every core call.
+    #[test]
+    fn garbage_in_the_scratch_changes_nothing() {
+        let (n, f, targets) = (7, 2, 3);
+        for scrambled in [false, true] {
+            let run = |garbage: bool| {
+                let (mut noise, mut faults) = (SimRng::seed_from_u64(1), SimRng::seed_from_u64(2));
+                let (cores, sent) = run_with_hooks(
+                    n,
+                    f,
+                    targets,
+                    9,
+                    &fresh_workspaces(n),
+                    &mut || {
+                        if garbage {
+                            scramble_scratch(&mut noise);
+                        }
+                    },
+                    &mut |round, cores| {
+                        if scrambled {
+                            cores[round].corrupt(&mut faults);
+                        }
+                    },
+                );
+                let ends: Vec<_> = cores
+                    .iter()
+                    .map(|c| (c.st.grades.clone(), c.st.recovered.clone()))
+                    .collect();
+                (sent, ends)
+            };
+            let clean = run(false);
+            if !scrambled {
+                assert!(clean
+                    .1
+                    .iter()
+                    .all(|(_, rec)| rec.iter().all(Option::is_some)));
+            }
+            assert_eq!(clean, run(true), "scrambled: {scrambled}");
         }
-        // round 2
-        let sends: Vec<_> = cores
-            .iter_mut()
-            .enumerate()
-            .map(|(i, c)| {
-                let mut out = Vec::new();
-                c.send_vote(&mut out);
-                (NodeId::new(i as u16), out)
-            })
-            .collect();
-        for (c, inbox) in cores.iter_mut().zip(route(n, sends)) {
-            c.recv_vote(&inbox);
-        }
-        // round 3
-        let sends: Vec<_> = cores
-            .iter_mut()
-            .enumerate()
-            .map(|(i, c)| {
-                let mut out = Vec::new();
-                c.send_recover(&mut out);
-                (NodeId::new(i as u16), out)
-            })
-            .collect();
-        for (c, inbox) in cores.iter_mut().zip(route(n, sends)) {
-            c.recv_recover(&inbox);
-        }
-        cores
     }
 
     /// The columnar dealing against the textbook row: every `Row` payload
     /// `send_share` emits is, target by target, `row(to.share_point())`
     /// of the dealt bivariate — stripped of trailing zeros, since an
     /// unstripped row would change the wire bytes without changing any
-    /// recovered secret. Two instances per workspace, so the second deals
-    /// in scratch the first already wrote.
+    /// recovered secret. Two instances per thread, so the second deals
+    /// in scratch the first already wrote. The dealings are replayed from
+    /// a clone of the RNG: the secrets, then one bivariate per target.
     #[test]
     fn dealt_rows_are_the_bivariate_rows() {
         let mut stripped = 0;
@@ -966,15 +1038,25 @@ mod tests {
                 for targets in [n, 1] {
                     let cfg = NodeCfg::new(NodeId::new(dealer), n, f);
                     let mut core = GvssCore::with_workspace(cfg, targets, workspace.clone());
+                    let mut replay = rng.clone();
                     let mut out = Vec::new();
                     core.send_share(&mut rng, |r| r.random_range(0..n as u64), &mut out);
                     assert_eq!(out.len(), n);
+                    let secrets: Vec<u64> = (0..targets)
+                        .map(|_| replay.random_range(0..n as u64) % fp.modulus())
+                        .collect();
+                    assert_eq!(core.my_secrets(), secrets);
+                    let dealt: Vec<SymmetricBivariate> = secrets
+                        .iter()
+                        .map(|&s| SymmetricBivariate::random_with_secret(&fp, s, f, &mut replay))
+                        .collect();
+                    assert_eq!(replay, rng, "the replay drew what the dealing drew");
                     for (target, msg) in &out {
                         let (Target::One(to), CoinMsg::Row { rows }) = (target, msg) else {
                             panic!("rows are unicast");
                         };
                         assert_eq!(rows.len(), targets);
-                        for (biv, got) in core.dealt.iter().zip(rows.rows()) {
+                        for (biv, got) in dealt.iter().zip(rows.rows()) {
                             let want = biv.row(&fp, to.share_point());
                             assert_eq!(got, Some(want.coeffs()), "n={n} {dealer} -> {to}");
                             stripped += usize::from(want.coeffs().len() <= f);

@@ -140,7 +140,7 @@ fn eval_columns_allocates_nothing() {
     let fp = Fp::for_cluster(13);
     let table = fp.power_columns(&[1, 2, 3, 4, 5], 4);
     let mut out = [0; 5];
-    let used = allocations(|| fp.eval_columns(&[5, 0, 1, 7], &table, &mut out));
+    let used = allocations(|| fp.eval_columns(&[5u64, 0, 1, 7], &table, &mut out));
     assert_eq!(used, 0);
     assert_eq!(out[0], fp.reduce(5 + 1 + 7));
 }

@@ -58,7 +58,7 @@ impl<M: Wire> Wire for SlotMsg<M> {
 
 /// A pipeline of `Δ` staggered [`RoundProtocol`] instances (Fig. 1).
 #[derive(Debug)]
-pub struct Pipeline<P> {
+pub struct Pipeline<P: RoundProtocol> {
     /// `slots[i]` executes round `i` this beat; `slots.len() == Δ`.
     slots: VecDeque<P>,
     /// [`RoundProtocol::metrics`] summed over every retired instance,
@@ -66,6 +66,11 @@ pub struct Pipeline<P> {
     /// (like the traffic stats, it observes the run rather than being
     /// protocol state).
     retired_metrics: Vec<(&'static str, f64)>,
+    /// `send`'s buffer for one slot's messages, kept for its capacity.
+    sends: Vec<(Target, P::Msg)>,
+    /// `deliver`'s per-slot inboxes, kept for their capacity; empty
+    /// between beats, so no payload outlives its beat.
+    per_slot: Vec<Vec<(NodeId, P::Msg)>>,
 }
 
 impl<P: RoundProtocol> Pipeline<P> {
@@ -81,6 +86,8 @@ impl<P: RoundProtocol> Pipeline<P> {
         Pipeline {
             slots: (0..rounds).map(|_| spawn()).collect(),
             retired_metrics: Vec::new(),
+            sends: Vec::new(),
+            per_slot: (0..rounds).map(|_| Vec::new()).collect(),
         }
     }
 
@@ -96,11 +103,9 @@ impl<P: RoundProtocol> Pipeline<P> {
 
     /// Beat send step: every slot emits its round's messages, tagged.
     pub fn send(&mut self, rng: &mut SimRng, out: &mut Vec<(Target, SlotMsg<P::Msg>)>) {
-        let mut scratch = Vec::new();
         for (i, inst) in self.slots.iter_mut().enumerate() {
-            scratch.clear();
-            inst.send_round(i, rng, &mut scratch);
-            for (target, msg) in scratch.drain(..) {
+            inst.send_round(i, rng, &mut self.sends);
+            for (target, msg) in self.sends.drain(..) {
                 out.push((target, SlotMsg { slot: i as u8, msg }));
             }
         }
@@ -125,7 +130,7 @@ impl<P: RoundProtocol> Pipeline<P> {
         spawn: impl FnOnce(&mut SimRng, &P::Output) -> P,
     ) -> P::Output {
         let depth = self.slots.len();
-        let mut per_slot: Vec<Vec<(NodeId, P::Msg)>> = (0..depth).map(|_| Vec::new()).collect();
+        let per_slot = &mut self.per_slot;
         for (from, slot_msg) in inbox {
             let slot = usize::from(slot_msg.slot);
             if slot >= depth {
@@ -143,8 +148,9 @@ impl<P: RoundProtocol> Pipeline<P> {
             }
             per_slot[slot].push((*from, slot_msg.msg.clone()));
         }
-        for (i, inst) in self.slots.iter_mut().enumerate() {
-            inst.recv_round(i, &per_slot[i], rng);
+        for ((i, inst), msgs) in self.slots.iter_mut().enumerate().zip(per_slot) {
+            inst.recv_round(i, msgs, rng);
+            msgs.clear();
         }
         let finished = self.slots.pop_back().expect("pipeline is never empty");
         crate::round::merge_metrics(&mut self.retired_metrics, finished.metrics());

@@ -216,7 +216,9 @@ impl Fp {
     /// cluster field, after every term at the 32-bit cap. The table is
     /// narrow: every canonical element fits a `u32` under [`Fp::new`]'s
     /// cap, so each product is of two zero-extended `u32`s, which baseline
-    /// x86-64 multiplies two to an SSE2 instruction. Only the common prefix
+    /// x86-64 multiplies two to an SSE2 instruction. The coefficients may
+    /// be stored narrow too (`u32`, as [`narrow`] leaves them) or wide
+    /// (`u64`): both are read through this one body. Only the common prefix
     /// of `coeffs` and the table's rows is read, so a zero-padded
     /// coefficient vector evaluates exactly like its trimmed
     /// [`crate::Poly`].
@@ -227,10 +229,15 @@ impl Fp {
     /// let fp = byzclock_field::Fp::for_cluster(7); // p = 11
     /// let table = fp.power_columns(&[1, 2, 3], 3);
     /// let mut out = [0; 3];
-    /// fp.eval_columns(&[5, 0, 1], &table, &mut out); // 5 + x²
+    /// fp.eval_columns(&[5u64, 0, 1], &table, &mut out); // 5 + x²
     /// assert_eq!(out, [6, 9, 3]);
     /// ```
-    pub fn eval_columns(&self, coeffs: &[FpElem], table: &[u32], out: &mut [FpElem]) {
+    pub fn eval_columns<C: Copy + Into<u64>>(
+        &self,
+        coeffs: &[C],
+        table: &[u32],
+        out: &mut [FpElem],
+    ) {
         out.fill(0);
         if out.is_empty() {
             return;
@@ -238,6 +245,7 @@ impl Fp {
         let chunk = self.dot_chunk();
         let mut terms = 0;
         for (&c, pows) in coeffs.iter().zip(table.chunks_exact(out.len())) {
+            let c: u64 = c.into();
             debug_assert!(self.contains(c));
             if terms == chunk {
                 out.iter_mut().for_each(|acc| *acc %= self.p);
@@ -319,7 +327,7 @@ impl Fp {
 
 /// A canonical element as the `u32` it fits: [`Fp::new`] caps the
 /// modulus at 32 bits, so only a field no cluster uses could fail.
-pub(crate) fn narrow(x: FpElem) -> u32 {
+pub fn narrow(x: FpElem) -> u32 {
     u32::try_from(x).expect("canonical elements fit 32 bits")
 }
 
@@ -485,8 +493,8 @@ mod tests {
 
         /// `eval_columns` is `Poly::eval` at every point of the table, for
         /// every degree up to the table's `f` and for rows shorter than
-        /// `f + 1`, zero-padded to the table's height or not — one term
-        /// per chunk at the largest prime.
+        /// `f + 1`, zero-padded to the table's height or not, stored as
+        /// `u64` or as `u32` — one term per chunk at the largest prime.
         #[test]
         fn eval_columns_is_horner_at_every_point(
             p in proptest::sample::select(TEST_PRIMES.to_vec()),
@@ -511,6 +519,11 @@ mod tests {
             for (m, &x) in xs.iter().enumerate() {
                 prop_assert_eq!(out[m], poly.eval(&fp, x), "point {}", m);
             }
+            // The narrow coefficients the GVSS storage keeps read the same.
+            let narrowed: Vec<u32> = coeffs.iter().map(|&c| narrow(c)).collect();
+            let mut narrow_out = vec![u64::MAX; points];
+            fp.eval_columns(&narrowed, &table, &mut narrow_out);
+            prop_assert_eq!(narrow_out, out);
         }
 
         #[test]

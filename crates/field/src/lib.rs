@@ -49,7 +49,7 @@ pub mod rs;
 
 pub use bivariate::SymmetricBivariate;
 pub use error::FieldError;
-pub use fp::{Fp, FpElem};
+pub use fp::{narrow, Fp, FpElem};
 pub use poly::Poly;
 pub use primes::{is_prime, smallest_prime_above};
 pub use rs::BatchDecoder;
